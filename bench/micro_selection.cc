@@ -1,7 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the selection substrate: single
-// selection and regular-sample extraction across algorithms. Backs the
-// paper's §2.1 claim that randomized selection "has small constant and is
-// practically very efficient" relative to the deterministic [ea72].
+// selection and regular-sample extraction across algorithms and run shapes.
+// Backs the paper's §2.1 claim that randomized selection "has small
+// constant and is practically very efficient" relative to the deterministic
+// [ea72], and guards the sample phase on duplicate-heavy runs.
+//
+//   micro_selection --benchmark_filter=RegularSamples
 
 #include <benchmark/benchmark.h>
 
@@ -42,11 +45,48 @@ BENCHMARK(BM_SelectMedian)
     ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 1 << 20})
     ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1 << 20});
 
+// Run shapes for BM_RegularSamples: uniform keys plus the duplicate-heavy
+// inputs the distribution step's equality buckets exist for.
+enum class RunInput { kUniform, kZipf, kAllEqual, kTwoValued };
+
+const char* RunInputName(RunInput input) {
+  switch (input) {
+    case RunInput::kUniform: return "uniform";
+    case RunInput::kZipf: return "zipf";
+    case RunInput::kAllEqual: return "all-equal";
+    case RunInput::kTwoValued: return "two-valued";
+  }
+  return "unknown";
+}
+
+std::vector<uint64_t> RunData(size_t n, RunInput input) {
+  DatasetSpec spec;
+  spec.n = n;
+  spec.seed = 99;
+  switch (input) {
+    case RunInput::kUniform:
+      return BenchData(n);
+    case RunInput::kZipf:
+      spec.distribution = Distribution::kZipf;
+      return GenerateDataset<uint64_t>(spec);
+    case RunInput::kAllEqual:
+      spec.distribution = Distribution::kConstant;
+      return GenerateDataset<uint64_t>(spec);
+    case RunInput::kTwoValued:
+      break;
+  }
+  Xoshiro256 rng(spec.seed);
+  std::vector<uint64_t> data(n);
+  for (uint64_t& key : data) key = rng.NextBounded(2) == 0 ? 17 : 42;
+  return data;
+}
+
 void BM_RegularSamples(benchmark::State& state) {
   const auto algorithm = static_cast<SelectAlgorithm>(state.range(0));
   const size_t m = 1 << 20;
   const uint64_t s = static_cast<uint64_t>(state.range(1));
-  const std::vector<uint64_t> data = BenchData(m);
+  const auto input = static_cast<RunInput>(state.range(2));
+  const std::vector<uint64_t> data = RunData(m, input);
   Xoshiro256 rng(7);
   for (auto _ : state) {
     state.PauseTiming();
@@ -57,14 +97,18 @@ void BM_RegularSamples(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(m));
+  state.SetLabel(RunInputName(input));
 }
 BENCHMARK(BM_RegularSamples)
-    ->ArgNames({"algo", "s"})
-    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 256})
-    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 1024})
-    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 4096})
-    ->Args({static_cast<int>(SelectAlgorithm::kMedianOfMedians), 1024})
-    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024});
+    ->ArgNames({"algo", "s", "input"})
+    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 256, 0})
+    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 1024, 0})
+    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 4096, 0})
+    ->Args({static_cast<int>(SelectAlgorithm::kMedianOfMedians), 1024, 0})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 2})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 3});
 
 void BM_RegularSamplesBySorting(benchmark::State& state) {
   const size_t m = 1 << 20;

@@ -78,7 +78,8 @@ std::unique_ptr<RunSource<K>> MakeRunSource(const StripedDataFile<K>* file,
 ///     auto median = est.Quantile(0.5);       // [median.lower, median.upper]
 ///
 /// Memory: one run buffer (m elements) plus the accumulated sample lists
-/// (r*s elements) — the paper's §2.3 constraint r*s + m <= M.
+/// (r*s elements) — the paper's §2.3 constraint r*s + m <= M — plus m bytes
+/// of selection scratch (see select/multi_select.h).
 template <typename K>
 class OpaqSketch {
  public:
@@ -95,16 +96,7 @@ class OpaqSketch {
 
   /// Samples one run. The buffer is consumed (rearranged by selection);
   /// pass by value and move in to make the cost explicit at call sites.
-  void AddRun(std::vector<K> run) {
-    OPAQ_CHECK_LE(run.size(), config_.run_size)
-        << "a run longer than config.run_size would break the error bounds";
-    if (run.empty()) return;
-    TraceSpan sample_span(TraceStage::kSample);
-    std::vector<K> samples = RegularSamplesBySubrunSize(
-        run.data(), run.size(), config_.subrun_size(),
-        config_.select_algorithm, rng_);
-    builder_.AddRunSamples(std::move(samples), run.size());
-  }
+  void AddRun(std::vector<K> run) { SampleRun(run.data(), run.size()); }
 
   /// Streams every run of any storage backend through the sketch: the whole
   /// one-pass sample phase of Figure 1. Honors `config.io_mode`: kSync
@@ -145,6 +137,9 @@ class OpaqSketch {
 
   /// Same, over an explicit run source (sub-range of a file in the parallel
   /// algorithm, or a caller-built sync/async reader).
+  ///
+  /// One run buffer is sampled in place and handed back to the reader for
+  /// the next run, so a prefetching reader recycles full-size buffers.
   Status ConsumeRuns(RunSource<K>* reader, double* io_seconds = nullptr) {
     std::vector<K> buffer;
     buffer.reserve(config_.run_size);
@@ -157,9 +152,7 @@ class OpaqSketch {
       if (!more.ok()) return more.status();
       if (!*more) break;
       if (io_seconds != nullptr) *io_seconds += io_timer.ElapsedSeconds();
-      AddRun(std::move(buffer));
-      buffer = std::vector<K>();
-      buffer.reserve(config_.run_size);
+      SampleRun(buffer.data(), buffer.size());
     }
     return Status::OK();
   }
@@ -174,9 +167,22 @@ class OpaqSketch {
   }
 
  private:
+  /// Regular-samples `run[0..n)` in place (the elements are rearranged).
+  void SampleRun(K* run, size_t n) {
+    OPAQ_CHECK_LE(n, config_.run_size)
+        << "a run longer than config.run_size would break the error bounds";
+    if (n == 0) return;
+    TraceSpan sample_span(TraceStage::kSample);
+    std::vector<K> samples =
+        RegularSamplesBySubrunSize(run, n, config_.subrun_size(),
+                                   config_.select_algorithm, rng_, &oracle_);
+    builder_.AddRunSamples(std::move(samples), n);
+  }
+
   OpaqConfig config_;
   Xoshiro256 rng_;
   SampleListBuilder<K> builder_;
+  std::vector<uint8_t> oracle_;  ///< selection scratch, reused across runs
 };
 
 /// One-shot helper: estimate the q-1 equi-spaced quantiles of a disk file.

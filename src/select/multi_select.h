@@ -2,20 +2,70 @@
 #define OPAQ_SELECT_MULTI_SELECT_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "select/select.h"
 #include "util/check.h"
+#include "util/random.h"
 
 namespace opaq {
 
+/// Multi-selection: the s order statistics of one run, the paper's sample
+/// phase (§2.1).
+///
+/// The paper finds the s samples by recursive selection: select the middle
+/// rank, split the run there, recurse into both halves. That costs
+/// O(m log s) comparisons in log2(s) full sweeps over the run, and it is
+/// what small windows still use (`MultiSelectImpl`).
+///
+/// Large windows take a sample-sort distribution step instead (the
+/// classification of Sanders & Winkel's Super Scalar Sample Sort, ESA 2004,
+/// used for selection). Random splitters cut the window into up to 256
+/// buckets. Every element is classified by a branchless descent of an
+/// implicit splitter tree, its bucket byte is kept in an "oracle" array,
+/// and the window is permuted in place so each bucket is contiguous. Each
+/// target rank then lies in a known, cache-resident bucket; buckets holding
+/// no target are never touched again. A bucket holding several targets is
+/// distributed once more, in cache, into a few smaller buckets, and the
+/// caller's `SelectAlgorithm` finishes each piece on only the ranks inside
+/// it. Expected cost: about two passes over the run plus cache-resident
+/// work, instead of log2(s) passes.
+///
+/// When the drawn splitters repeat a key, each distinct splitter also gets
+/// an equality bucket holding exactly the keys equal to it; such a bucket
+/// answers its ranks without any selection. This keeps duplicate-heavy
+/// runs (Zipf heads, all-equal, few-valued) at least as fast as the
+/// recursive path.
+///
+/// Both paths return the same values: a sample is an order statistic of
+/// the run, whatever algorithm finds it.
+
 namespace internal_select {
+
+/// Windows of at least this many elements take the distribution step;
+/// smaller ones (live-ingest segments, tail runs) keep the recursive path.
+inline constexpr size_t kDistributeMinElements = size_t{1} << 16;
+
+/// Inside a distributed window, a bucket holding two or more target ranks
+/// is distributed again when it has at least this many elements.
+inline constexpr size_t kRedistributeMinElements = 1024;
+
+/// Distribution steps nest at most this deep before the recursive path
+/// takes over, whatever the bucket sizes.
+inline constexpr int kMaxDistributeDepth = 4;
+
+/// Sample elements drawn per splitter; more gives evener buckets.
+inline constexpr size_t kOversampling = 8;
+
+/// Bucket ids fit in one oracle byte.
+inline constexpr size_t kMaxBucketIds = 256;
 
 /// Recursive core of multi-selection: selects the middle target rank with a
 /// single-element selector (which partitions the window around it), records
 /// the sample, and recurses into the two halves with the remaining ranks.
-/// Depth is O(log #ranks), each level does O(window) work, hence the paper's
+/// Depth is O(log #ranks) and each level does O(window) work: the paper's
 /// O(m log s) bound for the sample phase (§2.1).
 template <typename K>
 void MultiSelectImpl(K* data, size_t n, const uint64_t* ranks,
@@ -34,22 +84,232 @@ void MultiSelectImpl(K* data, size_t n, const uint64_t* ranks,
                   algorithm, rng);
 }
 
+/// Branchless bucket classifier over 2^log_range range buckets.
+///
+/// `tree_` holds the 2^log_range - 1 sorted splitters in Eytzinger (BFS)
+/// order, so the descent `b = 2b + (tree[b] < key)` needs no branches and
+/// touches one cache-resident node per level. Range bucket r holds the keys
+/// in (splitter[r-1], splitter[r]]. With equality buckets, range bucket r
+/// is split further into id 2r (keys below splitter[r]) and id 2r+1 (keys
+/// equal to it); the top range bucket (keys above every splitter) is then
+/// the last id.
+template <typename K>
+class BucketClassifier {
+ public:
+  /// `splitters` is sorted and distinct; `count` of them
+  /// (1 <= count < 2^log_range) are used and the rest of the tree is padded
+  /// with the last one.
+  BucketClassifier(const K* splitters, size_t count, int log_range,
+                   bool equality)
+      : log_range_(log_range), equality_(equality) {
+    const size_t range_buckets = size_t{1} << log_range;
+    OPAQ_DCHECK(count >= 1 && count < range_buckets);
+    OPAQ_DCHECK(num_ids() <= kMaxBucketIds);
+    for (size_t i = 0; i + 1 < range_buckets; ++i) {
+      sorted_[i] = splitters[std::min(i, count - 1)];
+    }
+    sorted_[range_buckets - 1] = sorted_[range_buckets - 2];
+    // The node at level l, position p holds in-order index
+    // (2p + 1) * 2^(log_range - 1 - l) - 1.
+    for (int level = 0; level < log_range; ++level) {
+      const size_t first = size_t{1} << level;
+      for (size_t p = 0; p < first; ++p) {
+        tree_[first + p] = sorted_[((2 * p + 1) << (log_range - 1 - level)) - 1];
+      }
+    }
+  }
+
+  size_t num_ids() const { return size_t{equality_ ? 2u : 1u} << log_range_; }
+
+  /// Whether every key of bucket `id` equals one splitter.
+  bool IsEqualityBucket(size_t id) const {
+    return equality_ && (id & 1) != 0 && id + 1 != num_ids();
+  }
+
+  /// Writes each key's bucket id to `oracle` and counts the ids.
+  void Classify(const K* data, size_t n, uint8_t* oracle,
+                size_t* counts) const {
+    const size_t body = n - n % 4;
+    // Four independent descents per iteration hide the load latency of
+    // each level (instruction-level parallelism).
+    for (size_t i = 0; i < body; i += 4) {
+      size_t b0 = 1, b1 = 1, b2 = 1, b3 = 1;
+      for (int level = 0; level < log_range_; ++level) {
+        b0 = 2 * b0 + static_cast<size_t>(tree_[b0] < data[i]);
+        b1 = 2 * b1 + static_cast<size_t>(tree_[b1] < data[i + 1]);
+        b2 = 2 * b2 + static_cast<size_t>(tree_[b2] < data[i + 2]);
+        b3 = 2 * b3 + static_cast<size_t>(tree_[b3] < data[i + 3]);
+      }
+      Record(Finish(b0, data[i]), i, oracle, counts);
+      Record(Finish(b1, data[i + 1]), i + 1, oracle, counts);
+      Record(Finish(b2, data[i + 2]), i + 2, oracle, counts);
+      Record(Finish(b3, data[i + 3]), i + 3, oracle, counts);
+    }
+    for (size_t i = body; i < n; ++i) {
+      size_t b = 1;
+      for (int level = 0; level < log_range_; ++level) {
+        b = 2 * b + static_cast<size_t>(tree_[b] < data[i]);
+      }
+      Record(Finish(b, data[i]), i, oracle, counts);
+    }
+  }
+
+ private:
+  // Leaf `b` in [2^log_range, 2^(log_range+1)) to bucket id.
+  size_t Finish(size_t b, const K& key) const {
+    const size_t range = b - (size_t{1} << log_range_);
+    if (!equality_) return range;
+    return 2 * range + static_cast<size_t>(!(key < sorted_[range]));
+  }
+
+  static void Record(size_t id, size_t i, uint8_t* oracle, size_t* counts) {
+    oracle[i] = static_cast<uint8_t>(id);
+    ++counts[id];
+  }
+
+  int log_range_;
+  bool equality_;
+  K tree_[kMaxBucketIds];
+  K sorted_[kMaxBucketIds];
+};
+
+/// Permutes `data` in place so bucket b occupies `[begin[b], begin[b+1])`,
+/// following the oracle's bucket bytes (an American-flag cycle walk: every
+/// misplaced element moves once). The oracle is consumed.
+template <typename K>
+void PermuteByOracle(K* data, const uint8_t* oracle, const size_t* begin,
+                     size_t num_ids) {
+  size_t head[kMaxBucketIds];
+  std::copy(begin, begin + num_ids, head);
+  for (size_t b = 0; b < num_ids; ++b) {
+    const size_t end = begin[b + 1];
+    while (head[b] < end) {
+      const size_t hole = head[b];
+      size_t dest = oracle[hole];
+      if (dest == b) {
+        ++head[b];
+        continue;
+      }
+      // Carry data[hole] to its bucket, pick up what was there, and repeat
+      // until an element of bucket b comes back to fill the hole.
+      K carried = data[hole];
+      do {
+        size_t slot = head[dest];
+        while (oracle[slot] == dest) ++slot;  // already in place
+        head[dest] = slot + 1;
+        dest = oracle[slot];
+        std::swap(carried, data[slot]);
+      } while (dest != b);
+      data[hole] = carried;
+      ++head[b];
+    }
+  }
+}
+
+/// Distribution-step multi-selection over one window (see the file
+/// comment); `oracle` has room for `n` bytes.
+template <typename K>
+void DistributeSelect(K* data, size_t n, const uint64_t* ranks,
+                      size_t num_ranks, uint64_t base, K* out,
+                      SelectAlgorithm algorithm, Xoshiro256& rng,
+                      uint8_t* oracle, int depth) {
+  // About four range buckets per target rank, up to one oracle byte's worth.
+  int log_range = 2;
+  while (log_range < 8 && (size_t{1} << log_range) < 4 * num_ranks) {
+    ++log_range;
+  }
+  const size_t range_buckets = size_t{1} << log_range;
+
+  // Oversampled random splitters: every kOversampling-th of a sorted sample.
+  std::vector<K> sample(kOversampling * range_buckets);
+  for (K& key : sample) key = data[rng.NextBounded(n)];
+  std::sort(sample.begin(), sample.end());
+  std::vector<K> splitters;
+  splitters.reserve(range_buckets);
+  for (size_t i = 1; i < range_buckets; ++i) {
+    splitters.push_back(sample[i * kOversampling - 1]);
+  }
+  const bool repeats =
+      std::adjacent_find(splitters.begin(), splitters.end(),
+                         [](const K& a, const K& b) { return !(a < b); }) !=
+      splitters.end();
+  if (repeats) {
+    // A repeated splitter marks a heavy key. Half as many range buckets
+    // leave room for an equality bucket per distinct splitter.
+    --log_range;
+    splitters.clear();
+    for (size_t i = 1; i < range_buckets / 2; ++i) {
+      const K& key = sample[2 * i * kOversampling - 1];
+      if (splitters.empty() || splitters.back() < key) splitters.push_back(key);
+    }
+  }
+  const BucketClassifier<K> classifier(splitters.data(), splitters.size(),
+                                       log_range, repeats);
+  const size_t num_ids = classifier.num_ids();
+
+  size_t counts[kMaxBucketIds] = {};
+  classifier.Classify(data, n, oracle, counts);
+  size_t begin[kMaxBucketIds + 1];
+  begin[0] = 0;
+  for (size_t b = 0; b < num_ids; ++b) begin[b + 1] = begin[b] + counts[b];
+  PermuteByOracle(data, oracle, begin, num_ids);
+
+  // Ranks are sorted, so the buckets holding them come in order too. The
+  // oracle is free again and serves as scratch for nested steps.
+  size_t first = 0;
+  for (size_t b = 0; b < num_ids && first < num_ranks; ++b) {
+    size_t last = first;
+    while (last < num_ranks && ranks[last] - base < begin[b + 1]) ++last;
+    if (last == first) continue;
+    K* bucket = data + begin[b];
+    const size_t size = begin[b + 1] - begin[b];
+    if (classifier.IsEqualityBucket(b)) {
+      std::fill(out + first, out + last, bucket[0]);
+    } else if (last - first >= 2 && size >= kRedistributeMinElements &&
+               depth + 1 < kMaxDistributeDepth) {
+      DistributeSelect(bucket, size, ranks + first, last - first,
+                       base + begin[b], out + first, algorithm, rng, oracle,
+                       depth + 1);
+    } else {
+      MultiSelectImpl(bucket, size, ranks + first, last - first,
+                      base + begin[b], out + first, algorithm, rng);
+    }
+    first = last;
+  }
+}
+
 }  // namespace internal_select
 
 /// Selects the elements at each 0-based rank in `ranks` (strictly increasing,
 /// all < n) from `data[0..n)`, rearranging `data` in the process. The output
-/// is sorted by construction. This is the paper's "find the s sample points
-/// by recursive median splitting" generalised to arbitrary rank sets.
+/// is sorted by construction, and afterwards `data[ranks[i]] == out[i]` with
+/// no larger element before it and no smaller one after it.
+///
+/// `algorithm` is the single-element selector: it does all the work on
+/// windows below `kDistributeMinElements`, and finishes each bucket after
+/// the distribution step on larger ones. `oracle`, when given, is the
+/// distribution step's one-byte-per-element scratch; pass the same vector
+/// for every run to allocate it once.
 template <typename K>
 std::vector<K> MultiSelect(K* data, size_t n, const std::vector<uint64_t>& ranks,
-                           SelectAlgorithm algorithm, Xoshiro256& rng) {
+                           SelectAlgorithm algorithm, Xoshiro256& rng,
+                           std::vector<uint8_t>* oracle = nullptr) {
   for (size_t i = 0; i < ranks.size(); ++i) {
     OPAQ_CHECK_LT(ranks[i], n);
     if (i > 0) OPAQ_CHECK_LT(ranks[i - 1], ranks[i]);
   }
   std::vector<K> out(ranks.size());
-  internal_select::MultiSelectImpl(data, n, ranks.data(), ranks.size(),
-                                   uint64_t{0}, out.data(), algorithm, rng);
+  if (n < internal_select::kDistributeMinElements || ranks.empty()) {
+    internal_select::MultiSelectImpl(data, n, ranks.data(), ranks.size(),
+                                     uint64_t{0}, out.data(), algorithm, rng);
+    return out;
+  }
+  std::vector<uint8_t> local;
+  if (oracle == nullptr) oracle = &local;
+  if (oracle->size() < n) oracle->resize(n);
+  internal_select::DistributeSelect(data, n, ranks.data(), ranks.size(),
+                                    uint64_t{0}, out.data(), algorithm, rng,
+                                    oracle->data(), /*depth=*/0);
   return out;
 }
 
@@ -64,7 +324,9 @@ std::vector<K> MultiSelect(K* data, size_t n, const std::vector<uint64_t>& ranks
 template <typename K>
 std::vector<K> RegularSamplesBySubrunSize(K* data, size_t n, uint64_t subrun_size,
                                           SelectAlgorithm algorithm,
-                                          Xoshiro256& rng) {
+                                          Xoshiro256& rng,
+                                          std::vector<uint8_t>* oracle =
+                                              nullptr) {
   OPAQ_CHECK_GT(subrun_size, 0u);
   const uint64_t num_samples = n / subrun_size;
   std::vector<uint64_t> ranks;
@@ -72,7 +334,7 @@ std::vector<K> RegularSamplesBySubrunSize(K* data, size_t n, uint64_t subrun_siz
   for (uint64_t j = 1; j <= num_samples; ++j) {
     ranks.push_back(j * subrun_size - 1);  // 0-based index of rank j*c
   }
-  return MultiSelect(data, n, ranks, algorithm, rng);
+  return MultiSelect(data, n, ranks, algorithm, rng, oracle);
 }
 
 /// Regular samples with an explicit sample count `s` (requires s | m, the

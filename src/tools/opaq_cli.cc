@@ -7,6 +7,7 @@
 //   opaq sketch   --data=data.opaq --out=data.sketch --samples=1024
 //   opaq quantile --sketch=data.sketch --phi=0.5,0.99
 //   opaq exact    --data=data.opaq --sketch=data.sketch --phi=0.5
+//   opaq sketch   ... --trace=sketch.json  # per-stage spans, Chrome JSON
 //   opaq rank     --sketch=data.sketch --value=123456
 //   opaq merge    --out=all.sketch a.sketch b.sketch
 //   opaq inspect  --sketch=data.sketch
@@ -35,6 +36,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -81,6 +83,8 @@ int CmdRank(const CommandFlags& flags);
 int CmdMerge(const CommandFlags& flags);
 int CmdInspect(const CommandFlags& flags);
 int CmdStats(const CommandFlags& flags);
+int RunTraced(const CommandFlags& flags,
+              int (*command)(const CommandFlags& flags));
 
 struct CommandSpec {
   const char* name;
@@ -155,6 +159,16 @@ std::vector<FlagSpec> IoFlags() {
       {"run-size", "1048576", "OpaqConfig::run_size",
        "elements per run (m): how many keys are memory-resident at once",
        false, FlagType::kInt},
+  };
+}
+
+/// Trace export shared by the scanning commands (sketch, exact).
+std::vector<FlagSpec> TraceFlags() {
+  return {
+      {"trace", "", "FlightRecorder::ChromeTraceJson",
+       "arm the flight recorder and write its spans (run_read, sample, "
+       "merge, exact_pass, ...) to this path as Chrome trace-event JSON on "
+       "exit (load in chrome://tracing or Perfetto)"},
   };
 }
 
@@ -233,8 +247,10 @@ const std::vector<CommandSpec>& Commands() {
                 "intro | fr | mom | std (selection algorithm)"},
            },
            Concat(RemoteFlags(),
-                  Concat(IoFlags(), Concat(ExtentFlags(), StripeFlags())))),
-       CmdSketch},
+                  Concat(IoFlags(),
+                         Concat(ExtentFlags(),
+                                Concat(StripeFlags(), TraceFlags()))))),
+       [](const CommandFlags& flags) { return RunTraced(flags, CmdSketch); }},
       {"quantile",
        "certified quantile brackets from a sketch (no data access)",
        nullptr,
@@ -266,8 +282,10 @@ const std::vector<CommandSpec>& Commands() {
                 false, FlagType::kInt},
            },
            Concat(RemoteFlags(),
-                  Concat(IoFlags(), Concat(ExtentFlags(), StripeFlags())))),
-       CmdExact},
+                  Concat(IoFlags(),
+                         Concat(ExtentFlags(),
+                                Concat(StripeFlags(), TraceFlags()))))),
+       [](const CommandFlags& flags) { return RunTraced(flags, CmdExact); }},
       {"rank",
        "certified rank bracket of an arbitrary value (no data access)",
        nullptr,
@@ -435,6 +453,22 @@ int Usage(std::ostream& os = std::cerr, int code = 2) {
 int Fail(const Status& status) {
   std::cerr << "error: " << status.ToString() << std::endl;
   return 1;
+}
+
+/// Runs `command` with the flight recorder armed only when --trace=PATH is
+/// given, then writes the retained spans to PATH, whether or not the
+/// command succeeded.
+int RunTraced(const CommandFlags& flags,
+              int (*command)(const CommandFlags& flags)) {
+  const std::string path = flags.GetString("trace");
+  FlightRecorder::Global().set_enabled(!path.empty());
+  const int code = command(flags);
+  if (path.empty()) return code;
+  std::ofstream out(path, std::ios::trunc);
+  out << FlightRecorder::Global().ChromeTraceJson() << "\n";
+  out.close();
+  if (!out) return Fail(Status::IoError("cannot write trace " + path));
+  return code;
 }
 
 Result<std::vector<double>> ParsePhis(const CommandFlags& flags) {
@@ -894,7 +928,10 @@ int CmdExact(const CommandFlags& flags) {
   for (double phi : *phis) {
     requests.push_back(Request::Quantile(phi, /*exact=*/true));
   }
-  auto results = session.Query(requests);
+  auto results = [&] {
+    TraceSpan pass_span(TraceStage::kExactPass);
+    return session.Query(requests);
+  }();
   if (!results.ok()) return Fail(results.status());
   std::cout << "phi\texact\n";
   for (size_t i = 0; i < phis->size(); ++i) {

@@ -71,7 +71,30 @@ endif()
 set(LOWER ${CMAKE_MATCH_1})
 set(UPPER ${CMAKE_MATCH_2})
 
-run_cli(exact_out exact --data=${DATA} --sketch=${SKETCH} --phi=0.5)
+# --trace arms the flight recorder and writes its spans as Chrome JSON.
+set(SKETCH_TRACE "${WORK_DIR}/sketch_trace.json")
+run_cli(traced_out sketch --data=${DATA} --out=${SKETCH}
+        --run-size=1000 --samples=100 --trace=${SKETCH_TRACE})
+if(NOT EXISTS "${SKETCH_TRACE}")
+  message(FATAL_ERROR "sketch --trace wrote no file at ${SKETCH_TRACE}")
+endif()
+file(READ "${SKETCH_TRACE}" sketch_trace)
+foreach(event sample run_read)
+  if(NOT sketch_trace MATCHES "\"name\":\"${event}\"")
+    message(FATAL_ERROR "sketch trace lacks '${event}' events:\n${sketch_trace}")
+  endif()
+endforeach()
+if(NOT sketch_trace MATCHES "^{\"traceEvents\":\\[")
+  message(FATAL_ERROR "sketch trace is not trace-event JSON:\n${sketch_trace}")
+endif()
+
+set(EXACT_TRACE "${WORK_DIR}/exact_trace.json")
+run_cli(exact_out exact --data=${DATA} --sketch=${SKETCH} --phi=0.5
+        --trace=${EXACT_TRACE})
+file(READ "${EXACT_TRACE}" exact_trace)
+if(NOT exact_trace MATCHES "\"name\":\"exact_pass\"")
+  message(FATAL_ERROR "exact trace lacks an exact_pass event:\n${exact_trace}")
+endif()
 if(NOT exact_out MATCHES "0\\.5\t([0-9]+)")
   message(FATAL_ERROR "no exact median in:\n${exact_out}")
 endif()

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "data/dataset.h"
 #include "select/multi_select.h"
@@ -251,6 +255,291 @@ INSTANTIATE_TEST_SUITE_P(
       return name + std::string("_") +
              DistributionName(std::get<1>(info.param));
     });
+
+// ------------------------------------------ Distribution-step selection --
+//
+// Windows of at least kDistributeMinElements take the sample-sort
+// distribution step. Its output must equal sort-then-pick on every input
+// shape, key type and in-bucket selector, and the work buffer must come back
+// a permutation of the input with each sample at its own rank.
+
+enum class Shape {
+  kUniform,
+  kZipf,
+  kSequential,
+  kReversed,
+  kOrganPipe,
+  kAllEqual,
+  kTwoValued,
+  kOneKey90,
+  // Every sampled splitter is equal: one key everywhere except three
+  // smaller and three larger outliers.
+  kSplitterCollision,
+};
+constexpr Shape kAllShapes[] = {
+    Shape::kUniform,   Shape::kZipf,     Shape::kSequential,
+    Shape::kReversed,  Shape::kOrganPipe, Shape::kAllEqual,
+    Shape::kTwoValued, Shape::kOneKey90, Shape::kSplitterCollision};
+constexpr SelectAlgorithm kAllAlgorithms[] = {
+    SelectAlgorithm::kStdNthElement, SelectAlgorithm::kMedianOfMedians,
+    SelectAlgorithm::kFloydRivest, SelectAlgorithm::kIntroSelect};
+
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kUniform: return "uniform";
+    case Shape::kZipf: return "zipf";
+    case Shape::kSequential: return "sequential";
+    case Shape::kReversed: return "reversed";
+    case Shape::kOrganPipe: return "organ-pipe";
+    case Shape::kAllEqual: return "all-equal";
+    case Shape::kTwoValued: return "two-valued";
+    case Shape::kOneKey90: return "90%-one-key";
+    case Shape::kSplitterCollision: return "splitter-collision";
+  }
+  return "unknown";
+}
+
+// Small integers as keys of type K; signed and floating keys go negative.
+template <typename K>
+K SmallKey(int64_t v) {
+  if constexpr (std::is_unsigned_v<K>) {
+    return static_cast<K>(v + (int64_t{1} << 30));
+  } else {
+    return static_cast<K>(v);
+  }
+}
+
+template <typename K>
+std::vector<K> MakeShape(Shape shape, size_t n, uint64_t seed) {
+  DatasetSpec spec;
+  spec.n = n;
+  spec.seed = seed;
+  switch (shape) {
+    case Shape::kUniform:
+    case Shape::kZipf:
+    case Shape::kSequential:
+    case Shape::kReversed:
+    case Shape::kAllEqual:
+      spec.distribution =
+          shape == Shape::kUniform      ? Distribution::kUniform
+          : shape == Shape::kZipf       ? Distribution::kZipf
+          : shape == Shape::kSequential ? Distribution::kSequential
+          : shape == Shape::kReversed   ? Distribution::kReverseSequential
+                                        : Distribution::kConstant;
+      return GenerateDataset<K>(spec);
+    default:
+      break;
+  }
+  Xoshiro256 rng(seed);
+  std::vector<K> out(n);
+  const int64_t half = static_cast<int64_t>(n / 2);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t at = static_cast<int64_t>(i);
+    switch (shape) {
+      case Shape::kOrganPipe:
+        out[i] = SmallKey<K>((at < half ? at : 2 * half - at) - half / 2);
+        break;
+      case Shape::kTwoValued:
+        out[i] = SmallKey<K>(rng.NextBounded(2) == 0 ? -7 : 7);
+        break;
+      case Shape::kOneKey90:
+        out[i] = SmallKey<K>(rng.NextBounded(10) == 0
+                                 ? static_cast<int64_t>(rng.NextBounded(1000)) -
+                                       500
+                                 : 3);
+        break;
+      default:  // kSplitterCollision
+        out[i] = SmallKey<K>(0);
+        break;
+    }
+  }
+  if (shape == Shape::kSplitterCollision) {
+    for (int64_t j = 1; j <= 3; ++j) {
+      out[rng.NextBounded(n)] = SmallKey<K>(-j);
+      out[rng.NextBounded(n)] = SmallKey<K>(j);
+    }
+  }
+  return out;
+}
+
+// Order-insensitive fingerprint of a multiset of keys (by bit pattern).
+template <typename K>
+std::pair<uint64_t, uint64_t> MultisetFingerprint(const std::vector<K>& keys) {
+  uint64_t sum = 0, mixed_xor = 0;
+  for (const K& key : keys) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &key, sizeof(K));
+    sum += SplitMix64(bits).Next();
+    mixed_xor ^= SplitMix64(bits ^ 0x5bd1e995u).Next();
+  }
+  return {sum, mixed_xor};
+}
+
+// Regular-samples `input` with sub-run size `c` and checks the result
+// against sort-then-pick, the sample placement, and that the work buffer
+// is still a permutation of the input.
+template <typename K>
+void CheckRegularSamples(const std::vector<K>& input, uint64_t c,
+                         SelectAlgorithm algorithm, const std::string& what) {
+  SCOPED_TRACE(what + " n=" + std::to_string(input.size()) + " selector=" +
+               SelectAlgorithmName(algorithm));
+  std::vector<K> work = input;
+  Xoshiro256 rng(input.size());
+  std::vector<uint8_t> oracle;
+  const std::vector<K> fast = RegularSamplesBySubrunSize(
+      work.data(), work.size(), c, algorithm, rng, &oracle);
+  std::vector<K> sorted = input;
+  const std::vector<K> slow =
+      RegularSamplesBySorting(sorted.data(), sorted.size(), c);
+  ASSERT_EQ(fast, slow);
+
+  // Each sample sits at its rank, with nothing larger before it and
+  // nothing smaller after it.
+  const size_t n = work.size();
+  std::vector<K> suffix_min(work);
+  for (size_t i = n - 1; i-- > 0;) {
+    suffix_min[i] = std::min(suffix_min[i], suffix_min[i + 1]);
+  }
+  K prefix_max = work[0];
+  size_t next = 0;
+  for (size_t i = 0; i < n && next < fast.size(); ++i) {
+    if (i == (next + 1) * c - 1) {
+      ASSERT_EQ(work[i], fast[next]) << "sample " << next;
+      ASSERT_FALSE(fast[next] < prefix_max) << "sample " << next;
+      ASSERT_FALSE(suffix_min[i] < fast[next]) << "sample " << next;
+      ++next;
+    }
+    prefix_max = std::max(prefix_max, work[i]);
+  }
+
+  if (n <= (size_t{1} << 17)) {
+    std::sort(work.begin(), work.end());
+    ASSERT_EQ(work, sorted) << "work buffer is not a permutation of the input";
+  } else {
+    ASSERT_EQ(MultisetFingerprint(work), MultisetFingerprint(input))
+        << "work buffer is not a permutation of the input";
+  }
+}
+
+template <typename K>
+class DistributeSelectTest : public ::testing::Test {};
+using KeyTypes = ::testing::Types<uint32_t, uint64_t, int64_t, double>;
+TYPED_TEST_SUITE(DistributeSelectTest, KeyTypes);
+
+TYPED_TEST(DistributeSelectTest, MatchesSortingAroundThreshold) {
+  using K = TypeParam;
+  constexpr size_t kT = internal_select::kDistributeMinElements;
+  constexpr uint64_t kC = 64;
+  // Both sides of the threshold, and a ragged tail (not a multiple of c).
+  const size_t sizes[] = {kT - 1, kT, kT + 1, 2 * kT + kC / 2 + 3};
+  size_t case_index = 0;
+  for (Shape shape : kAllShapes) {
+    for (size_t n : sizes) {
+      const std::vector<K> input = MakeShape<K>(shape, n, 1000 + n);
+      // uint64_t keys cross every selector; the other types rotate through
+      // them so each type still meets all four.
+      for (SelectAlgorithm algorithm : kAllAlgorithms) {
+        if (!std::is_same_v<K, uint64_t> &&
+            algorithm != kAllAlgorithms[case_index % 4]) {
+          continue;
+        }
+        CheckRegularSamples(input, kC, algorithm, ShapeName(shape));
+        if (this->HasFatalFailure()) return;
+      }
+      ++case_index;
+    }
+  }
+}
+
+TYPED_TEST(DistributeSelectTest, MatchesSortingOnFullRun) {
+  using K = TypeParam;
+  constexpr size_t kM = size_t{1} << 20;
+  size_t case_index = 0;
+  for (Shape shape : kAllShapes) {
+    // A 2^20 run of every shape for 64-bit keys, a few shapes for the rest.
+    if (sizeof(K) < 8 && shape != Shape::kUniform && shape != Shape::kZipf &&
+        shape != Shape::kTwoValued) {
+      continue;
+    }
+    CheckRegularSamples(MakeShape<K>(shape, kM, 7), kM / 1024,
+                        kAllAlgorithms[case_index++ % 4], ShapeName(shape));
+    if (this->HasFatalFailure()) return;
+  }
+}
+
+TEST(DistributeSelectTest2, ArbitraryRanksAndWindowOffset) {
+  // A few scattered ranks over a large window, and the distribution step on
+  // a window that starts at a nonzero rank base.
+  const std::vector<uint64_t> input = MakeShape<uint64_t>(
+      Shape::kZipf, 3 * internal_select::kDistributeMinElements, 5);
+  std::vector<uint64_t> sorted = input;
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<uint64_t> ranks{0, 17, 65535, 65536, 100000,
+                                    input.size() - 1};
+  Xoshiro256 rng(5);
+  std::vector<uint64_t> work = input;
+  const std::vector<uint64_t> got = MultiSelect(
+      work.data(), work.size(), ranks, SelectAlgorithm::kIntroSelect, rng);
+  for (size_t i = 0; i < ranks.size(); ++i) EXPECT_EQ(got[i], sorted[ranks[i]]);
+
+  // Window [base, base + len) of already-partitioned data: sort the prefix
+  // and suffix around it so its ranks are global ranks.
+  const uint64_t base = 1000;
+  const size_t len = input.size() - 2 * base;
+  work = input;
+  std::nth_element(work.begin(), work.begin() + base, work.end());
+  std::nth_element(work.begin() + base, work.begin() + base + len,
+                   work.end());
+  const std::vector<uint64_t> window_ranks{base, base + 1, base + len / 2,
+                                           base + len - 1};
+  std::vector<uint64_t> out(window_ranks.size());
+  std::vector<uint8_t> oracle(len);
+  internal_select::DistributeSelect(
+      work.data() + base, len, window_ranks.data(), window_ranks.size(), base,
+      out.data(), SelectAlgorithm::kFloydRivest, rng, oracle.data(), 0);
+  for (size_t i = 0; i < window_ranks.size(); ++i) {
+    EXPECT_EQ(out[i], sorted[window_ranks[i]]) << "rank " << window_ranks[i];
+  }
+}
+
+TEST(DistributeSelectTest2, DepthBoundHandsBucketsToTheSelector) {
+  // At the last allowed depth no bucket is split again, however many ranks
+  // it holds: the recursive path finishes every one.
+  const std::vector<uint64_t> input =
+      MakeShape<uint64_t>(Shape::kUniform, size_t{1} << 18, 3);
+  std::vector<uint64_t> sorted = input;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint64_t> ranks;
+  for (uint64_t r = 63; r < input.size(); r += 64) ranks.push_back(r);
+  std::vector<uint64_t> work = input;
+  std::vector<uint64_t> out(ranks.size());
+  std::vector<uint8_t> oracle(work.size());
+  Xoshiro256 rng(3);
+  internal_select::DistributeSelect(
+      work.data(), work.size(), ranks.data(), ranks.size(), 0, out.data(),
+      SelectAlgorithm::kIntroSelect, rng, oracle.data(),
+      internal_select::kMaxDistributeDepth - 1);
+  for (size_t i = 0; i < ranks.size(); ++i) {
+    ASSERT_EQ(out[i], sorted[ranks[i]]) << "rank " << ranks[i];
+  }
+}
+
+TEST(DistributeSelectTest2, OracleIsReusedAcrossRuns) {
+  std::vector<uint8_t> oracle;
+  Xoshiro256 rng(9);
+  for (size_t n : {size_t{1} << 18, size_t{1} << 17, size_t{100}}) {
+    std::vector<uint64_t> run = MakeShape<uint64_t>(Shape::kUniform, n, n);
+    std::vector<uint64_t> sorted = run;
+    const std::vector<uint64_t> expected =
+        RegularSamplesBySorting(sorted.data(), sorted.size(), 64);
+    EXPECT_EQ(RegularSamplesBySubrunSize(run.data(), run.size(), 64,
+                                         SelectAlgorithm::kIntroSelect, rng,
+                                         &oracle),
+              expected);
+    // Grown once to the largest run; never shrunk, never grown again.
+    EXPECT_EQ(oracle.size(), size_t{1} << 18);
+  }
+}
 
 TEST(RegularSamplesTest2, SubrunCoverageProperties) {
   // Paper Appendix A, property 1: the j-th sample has >= j*c elements <= it.
