@@ -1,7 +1,10 @@
 // Micro-benchmarks (google-benchmark) for end-to-end estimator throughput:
-// OPAQ's sample phase vs the streaming baselines, elements/second.
+// OPAQ's sample phase vs the streaming baselines, elements/second; plus the
+// §4 exact pass over in-memory runs and the CRC-32 kernel.
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
 
 #include "baselines/as95_histogram.h"
 #include "baselines/gk.h"
@@ -9,8 +12,12 @@
 #include "baselines/munro_paterson.h"
 #include "baselines/p2.h"
 #include "baselines/reservoir_sample.h"
+#include "core/exact.h"
 #include "core/opaq.h"
 #include "data/dataset.h"
+#include "io/run_reader.h"
+#include "util/crc32.h"
+#include "util/random.h"
 
 namespace opaq {
 namespace {
@@ -88,6 +95,63 @@ void BM_Kll(benchmark::State& state) {
   StreamAll(e, state);
 }
 BENCHMARK(BM_Kll);
+
+// The §4 exact pass over 2^22 in-memory zipf keys (runs of 2^20, s = 1024)
+// for the certified brackets of q equi-spaced quantiles. The scan classifies
+// each key once against all bracket endpoints, so the rate should fall only
+// with log q.
+void BM_ExactPass(benchmark::State& state) {
+  constexpr size_t kExactN = size_t{1} << 22;
+  DatasetSpec spec;
+  spec.n = kExactN;
+  spec.distribution = Distribution::kZipf;
+  spec.seed = 7;
+  const MemoryRunProvider<uint64_t> provider(GenerateDataset<uint64_t>(spec));
+  OpaqConfig config;
+  config.run_size = 1 << 20;
+  config.samples_per_run = 1024;
+  const OpaqEstimator<uint64_t> estimator =
+      EstimateQuantilesInMemory(provider.data(), config);
+  std::vector<QuantileEstimate<uint64_t>> estimates;
+  for (const auto& e :
+       estimator.EquiQuantiles(static_cast<int>(state.range(0)))) {
+    if (!e.lower_clamped && !e.upper_clamped) estimates.push_back(e);
+  }
+  for (auto _ : state) {
+    auto exact =
+        ExactQuantilesSecondPass(provider, estimates, config.read_options());
+    if (!exact.ok()) {
+      state.SkipWithError(exact.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(exact->data());
+  }
+  state.counters["brackets"] = static_cast<double>(estimates.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kExactN));
+}
+BENCHMARK(BM_ExactPass)
+    ->ArgName("q")
+    ->Arg(2)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+// CRC-32 over 1 MiB, the checksum of every extent header and wire frame.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> bytes(size_t{1} << 20);
+  Xoshiro256 rng(9);
+  for (size_t i = 0; i < bytes.size(); i += 8) {
+    const uint64_t word = rng.Next();
+    std::memcpy(&bytes[i], &word, 8);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32);
 
 }  // namespace
 }  // namespace opaq

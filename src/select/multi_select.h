@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "select/bucket_classifier.h"
 #include "select/select.h"
 #include "util/check.h"
 #include "util/random.h"
@@ -84,95 +85,6 @@ void MultiSelectImpl(K* data, size_t n, const uint64_t* ranks,
                   algorithm, rng);
 }
 
-/// Branchless bucket classifier over 2^log_range range buckets.
-///
-/// `tree_` holds the 2^log_range - 1 sorted splitters in Eytzinger (BFS)
-/// order, so the descent `b = 2b + (tree[b] < key)` needs no branches and
-/// touches one cache-resident node per level. Range bucket r holds the keys
-/// in (splitter[r-1], splitter[r]]. With equality buckets, range bucket r
-/// is split further into id 2r (keys below splitter[r]) and id 2r+1 (keys
-/// equal to it); the top range bucket (keys above every splitter) is then
-/// the last id.
-template <typename K>
-class BucketClassifier {
- public:
-  /// `splitters` is sorted and distinct; `count` of them
-  /// (1 <= count < 2^log_range) are used and the rest of the tree is padded
-  /// with the last one.
-  BucketClassifier(const K* splitters, size_t count, int log_range,
-                   bool equality)
-      : log_range_(log_range), equality_(equality) {
-    const size_t range_buckets = size_t{1} << log_range;
-    OPAQ_DCHECK(count >= 1 && count < range_buckets);
-    OPAQ_DCHECK(num_ids() <= kMaxBucketIds);
-    for (size_t i = 0; i + 1 < range_buckets; ++i) {
-      sorted_[i] = splitters[std::min(i, count - 1)];
-    }
-    sorted_[range_buckets - 1] = sorted_[range_buckets - 2];
-    // The node at level l, position p holds in-order index
-    // (2p + 1) * 2^(log_range - 1 - l) - 1.
-    for (int level = 0; level < log_range; ++level) {
-      const size_t first = size_t{1} << level;
-      for (size_t p = 0; p < first; ++p) {
-        tree_[first + p] = sorted_[((2 * p + 1) << (log_range - 1 - level)) - 1];
-      }
-    }
-  }
-
-  size_t num_ids() const { return size_t{equality_ ? 2u : 1u} << log_range_; }
-
-  /// Whether every key of bucket `id` equals one splitter.
-  bool IsEqualityBucket(size_t id) const {
-    return equality_ && (id & 1) != 0 && id + 1 != num_ids();
-  }
-
-  /// Writes each key's bucket id to `oracle` and counts the ids.
-  void Classify(const K* data, size_t n, uint8_t* oracle,
-                size_t* counts) const {
-    const size_t body = n - n % 4;
-    // Four independent descents per iteration hide the load latency of
-    // each level (instruction-level parallelism).
-    for (size_t i = 0; i < body; i += 4) {
-      size_t b0 = 1, b1 = 1, b2 = 1, b3 = 1;
-      for (int level = 0; level < log_range_; ++level) {
-        b0 = 2 * b0 + static_cast<size_t>(tree_[b0] < data[i]);
-        b1 = 2 * b1 + static_cast<size_t>(tree_[b1] < data[i + 1]);
-        b2 = 2 * b2 + static_cast<size_t>(tree_[b2] < data[i + 2]);
-        b3 = 2 * b3 + static_cast<size_t>(tree_[b3] < data[i + 3]);
-      }
-      Record(Finish(b0, data[i]), i, oracle, counts);
-      Record(Finish(b1, data[i + 1]), i + 1, oracle, counts);
-      Record(Finish(b2, data[i + 2]), i + 2, oracle, counts);
-      Record(Finish(b3, data[i + 3]), i + 3, oracle, counts);
-    }
-    for (size_t i = body; i < n; ++i) {
-      size_t b = 1;
-      for (int level = 0; level < log_range_; ++level) {
-        b = 2 * b + static_cast<size_t>(tree_[b] < data[i]);
-      }
-      Record(Finish(b, data[i]), i, oracle, counts);
-    }
-  }
-
- private:
-  // Leaf `b` in [2^log_range, 2^(log_range+1)) to bucket id.
-  size_t Finish(size_t b, const K& key) const {
-    const size_t range = b - (size_t{1} << log_range_);
-    if (!equality_) return range;
-    return 2 * range + static_cast<size_t>(!(key < sorted_[range]));
-  }
-
-  static void Record(size_t id, size_t i, uint8_t* oracle, size_t* counts) {
-    oracle[i] = static_cast<uint8_t>(id);
-    ++counts[id];
-  }
-
-  int log_range_;
-  bool equality_;
-  K tree_[kMaxBucketIds];
-  K sorted_[kMaxBucketIds];
-};
-
 /// Permutes `data` in place so bucket b occupies `[begin[b], begin[b+1])`,
 /// following the oracle's bucket bytes (an American-flag cycle walk: every
 /// misplaced element moves once). The oracle is consumed.
@@ -246,6 +158,7 @@ void DistributeSelect(K* data, size_t n, const uint64_t* ranks,
   const BucketClassifier<K> classifier(splitters.data(), splitters.size(),
                                        log_range, repeats);
   const size_t num_ids = classifier.num_ids();
+  OPAQ_DCHECK(num_ids <= kMaxBucketIds);
 
   size_t counts[kMaxBucketIds] = {};
   classifier.Classify(data, n, oracle, counts);

@@ -3,28 +3,51 @@
 namespace opaq {
 namespace {
 
-/// Builds the reflected CRC-32 table once (thread-safe static init).
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// The reflected CRC-32 tables for slicing-by-8, built once (thread-safe
+/// static init). `entries[0]` is the classic bytewise table; `entries[k][b]`
+/// is the CRC of byte b followed by k zero bytes, so eight table lookups
+/// advance the CRC over eight input bytes at once.
+struct Crc32Tables {
+  uint32_t entries[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int bit = 0; bit < 8; ++bit) {
         crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
       }
-      entries[i] = crc;
+      entries[0][i] = crc;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFFu];
+      }
     }
   }
 };
 
+// Little-endian load from bytes, whatever the host's byte order.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.entries;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = (crc >> 8) ^ table.entries[(crc ^ bytes[i]) & 0xFFu];
+  for (; len >= 8; len -= 8, bytes += 8) {
+    const uint32_t lo = crc ^ LoadLe32(bytes);
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; --len, ++bytes) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -1,12 +1,18 @@
 // Unit + property tests for src/core: k-way merge, sample lists, the
 // estimator (Lemma 1-3 guarantees swept over configurations via TEST_P),
-// incremental merging, the exact second pass, and config validation.
+// incremental merging, the exact second pass (including a property test of
+// its bracket scan against a naive reference), and config validation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "core/exact.h"
 #include "core/kway_merge.h"
@@ -553,6 +559,301 @@ TEST(ExactSecondPassTest, BudgetExhaustionSurfaces) {
                                        config.read_options(), /*budget=*/10);
   EXPECT_FALSE(exact.ok());
   EXPECT_EQ(exact.status().code(), StatusCode::kResourceExhausted);
+}
+
+// ------------------------------------------------ Exact-pass bracket scan --
+
+// Serves `data` as runs whose lengths cycle through `lengths`; a zero gives
+// an empty run, and the last run is cut short by the end of the data.
+template <typename K>
+class RaggedRunProvider : public RunProvider<K> {
+ public:
+  RaggedRunProvider(const std::vector<K>* data, std::vector<size_t> lengths)
+      : data_(data), lengths_(std::move(lengths)) {}
+
+  uint64_t size() const override { return data_->size(); }
+
+  std::unique_ptr<RunSource<K>> OpenRuns(const ReadOptions&, uint64_t = 0,
+                                         uint64_t = UINT64_MAX) const override {
+    return std::make_unique<Source>(data_, lengths_);
+  }
+
+ private:
+  class Source : public RunSource<K> {
+   public:
+    Source(const std::vector<K>* data, std::vector<size_t> lengths)
+        : data_(data), lengths_(std::move(lengths)) {}
+
+    Result<bool> NextRun(std::vector<K>* buffer) override {
+      buffer->clear();
+      if (next_ >= data_->size()) return false;
+      const size_t len =
+          std::min(lengths_[run_++ % lengths_.size()], data_->size() - next_);
+      buffer->assign(data_->begin() + next_, data_->begin() + next_ + len);
+      next_ += len;
+      return true;
+    }
+
+   private:
+    const std::vector<K>* data_;
+    std::vector<size_t> lengths_;
+    size_t next_ = 0;
+    size_t run_ = 0;
+  };
+
+  const std::vector<K>* data_;
+  std::vector<size_t> lengths_;
+};
+
+// The definition of the scan: every element tested against every bracket,
+// O(n q).
+template <typename K>
+internal_exact::BracketAccumulator<K> NaiveBrackets(
+    const std::vector<K>& data,
+    const std::vector<QuantileEstimate<K>>& estimates) {
+  internal_exact::BracketAccumulator<K> acc(estimates.size());
+  for (const K& v : data) {
+    for (size_t q = 0; q < estimates.size(); ++q) {
+      if (v < estimates[q].lower) {
+        ++acc.below[q];
+      } else if (!(estimates[q].upper < v)) {
+        acc.kept[q].push_back(v);
+        ++acc.held;
+      }
+    }
+  }
+  return acc;
+}
+
+// Bitwise equality, so a -0.0 kept where the reference keeps +0.0 fails.
+template <typename K>
+bool SameBits(const std::vector<K>& a, const std::vector<K>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(K)) ==
+                           0);
+}
+
+enum class ScanShape { kUniform, kZipf, kAllEqual, kTwoValued };
+
+template <typename K>
+std::vector<K> ScanShapeData(ScanShape shape, size_t n) {
+  DatasetSpec spec;
+  spec.n = n;
+  spec.seed = 17 + static_cast<uint64_t>(shape);
+  std::vector<K> data;
+  switch (shape) {
+    case ScanShape::kUniform:
+    case ScanShape::kZipf:
+      spec.distribution = shape == ScanShape::kUniform ? Distribution::kUniform
+                                                       : Distribution::kZipf;
+      data = GenerateDataset<K>(spec);
+      if constexpr (std::is_floating_point_v<K>) {
+        // Both zeros, which compare equal but differ in their bits.
+        for (size_t i = 0; i < n; i += 7) data[i] = (i % 2 == 0) ? -0.0 : 0.0;
+      }
+      break;
+    case ScanShape::kAllEqual:
+      data.assign(n, K{5});
+      break;
+    case ScanShape::kTwoValued: {
+      Xoshiro256 rng(spec.seed);
+      for (size_t i = 0; i < n; ++i) {
+        data.push_back(rng.Next() & 1 ? K{3} : K{9});
+      }
+      break;
+    }
+  }
+  return data;
+}
+
+// Bracket sets built from `base` (real estimates): the set itself, shuffled,
+// and, for small sets, a mangled set mixing duplicates, overlapping unions,
+// degenerate [v, v] brackets and inverted ones (upper < lower), which cover
+// nothing. (On all-equal data every bracket keeps every element, so a
+// mangled thousand-bracket set would hold tens of millions of keys.)
+template <typename K>
+std::vector<std::vector<QuantileEstimate<K>>> BracketSets(
+    const std::vector<QuantileEstimate<K>>& base, const std::vector<K>& data) {
+  std::vector<QuantileEstimate<K>> shuffled = base;
+  Xoshiro256 rng(base.size());
+  Shuffle(shuffled, rng);
+  if (base.size() > 100) return {base, shuffled};
+  std::vector<QuantileEstimate<K>> mangled = shuffled;
+  mangled.insert(mangled.end(), base.begin(), base.end());
+  for (size_t i = 0; i < base.size(); ++i) {
+    QuantileEstimate<K> wide = base[i];
+    wide.upper =
+        std::max(wide.upper, base[std::min(i + 3, base.size() - 1)].upper);
+    mangled.push_back(wide);
+    QuantileEstimate<K> point = base[i];
+    point.upper = point.lower;
+    mangled.push_back(point);
+    QuantileEstimate<K> inverted = base[i];
+    std::swap(inverted.lower, inverted.upper);
+    if (inverted.upper < inverted.lower) mangled.push_back(inverted);
+  }
+  auto add = [&](K lower, K upper) {
+    QuantileEstimate<K> e = base.front();
+    e.lower = lower;
+    e.upper = upper;
+    mangled.push_back(e);
+  };
+  const auto [lo, hi] = std::minmax_element(data.begin(), data.end());
+  add(*lo, *lo);
+  add(*hi, *hi);
+  add(*lo, *hi);
+  add(*hi, *lo);
+  if constexpr (std::is_floating_point_v<K>) {
+    add(-0.0, 0.0);
+    add(0.0, -0.0);
+    add(-0.0, -0.0);
+    add(-1.0, 0.0);
+  }
+  return {base, shuffled, mangled};
+}
+
+template <typename K>
+class BracketScanTest : public ::testing::Test {};
+
+using ScanKeyTypes = ::testing::Types<uint32_t, uint64_t, int64_t, double>;
+TYPED_TEST_SUITE(BracketScanTest, ScanKeyTypes);
+
+TYPED_TEST(BracketScanTest, MatchesNaiveReference) {
+  using K = TypeParam;
+  constexpr size_t kN = 3000;
+  OpaqConfig config;
+  config.run_size = 500;
+  config.samples_per_run = 50;
+  // Ragged runs, empty ones among them; the last run is a partial one.
+  const std::vector<size_t> lengths = {1000, 0, 1, 333, 0, 777, 257};
+  for (ScanShape shape : {ScanShape::kUniform, ScanShape::kZipf,
+                          ScanShape::kAllEqual, ScanShape::kTwoValued}) {
+    const std::vector<K> data = ScanShapeData<K>(shape, kN);
+    const OpaqEstimator<K> estimator = EstimateQuantilesInMemory(data, config);
+    for (size_t q : {1, 2, 100, 1000}) {
+      std::vector<QuantileEstimate<K>> base;
+      for (size_t i = 1; i <= q; ++i) {
+        base.push_back(estimator.Quantile(static_cast<double>(i) / (q + 1)));
+      }
+      for (const auto& estimates : BracketSets(base, data)) {
+        SCOPED_TRACE(testing::Message()
+                     << "shape " << static_cast<int>(shape) << " q " << q
+                     << " brackets " << estimates.size());
+        const internal_exact::BracketAccumulator<K> want =
+            NaiveBrackets(data, estimates);
+        internal_exact::BracketAccumulator<K> got(estimates.size());
+        ASSERT_TRUE(internal_exact::AccumulateBrackets(
+                        RaggedRunProvider<K>(&data, lengths), estimates,
+                        config.read_options(), UINT64_MAX, &got)
+                        .ok());
+        EXPECT_EQ(got.below, want.below);
+        EXPECT_EQ(got.held, want.held);
+        for (size_t b = 0; b < estimates.size(); ++b) {
+          ASSERT_TRUE(SameBits(got.kept[b], want.kept[b])) << "bracket " << b;
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(BracketScanTest, ShardsAccumulateIntoOneAccumulator) {
+  using K = TypeParam;
+  const std::vector<K> data = ScanShapeData<K>(ScanShape::kZipf, 5000);
+  OpaqConfig config;
+  config.run_size = 1000;
+  config.samples_per_run = 100;
+  const auto estimates =
+      EstimateQuantilesInMemory(data, config).EquiQuantiles(100);
+  const std::vector<K> head(data.begin(), data.begin() + 1234);
+  const std::vector<K> tail(data.begin() + 1234, data.end());
+  internal_exact::BracketAccumulator<K> got(estimates.size());
+  for (const std::vector<K>* shard : {&head, &tail}) {
+    ASSERT_TRUE(internal_exact::AccumulateBrackets(
+                    RaggedRunProvider<K>(shard, {500, 0, 71}), estimates,
+                    config.read_options(), UINT64_MAX, &got)
+                    .ok());
+  }
+  const auto want = NaiveBrackets(data, estimates);
+  EXPECT_EQ(got.below, want.below);
+  for (size_t b = 0; b < estimates.size(); ++b) {
+    EXPECT_TRUE(SameBits(got.kept[b], want.kept[b])) << "bracket " << b;
+  }
+}
+
+TEST(BracketScanTest, ExactBatchOfAThousandReturnsTrueOrderStatistics) {
+  for (Distribution distribution :
+       {Distribution::kUniform, Distribution::kZipf}) {
+    DatasetSpec spec;
+    spec.n = 200000;
+    spec.distribution = distribution;
+    const std::vector<uint64_t> data = GenerateDataset<uint64_t>(spec);
+    OpaqConfig config;
+    config.run_size = 20000;
+    config.samples_per_run = 2000;
+    const OpaqEstimator<uint64_t> estimator =
+        EstimateQuantilesInMemory(data, config);
+    std::vector<QuantileEstimate<uint64_t>> certified;
+    for (const auto& e : estimator.EquiQuantiles(1001)) {
+      if (!e.lower_clamped && !e.upper_clamped) certified.push_back(e);
+    }
+    ASSERT_GT(certified.size(), 990u);
+    auto exact = ExactQuantilesSecondPass(
+        MemoryRunProvider<uint64_t>(data), certified, config.read_options());
+    ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+    std::vector<uint64_t> sorted = data;
+    std::sort(sorted.begin(), sorted.end());
+    for (size_t i = 0; i < certified.size(); ++i) {
+      ASSERT_EQ((*exact)[i], sorted[certified[i].target_rank - 1])
+          << "rank " << certified[i].target_rank;
+    }
+  }
+}
+
+TEST(BracketScanTest, SharedBudgetBoundsTheTotalAcrossShards) {
+  // Each shard alone fits the budget; together they do not.
+  const std::vector<uint64_t> data(1000, 7);
+  OpaqConfig config;
+  config.run_size = 1000;
+  config.samples_per_run = 10;
+  const auto estimate =
+      EstimateQuantilesInMemory(data, config).Quantile(0.5);
+  const MemoryRunProvider<uint64_t> shard(data);
+  std::atomic<uint64_t> shared_held{0};
+  internal_exact::BracketAccumulator<uint64_t> first(1), second(1);
+  EXPECT_TRUE(internal_exact::AccumulateBrackets(shard, {estimate},
+                                                 config.read_options(), 1500,
+                                                 &first, &shared_held)
+                  .ok());
+  const Status status = internal_exact::AccumulateBrackets(
+      shard, {estimate}, config.read_options(), 1500, &second, &shared_held);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(status.message().find("memory budget"), std::string::npos);
+  // The budget is charged per 256-element block: the failing scan stops
+  // after the block that crossed it, not at the end of its one run.
+  EXPECT_EQ(second.held, 2 * internal_exact::kExactScanBlock);
+}
+
+TEST(BracketScanTest, NestedBracketsOverBudgetFailBeforeTheScan) {
+  // 1000 nested brackets [k, 2000 - k] over keys the data never holds keep
+  // nothing, but their cover table would hold about two million entries.
+  const std::vector<uint64_t> data(1000, 7);
+  std::vector<QuantileEstimate<uint64_t>> nested(1000);
+  for (uint64_t k = 0; k < nested.size(); ++k) {
+    nested[k].lower = 10000 + k;
+    nested[k].upper = 12000 - k;
+  }
+  internal_exact::BracketAccumulator<uint64_t> acc(nested.size());
+  const Status status = internal_exact::AccumulateBrackets(
+      MemoryRunProvider<uint64_t>(data), nested, ReadOptions(), 100000, &acc);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(acc.below, std::vector<uint64_t>(nested.size(), 0));
+  // With room for the table the same brackets scan cleanly.
+  internal_exact::BracketAccumulator<uint64_t> roomy(nested.size());
+  EXPECT_TRUE(internal_exact::AccumulateBrackets(
+                  MemoryRunProvider<uint64_t>(data), nested, ReadOptions(),
+                  2000000, &roomy)
+                  .ok());
+  EXPECT_EQ(roomy.held, 0u);
 }
 
 // ---------------------------------------------------------- Typed sweeps --

@@ -398,6 +398,39 @@ TEST(QuerySessionTest, ExactBudgetKnobUnlocksDuplicateHeavyData) {
   EXPECT_EQ(*fed, sorted[data.size() / 2 - 1]);
 }
 
+TEST(QuerySessionTest, ExactBudgetBoundsTheTotalAcrossShards) {
+  // Two duplicate-heavy shards scanned concurrently: a budget that either
+  // shard's kept set fits alone, but not both together, must fail.
+  std::vector<Key> data(10000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = i % 10;
+  const std::vector<Key> a(data.begin(), data.begin() + 4000);
+  const std::vector<Key> b(data.begin() + 4000, data.end());
+  auto session = Engine<Key>(SmallConfig(),
+                             std::vector<Source<Key>>{
+                                 Source<Key>::FromVector(a),
+                                 Source<Key>::FromVector(b)})
+                     .Build();
+  ASSERT_TRUE(session.ok());
+  auto estimate = session->Query({QueryRequest<Key>::Quantile(0.5)});
+  ASSERT_TRUE(estimate.ok());
+  const QuantileEstimate<Key>& bracket = estimate->results[0].estimates[0];
+  auto kept_by = [&](const std::vector<Key>& shard) {
+    return static_cast<uint64_t>(
+        std::count_if(shard.begin(), shard.end(), [&](Key v) {
+          return !(v < bracket.lower) && !(bracket.upper < v);
+        }));
+  };
+  session->set_exact_memory_budget(std::max(kept_by(a), kept_by(b)));
+  auto starved = session->ExactQuantile(0.5);
+  EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
+  session->set_exact_memory_budget(kept_by(a) + kept_by(b));
+  auto fed = session->ExactQuantile(0.5);
+  ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+  std::vector<Key> sorted = data;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(*fed, sorted[data.size() / 2 - 1]);
+}
+
 TEST(QuerySessionTest, MultiShardExactMatchesSequentialSecondPass) {
   // The concurrent per-shard exact pass must answer exactly like one
   // sequential scan over the concatenation (below-counts add, kept sets
@@ -527,15 +560,6 @@ TEST(DeprecatedWrapperTest, OldEntryPointsForwardToTheFacadePath) {
     new_replay.insert(new_replay.end(), buffer.begin(), buffer.end());
   }
   EXPECT_EQ(old_replay, new_replay);
-
-  OpaqEstimator<Key> estimator(std::move(provider_list));
-  auto median = estimator.Quantile(0.5);
-  auto old_exact = ExactQuantileSecondPass(&*file, median, config.run_size);
-  ASSERT_TRUE(old_exact.ok());
-  auto new_exact = ExactQuantileSecondPass(FileRunProvider<Key>(&*file),
-                                           median, config.read_options());
-  ASSERT_TRUE(new_exact.ok());
-  EXPECT_EQ(*old_exact, *new_exact);
 }
 #if defined(__GNUC__) || defined(__clang__)
 #pragma GCC diagnostic pop

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -225,6 +226,25 @@ TEST(NodeExactPassTest, NodeSideBudgetIsEnforced) {
   RemoteComputeClient<Key> compute(node.spec(), NodeClientOptions());
   auto scan = compute.ExactPass(estimates, config.read_options(),
                                 /*memory_budget=*/1);
+  ASSERT_FALSE(scan.ok());
+  EXPECT_EQ(scan.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(NodeExactPassTest, NestedBracketsCannotOutgrowTheNodeBudget) {
+  // 1000 nested brackets above every key keep nothing, but their cover
+  // table would hold about two million entries: the node refuses them
+  // under a 100K budget before it scans or allocates the table.
+  ComputeNode node(20000);
+  const Key top = *std::max_element(node.data.begin(), node.data.end());
+  ASSERT_LT(top, UINT64_MAX - 5000);
+  std::vector<QuantileEstimate<Key>> nested(1000);
+  for (uint64_t k = 0; k < nested.size(); ++k) {
+    nested[k].lower = top + 1 + k;
+    nested[k].upper = top + 2001 - k;
+  }
+  RemoteComputeClient<Key> compute(node.spec(), NodeClientOptions());
+  auto scan = compute.ExactPass(nested, SmallConfig().read_options(),
+                                /*memory_budget=*/100000);
   ASSERT_FALSE(scan.ok());
   EXPECT_EQ(scan.status().code(), StatusCode::kResourceExhausted);
 }

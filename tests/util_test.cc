@@ -1,11 +1,15 @@
-// Unit tests for src/util: Status/Result, flags, PRNGs, timers, tables, math.
+// Unit tests for src/util: Status/Result, flags, PRNGs, timers, tables, math,
+// CRC-32.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/flags.h"
 #include "util/math.h"
 #include "util/random.h"
@@ -392,6 +396,51 @@ TEST(MathTest, Clamp) {
   EXPECT_EQ(Clamp(5, 1, 10), 5);
   EXPECT_EQ(Clamp(-5, 1, 10), 1);
   EXPECT_EQ(Clamp(50, 1, 10), 10);
+}
+
+// ---------------------------------------------------------------- CRC-32 --
+
+// The textbook bytewise CRC-32 (reflected, polynomial 0xEDB88320), one bit
+// at a time: the reference the table-driven Crc32 must match.
+uint32_t BitwiseCrc32(const uint8_t* bytes, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, std::strlen(check)), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Xoshiro256 rng(32);
+  std::vector<uint8_t> bytes(8 + 64);
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(bytes.data() + offset, len),
+                BitwiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnLongBuffers) {
+  Xoshiro256 rng(33);
+  std::vector<uint8_t> bytes(100003);
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+            BitwiseCrc32(bytes.data(), bytes.size()));
+  bytes.assign(4096, 0xFF);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+            BitwiseCrc32(bytes.data(), bytes.size()));
 }
 
 }  // namespace
