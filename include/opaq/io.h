@@ -3,13 +3,16 @@
 
 /// Public storage surface: block devices (file-backed, in-memory, throttled
 /// disk simulation, fault injection), typed data files, the striped
-/// multi-disk file format, the `RunProvider`/`RunSource` backend abstraction,
-/// and temp-dir helpers. Most users never touch these directly —
-/// `opaq::Source` (opaq/source.h) wraps them — but systems embedding OPAQ on
-/// their own storage implement `RunProvider` from here.
+/// multi-disk and compressed extent file formats, the
+/// `RunProvider`/`RunSource` backend abstraction with its providers, the
+/// `ChunkPipeline` run reader every prefetching provider returns, and
+/// temp-dir helpers. Most users never touch these directly — `opaq::Source`
+/// (opaq/source.h) wraps them — but systems embedding OPAQ on their own
+/// storage implement `RunProvider` (or just a `ChunkLane`) from here.
 
 #include "io/async_run_reader.h"
 #include "io/block_device.h"
+#include "io/chunk_pipeline.h"
 #include "io/codec.h"
 #include "io/data_file.h"
 #include "io/extent.h"

@@ -2,6 +2,7 @@
 #define OPAQ_INCLUDE_OPAQ_SOURCE_H_
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -95,9 +96,11 @@ class Source {
   /// Opens the data file at `path`, sniffing the on-disk format from its
   /// magic: plain data files ("OPAQDAT1") and compressed extent files
   /// ("OPAQEXT1") both open through here, so readers never need to be told
-  /// whether a dataset is compressed. The source owns the device and file
-  /// handles.
+  /// whether a dataset is compressed. A directory is opened as a live
+  /// dataset (`OpenLive`). The source owns the device and file handles.
   static Result<Source> Open(const std::string& path) {
+    std::error_code error;
+    if (std::filesystem::is_directory(path, error)) return OpenLive(path);
     auto owned = std::make_shared<OwnedBackend>();
     auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
     if (!device.ok()) return device.status();

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/estimator.h"
-#include "io/async_run_reader.h"
 #include "io/run_reader.h"
 #include "select/bucket_classifier.h"
 #include "select/select.h"

@@ -36,32 +36,6 @@ std::unique_ptr<RunSource<K>> MakeRunSource(const RunProvider<K>& provider,
   return provider.OpenRuns(config.read_options(), first, count);
 }
 
-/// Deprecated back-compat wrapper: plain single-device file.
-template <typename K>
-[[deprecated(
-    "wrap the file in a FileRunProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-std::unique_ptr<RunSource<K>> MakeRunSource(const TypedDataFile<K>* file,
-                                            const OpaqConfig& config,
-                                            uint64_t first = 0,
-                                            uint64_t count = UINT64_MAX) {
-  return FileRunProvider<K>(file).OpenRuns(config.read_options(), first,
-                                           count);
-}
-
-/// Deprecated back-compat wrapper: striped multi-disk file.
-template <typename K>
-[[deprecated(
-    "wrap the file in a StripedFileProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-std::unique_ptr<RunSource<K>> MakeRunSource(const StripedDataFile<K>* file,
-                                            const OpaqConfig& config,
-                                            uint64_t first = 0,
-                                            uint64_t count = UINT64_MAX) {
-  return StripedFileProvider<K>(file).OpenRuns(config.read_options(), first,
-                                               count);
-}
-
 /// The front door of the library: OPAQ's one-pass sample phase as a
 /// mergeable sketch.
 ///
@@ -115,24 +89,6 @@ class OpaqSketch {
     std::unique_ptr<RunSource<K>> source =
         provider.OpenRuns(config_.read_options());
     return ConsumeRuns(source.get(), io_seconds);
-  }
-
-  /// Deprecated back-compat wrapper: plain single-device file.
-  [[deprecated(
-      "wrap the file in a FileRunProvider (or opaq::Source) and call "
-      "Consume")]]
-  Status ConsumeFile(const TypedDataFile<K>* file,
-                     double* io_seconds = nullptr) {
-    return Consume(FileRunProvider<K>(file), io_seconds);
-  }
-
-  /// Deprecated back-compat wrapper: striped multi-disk file.
-  [[deprecated(
-      "wrap the file in a StripedFileProvider (or opaq::Source) and call "
-      "Consume")]]
-  Status ConsumeFile(const StripedDataFile<K>* file,
-                     double* io_seconds = nullptr) {
-    return Consume(StripedFileProvider<K>(file), io_seconds);
   }
 
   /// Same, over an explicit run source (sub-range of a file in the parallel

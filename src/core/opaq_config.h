@@ -33,16 +33,17 @@ struct OpaqConfig {
   /// Seed for the (only) randomness: pivot choice in kIntroSelect.
   uint64_t seed = 1;
 
-  /// How `ConsumeFile` drives the disk: strict read/sample alternation
+  /// How `Consume` drives the disk: strict read/sample alternation
   /// (kSync) or a background prefetch thread that overlaps the next run's
   /// read with the current run's sampling (kAsync). The estimator state is
   /// bit-identical either way; async only changes wall time.
   IoMode io_mode = IoMode::kSync;
 
-  /// Prefetch buffers when io_mode == kAsync (ignored for kSync). Raises
-  /// the §2.3 memory footprint from one run buffer to `prefetch_depth + 1`
-  /// of them; Validate() requires it in [1, kMaxPrefetchDepth]. For the
-  /// striped backend this counts chunks in flight per stripe instead.
+  /// Read-ahead when io_mode == kAsync (ignored for kSync), in the
+  /// backend's own unit — runs for a plain file, chunks per stripe for
+  /// striped and extent files, slices or extents for remote sources; see
+  /// `ReadOptions::prefetch_depth`. Validate() requires it in
+  /// [1, kMaxPrefetchDepth].
   uint64_t prefetch_depth = 2;
 
   /// Stripe count the workload expects of its striped storage backend

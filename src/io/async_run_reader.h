@@ -3,134 +3,20 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
+#include "io/chunk_pipeline.h"
+#include "io/data_file.h"
 #include "io/io_mode.h"
 #include "io/run_reader.h"
-#include "parallel/channel.h"
 #include "util/status.h"
 
 namespace opaq {
 
-/// Knobs of the asynchronous reader.
-struct AsyncReaderOptions {
-  /// Number of prefetch buffers the background thread may fill ahead of the
-  /// consumer. 1 = classic double buffering (one run in flight while one is
-  /// being sampled); larger depths absorb burstier compute. Peak memory is
-  /// `(prefetch_depth + 1) * run_size` elements: the prefetch ring plus the
-  /// buffer the consumer is holding.
-  uint64_t prefetch_depth = 2;
-};
-
-/// A prefetching `RunSource`: wraps a `RunReader` and runs it on a background
-/// thread so device time and consumer compute overlap.
-///
-/// Delivery is strictly FIFO through a bounded channel, so the consumer sees
-/// exactly the run sequence the synchronous reader would produce — including
-/// the error position: runs fully read before a device failure are delivered
-/// first, then the failing run surfaces as the `Status` from `NextRun` (and
-/// from every later call). The destructor closes the pipeline and joins the
-/// reader thread, so abandoning a partially-consumed source (e.g. after an
-/// error) can neither hang nor leak the thread.
-template <typename K>
-class AsyncRunReader : public RunSource<K> {
- public:
-  /// Same borrowing contract and `first`/`count` sub-range semantics as
-  /// `RunReader`. The device behind `file` must tolerate concurrent reads
-  /// with any other I/O the caller performs (all project devices do:
-  /// positioned reads, atomic stats).
-  AsyncRunReader(const TypedDataFile<K>* file, uint64_t run_size,
-                 AsyncReaderOptions options = AsyncReaderOptions(),
-                 uint64_t first = 0, uint64_t count = UINT64_MAX)
-      : inner_(file, run_size, first, count),
-        free_(static_cast<size_t>(options.prefetch_depth) + 1),
-        full_(static_cast<size_t>(options.prefetch_depth) + 1) {
-    OPAQ_CHECK_GE(options.prefetch_depth, 1u)
-        << "async prefetching needs at least one buffer in flight";
-    OPAQ_CHECK_LE(options.prefetch_depth, kMaxPrefetchDepth)
-        << "each prefetch buffer costs a full run of memory";
-    for (uint64_t i = 0; i < options.prefetch_depth; ++i) {
-      free_.Send(std::vector<K>());
-    }
-    thread_ = std::thread([this] { ReadLoop(); });
-  }
-
-  ~AsyncRunReader() override {
-    free_.Close();
-    full_.Close();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  AsyncRunReader(const AsyncRunReader&) = delete;
-  AsyncRunReader& operator=(const AsyncRunReader&) = delete;
-
-  /// Hands the next prefetched run to the caller (blocking only when the
-  /// disk is behind). The caller's previous buffer is recycled into the
-  /// prefetch ring.
-  Result<bool> NextRun(std::vector<K>* buffer) override {
-    std::vector<K> run;
-    if (!full_.Receive(&run)) {
-      // Pipeline drained: either clean EOF or the reader thread stopped on a
-      // device error, which every subsequent call keeps reporting.
-      buffer->clear();
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!read_status_.ok()) return read_status_;
-      return false;
-    }
-    buffer->swap(run);
-    run.clear();
-    free_.Send(std::move(run));
-    return true;
-  }
-
- private:
-  void ReadLoop() {
-    std::vector<K> buffer;
-    while (free_.Receive(&buffer)) {
-      auto more = inner_.NextRun(&buffer);
-      if (!more.ok()) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        read_status_ = more.status();
-      }
-      if (!more.ok() || !*more) break;
-      if (!full_.Send(std::move(buffer))) return;  // consumer went away
-      buffer = std::vector<K>();
-    }
-    // EOF or error: close the full channel so the consumer, after draining
-    // the already-prefetched runs, sees end-of-stream and checks the status.
-    full_.Close();
-  }
-
-  RunReader<K> inner_;
-  Channel<std::vector<K>> free_;
-  Channel<std::vector<K>> full_;
-  mutable std::mutex mutex_;
-  Status read_status_;
-  std::thread thread_;
-};
-
-/// Builds the `RunSource` matching `mode` over `[first, first + count)` of
-/// `file` — the one switch point every consuming layer funnels through.
-template <typename K>
-std::unique_ptr<RunSource<K>> MakeRunSource(
-    const TypedDataFile<K>* file, uint64_t run_size, IoMode mode,
-    const AsyncReaderOptions& options = AsyncReaderOptions(),
-    uint64_t first = 0, uint64_t count = UINT64_MAX) {
-  if (mode == IoMode::kAsync) {
-    return std::make_unique<AsyncRunReader<K>>(file, run_size, options, first,
-                                               count);
-  }
-  return std::make_unique<RunReader<K>>(file, run_size, first, count);
-}
-
 /// The plain single-device storage backend as a `RunProvider`: wraps one
-/// `TypedDataFile` and opens the sync or prefetching reader per
-/// `ReadOptions::io_mode`. The file is borrowed and must outlive the
-/// provider and every `RunSource` it opened.
+/// `TypedDataFile`. `IoMode::kSync` opens a `RunReader`; `IoMode::kAsync` a
+/// `ChunkPipeline` whose one lane reads whole runs on a background thread,
+/// so device time and consumer compute overlap. The file is borrowed and
+/// must outlive the provider and every `RunSource` it opened.
 template <typename K>
 class FileRunProvider : public RunProvider<K> {
  public:
@@ -143,10 +29,17 @@ class FileRunProvider : public RunProvider<K> {
   std::unique_ptr<RunSource<K>> OpenRuns(
       const ReadOptions& options, uint64_t first = 0,
       uint64_t count = UINT64_MAX) const override {
-    AsyncReaderOptions async_options;
-    async_options.prefetch_depth = options.prefetch_depth;
-    return MakeRunSource<K>(file_, options.run_size, options.io_mode,
-                            async_options, first, count);
+    if (options.io_mode == IoMode::kSync) {
+      return std::make_unique<RunReader<K>>(file_, options.run_size, first,
+                                            count);
+    }
+    ChunkGrid grid;
+    grid.chunk = options.run_size;  // a chunk is a run
+    grid.origin_at_first = true;
+    grid.lane_depth = options.prefetch_depth;
+    return std::make_unique<ChunkPipeline<K>>(
+        file_->size(), first, count, grid, options,
+        LanesOf<K, FileReadLane<K, TypedDataFile<K>>>(file_));
   }
 
   const TypedDataFile<K>* file() const { return file_; }

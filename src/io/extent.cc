@@ -4,6 +4,7 @@
 
 #include "telemetry/trace.h"
 #include "util/crc32.h"
+#include "util/math.h"
 
 namespace opaq {
 namespace {

@@ -3,21 +3,18 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "io/block_device.h"
+#include "io/chunk_pipeline.h"
 #include "io/codec.h"
 #include "io/data_file.h"
 #include "io/extent_stats.h"
 #include "io/io_mode.h"
 #include "io/run_reader.h"
-#include "parallel/channel.h"
-#include "util/math.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -212,7 +209,7 @@ class ExtentFile {
   /// extents and copies out `[first, first + count)` — how a data node
   /// serves v1 `kReadRange` clients from an extent export. O(count +
   /// extent_elements) work per call; sequential consumers should stream
-  /// through `ExtentRunSource` instead.
+  /// through `ExtentFileProvider` instead.
   Status ReadElements(uint64_t first, uint64_t count, void* out) const;
 
   /// Cumulative unpack accounting across all readers of this file.
@@ -249,214 +246,52 @@ Result<ExtentStatsSnapshot> WriteExtents(const std::vector<K>& values,
   return writer->stats();
 }
 
-/// Reader knobs of the extent source (what `ReadOptions` maps to).
-struct ExtentReaderOptions {
-  /// Extents each stripe thread may decode ahead of the consumer.
-  uint64_t prefetch_extents = 2;
-  /// True (IoMode::kAsync): one reader thread per stripe reads AND DECODES
-  /// its extents, so decompression overlaps sampling. False (kSync): the
-  /// consumer does both inline — no threads, same bytes.
-  bool threaded = true;
-  /// Verify each extent's payload CRC before decoding (ReadOptions::
-  /// verify_checksums). Structural validation happens regardless.
-  bool verify_checksums = true;
-};
+/// Decodes the part `[start, start + len)` of the extent that covers
+/// `[extent_start, extent_start + extent_len)` into `out`. `decode` writes
+/// the whole extent to its argument: straight into `out` when the whole
+/// extent is wanted, else into the caller's reusable `extent_buf`.
+template <typename K, typename Decode>
+Status DecodeExtentSlice(uint64_t extent_start, uint64_t extent_len,
+                         uint64_t start, uint64_t len, K* out,
+                         std::vector<K>* extent_buf, const Decode& decode) {
+  if (start == extent_start && len == extent_len) return decode(out);
+  extent_buf->resize(extent_len);
+  OPAQ_RETURN_IF_ERROR(decode(extent_buf->data()));
+  std::copy_n(extent_buf->begin() + static_cast<size_t>(start - extent_start),
+              static_cast<size_t>(len), out);
+  return Status::OK();
+}
 
-/// Streams the runs of an `ExtentFile` in exact logical order — the extent
-/// sibling of `StripedRunSource`, with the extent as the chunk. Threaded
-/// mode fans one reader thread out per stripe; thread s reads and DECODES
-/// the logical extents e ≡ s (mod D) in ascending order and feeds decoded
-/// element chunks through its own bounded channel, so the payload CRC check
-/// and the codec work both happen off the sampling thread. The consumer
-/// pops chunks in global extent order and splices them into runs, so the
-/// run sequence — and every downstream sketch — is byte-identical to the
-/// plain sync reader over the same logical data, for every codec, extent
-/// size, stripe count and timing.
-///
-/// Error semantics match `AsyncRunReader`/`StripedRunSource`: runs wholly
-/// before the first failing extent are delivered, then the failure surfaces
-/// as the sticky `Status` from `NextRun`. The destructor closes all
-/// channels and joins all threads, so abandoning the source mid-stream can
-/// neither hang nor leak threads.
+/// The extent backend's lane: reads, validates and decodes extent `e`, so
+/// under `IoMode::kAsync` the payload CRC check and the codec work both run
+/// on the stripe's lane thread, off the sampling thread.
 template <typename K>
-class ExtentRunSource : public RunSource<K> {
+class ExtentDecodeLane : public ChunkLane<K> {
  public:
-  /// `file` is borrowed and must outlive the source. Same `first`/`count`
-  /// sub-range contract as `RunReader`.
-  ExtentRunSource(const ExtentFile* file, uint64_t run_size,
-                  ExtentReaderOptions options = ExtentReaderOptions(),
-                  uint64_t first = 0, uint64_t count = UINT64_MAX)
-      : file_(file), run_size_(run_size), threaded_(options.threaded),
-        verify_checksums_(options.verify_checksums), begin_(first),
-        next_(first), end_(first) {
-    OPAQ_CHECK(file != nullptr);
-    OPAQ_CHECK_GT(run_size, 0u);
-    OPAQ_CHECK_EQ(sizeof(K), file->element_size());
-    OPAQ_CHECK_LE(first, file->size());
-    end_ = first + std::min(count, file->size() - first);
-    next_extent_ = next_ / file_->extent_elements();
-    if (!threaded_ || next_ >= end_) return;
-    OPAQ_CHECK_GE(options.prefetch_extents, 1u);
-    OPAQ_CHECK_LE(options.prefetch_extents, kMaxPrefetchDepth);
-    const uint64_t end_extent = DivCeil(end_, file_->extent_elements());
-    const uint32_t stripes = file_->num_stripes();
-    channels_.reserve(stripes);
-    for (uint32_t s = 0; s < stripes; ++s) {
-      channels_.push_back(std::make_unique<Channel<ChunkMessage>>(
-          static_cast<size_t>(options.prefetch_extents)));
-    }
-    for (uint32_t s = 0; s < stripes; ++s) {
-      // First extent >= next_extent_ owned by stripe s.
-      uint64_t e =
-          next_extent_ + (s + stripes - next_extent_ % stripes) % stripes;
-      if (e >= end_extent) continue;  // stripe owns nothing in the range
-      threads_.emplace_back([this, s, e, end_extent, stripes] {
-        ReadLoop(s, e, end_extent, stripes);
-      });
-    }
-  }
+  ExtentDecodeLane(const ExtentFile* file, bool verify_checksums)
+      : file_(file), verify_checksums_(verify_checksums) {}
 
-  ~ExtentRunSource() override {
-    for (auto& channel : channels_) channel->Close();
-    for (std::thread& thread : threads_) {
-      if (thread.joinable()) thread.join();
-    }
-  }
-
-  ExtentRunSource(const ExtentRunSource&) = delete;
-  ExtentRunSource& operator=(const ExtentRunSource&) = delete;
-
-  Result<bool> NextRun(std::vector<K>* buffer) override {
-    buffer->clear();
-    if (!status_.ok()) return status_;
-    if (next_ >= end_) return false;
-    const uint64_t len = std::min(run_size_, end_ - next_);
-    while (pending_total_ < len) {
-      ChunkMessage message;
-      if (threaded_) {
-        Channel<ChunkMessage>& channel =
-            *channels_[next_extent_ % file_->num_stripes()];
-        if (!channel.Receive(&message)) {
-          // A reader thread closes its channel only after delivering every
-          // extent it owns (or its error), so running dry means the source
-          // itself is broken.
-          status_ = Status::Internal(
-              "extent reader stopped short of extent " +
-              std::to_string(next_extent_));
-          return status_;
-        }
-      } else {
-        message.status = DecodeChunk(next_extent_, &message.data, &scratch_,
-                                     &extent_buf_);
-      }
-      if (!message.status.ok()) {
-        status_ = message.status;
-        return status_;
-      }
-      pending_total_ += message.data.size();
-      pending_.push_back(std::move(message.data));
-      ++next_extent_;
-    }
-    // Splice the run off the front of the pending chunk queue.
-    buffer->resize(len);
-    uint64_t filled = 0;
-    while (filled < len) {
-      std::vector<K>& front = pending_.front();
-      const uint64_t take =
-          std::min<uint64_t>(len - filled, front.size() - pending_head_);
-      std::copy_n(front.begin() + static_cast<size_t>(pending_head_),
-                  static_cast<size_t>(take),
-                  buffer->begin() + static_cast<size_t>(filled));
-      filled += take;
-      pending_head_ += take;
-      if (pending_head_ == front.size()) {
-        pending_.pop_front();
-        pending_head_ = 0;
-      }
-    }
-    pending_total_ -= len;
-    next_ += len;
-    return true;
+  Status Produce(uint64_t e, uint64_t start, uint64_t len, K* out) override {
+    return DecodeExtentSlice(
+        e * file_->extent_elements(), file_->ExtentLength(e), start, len, out,
+        &extent_buf_, [&](K* dest) {
+          return file_->DecodeExtent(e, verify_checksums_, &scratch_, dest);
+        });
   }
 
  private:
-  struct ChunkMessage {
-    Status status;
-    std::vector<K> data;
-  };
-
-  /// Reads + decodes extent `e`, trimmed to the requested element range.
-  /// `scratch` holds packed bytes, `extent_buf` a full decoded extent (only
-  /// used when the range clips the extent) — both caller-owned so each
-  /// thread reuses its own.
-  Status DecodeChunk(uint64_t e, std::vector<K>* data,
-                     std::vector<uint8_t>* scratch,
-                     std::vector<K>* extent_buf) const {
-    const uint64_t extent_start = e * file_->extent_elements();
-    const uint64_t extent_len = file_->ExtentLength(e);
-    // Trim against the immutable range bounds (begin_/end_), never the
-    // consumer's moving cursor — reader threads share this object.
-    const uint64_t start = std::max(extent_start, begin_);
-    const uint64_t stop = std::min(extent_start + extent_len, end_);
-    data->resize(stop - start);
-    if (start == extent_start && stop == extent_start + extent_len) {
-      // Whole extent wanted: decode straight into the chunk.
-      return file_->DecodeExtent(e, verify_checksums_, scratch, data->data());
-    }
-    extent_buf->resize(extent_len);
-    OPAQ_RETURN_IF_ERROR(
-        file_->DecodeExtent(e, verify_checksums_, scratch, extent_buf->data()));
-    std::copy_n(extent_buf->begin() +
-                    static_cast<size_t>(start - extent_start),
-                static_cast<size_t>(stop - start), data->begin());
-    return Status::OK();
-  }
-
-  /// Body of stripe `s`'s reader thread: reads and decodes the logical
-  /// extents `first_extent, first_extent + stride, ...` below `end_extent`.
-  void ReadLoop(uint32_t s, uint64_t first_extent, uint64_t end_extent,
-                uint32_t stride) {
-    std::vector<uint8_t> scratch;
-    std::vector<K> extent_buf;
-    for (uint64_t e = first_extent; e < end_extent; e += stride) {
-      ChunkMessage message;
-      message.status = DecodeChunk(e, &message.data, &scratch, &extent_buf);
-      if (!message.status.ok()) {
-        message.data.clear();
-        channels_[s]->Send(std::move(message));
-        break;
-      }
-      if (!channels_[s]->Send(std::move(message))) return;  // consumer gone
-    }
-    channels_[s]->Close();
-  }
-
   const ExtentFile* file_;
-  uint64_t run_size_;
-  bool threaded_;
   bool verify_checksums_;
-  uint64_t begin_;        // first element of the range (immutable)
-  uint64_t next_;         // next logical element to deliver (consumer only)
-  uint64_t end_;          // one past the last element (immutable)
-  uint64_t next_extent_;  // next logical extent to pop/decode
-  Status status_;         // sticky failure state
-
-  std::deque<std::vector<K>> pending_;  // chunks popped but not yet spliced
-  uint64_t pending_head_ = 0;           // consumed prefix of pending_.front()
-  uint64_t pending_total_ = 0;          // elements across pending_ minus head
-
-  std::vector<uint8_t> scratch_;  // inline-mode packed bytes
-  std::vector<K> extent_buf_;     // inline-mode clipped-extent decode buffer
-
-  std::vector<std::unique_ptr<Channel<ChunkMessage>>> channels_;
-  std::vector<std::thread> threads_;
+  std::vector<uint8_t> scratch_;  // packed bytes
+  std::vector<K> extent_buf_;     // a whole decoded extent, for clipped ones
 };
 
-/// The compressed storage backend as a `RunProvider`: `IoMode::kAsync` maps
-/// to one read+decode thread per stripe, `IoMode::kSync` to inline decode.
-/// Like every other backend it delivers the exact logical run order, so
-/// sketches are byte-identical to the uncompressed backends — that is the
-/// conformance contract compression must not bend.
+/// The compressed storage backend as a `RunProvider`: a `ChunkPipeline`
+/// with the extent as the chunk and one lane per stripe — under
+/// `IoMode::kAsync` one read+decode thread per stripe, under `IoMode::kSync`
+/// inline decode. Like every other backend it delivers the exact logical
+/// run order, so sketches are byte-identical to the uncompressed backends —
+/// that is the conformance contract compression must not bend.
 template <typename K>
 class ExtentFileProvider : public RunProvider<K> {
  public:
@@ -466,6 +301,7 @@ class ExtentFileProvider : public RunProvider<K> {
     // (Source::Open) before a provider is ever constructed.
     OPAQ_CHECK_EQ(static_cast<uint32_t>(KeyTraits<K>::kType),
                   file->key_type());
+    OPAQ_CHECK_EQ(sizeof(K), file->element_size());
   }
 
   uint64_t size() const override { return file_->size(); }
@@ -473,12 +309,13 @@ class ExtentFileProvider : public RunProvider<K> {
   std::unique_ptr<RunSource<K>> OpenRuns(
       const ReadOptions& options, uint64_t first = 0,
       uint64_t count = UINT64_MAX) const override {
-    ExtentReaderOptions extent_options;
-    extent_options.prefetch_extents = options.prefetch_depth;
-    extent_options.threaded = options.io_mode == IoMode::kAsync;
-    extent_options.verify_checksums = options.verify_checksums;
-    return std::make_unique<ExtentRunSource<K>>(file_, options.run_size,
-                                               extent_options, first, count);
+    ChunkGrid grid;
+    grid.chunk = file_->extent_elements();
+    grid.lanes = file_->num_stripes();
+    grid.lane_depth = options.prefetch_depth + 1;
+    return std::make_unique<ChunkPipeline<K>>(
+        file_->size(), first, count, grid, options,
+        LanesOf<K, ExtentDecodeLane<K>>(file_, options.verify_checksums));
   }
 
   const ExtentStats* pack_stats() const override { return &file_->stats(); }

@@ -1,6 +1,7 @@
 #ifndef OPAQ_IO_RUN_READER_H_
 #define OPAQ_IO_RUN_READER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -13,10 +14,11 @@
 
 namespace opaq {
 
-/// Anything that yields the runs of a dataset in order. Both the synchronous
-/// `RunReader` and the prefetching `AsyncRunReader` implement this, so every
-/// run consumer (`OpaqSketch::ConsumeRuns`, the parallel sample phase) works
-/// against either I/O mode unchanged.
+/// Anything that yields the runs of a dataset in order. The synchronous
+/// `RunReader`, the prefetching `ChunkPipeline` (io/chunk_pipeline.h) and
+/// the in-memory and live-dataset sources all implement this, so every run
+/// consumer (`OpaqSketch::ConsumeRuns`, the parallel sample phase) works
+/// against any backend and I/O mode unchanged.
 template <typename K>
 class RunSource {
  public:
@@ -28,13 +30,14 @@ class RunSource {
 };
 
 /// A dataset that can hand out `RunSource`s: the storage-backend abstraction
-/// every run consumer is written against. Implementations: `FileRunProvider`
-/// (one plain data file, sync or prefetching readers) and
-/// `StripedFileProvider` (a dataset striped across several devices, one
-/// reader thread per stripe). Consumers that accept a provider — the sketch,
-/// the exact second pass, the parallel harness — work on any backend
-/// unchanged, and every backend delivers the exact logical run order, so
-/// results are byte-identical across backends.
+/// every run consumer is written against. Implementations:
+/// `MemoryRunProvider` (below), `FileRunProvider` (io/async_run_reader.h),
+/// `StripedFileProvider` (io/striped_run_source.h), `ExtentFileProvider`
+/// (io/extent.h), `LiveDatasetReader` (ingest/live_dataset.h), and
+/// `RemoteRunProvider` / `RemoteExtentProvider` (net/). Consumers that
+/// accept a provider — the sketch, the exact second pass, the parallel
+/// harness — work on any backend unchanged, and every backend delivers the
+/// exact logical run order, so results are byte-identical across backends.
 template <typename K>
 class RunProvider {
  public:
@@ -57,6 +60,14 @@ class RunProvider {
   virtual const ExtentStats* pack_stats() const { return nullptr; }
 };
 
+/// End of the sub-range `[first, first + count)` of a `size`-element dataset,
+/// clamped to `size` without evaluating `first + count` (which wraps around
+/// for large counts and would put the end before `first`).
+inline uint64_t ClampedEnd(uint64_t size, uint64_t first, uint64_t count) {
+  OPAQ_CHECK_LE(first, size);
+  return first + std::min(count, size - first);
+}
+
 /// Sequentially yields the runs of a disk-resident dataset.
 ///
 /// OPAQ reads the data set exactly once as `r = ceil(n/m)` runs of `m`
@@ -75,11 +86,7 @@ class RunReader : public RunSource<K> {
       : file_(file), run_size_(run_size), next_(first), end_(first) {
     OPAQ_CHECK(file != nullptr);
     OPAQ_CHECK_GT(run_size, 0u);
-    OPAQ_CHECK_LE(first, file->size());
-    // Clamp the partition end against EOF without evaluating `first + count`,
-    // which wraps around for large counts and would put `end_` before
-    // `next_` (underflowing remaining() and misreporting the partition).
-    end_ = first + std::min(count, file->size() - first);
+    end_ = ClampedEnd(file->size(), first, count);
   }
 
   /// Total number of runs this reader will produce.
@@ -121,8 +128,7 @@ class VectorRunSource : public RunSource<K> {
       : data_(data), run_size_(run_size), next_(first), end_(first) {
     OPAQ_CHECK(data != nullptr);
     OPAQ_CHECK_GT(run_size, 0u);
-    OPAQ_CHECK_LE(first, data->size());
-    end_ = first + std::min<uint64_t>(count, data->size() - first);
+    end_ = ClampedEnd(data->size(), first, count);
   }
 
   Result<bool> NextRun(std::vector<K>* buffer) override {

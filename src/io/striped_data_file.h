@@ -43,8 +43,8 @@ static_assert(std::is_trivially_copyable_v<StripeFileHeader>);
 /// storage backend. Same role as `TypedDataFile<K>` (a typed, bounds-checked
 /// view of `header | records` per stripe), but the record space is the
 /// *logical* element index space: `Read`/`Write` scatter-gather across
-/// stripes, and `StripedRunSource` (striped_run_source.h) streams runs with
-/// one reader thread per stripe.
+/// stripes, and `StripedFileProvider` (striped_run_source.h) streams runs
+/// with one reader thread per stripe.
 ///
 /// Devices are borrowed and must outlive the file. All metadata updates
 /// (element count) rewrite the header of every stripe so the set stays

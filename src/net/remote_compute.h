@@ -19,7 +19,7 @@ namespace opaq {
 /// Client half of the v2 compute ops: asks a data node to run the paper's
 /// sample phase (`SampleRuns`) or §4 filter scan (`ExactPass`) over one of
 /// its exported datasets, and decodes the O(s) response — the counterpart
-/// of `RemoteRunSource`, which ships the O(n) raw runs instead.
+/// of `RemoteRunProvider`, which ships the O(n) raw runs instead.
 ///
 /// The node executes the identical computation local mode would
 /// (`OpaqSketch::Consume` / `internal_exact::AccumulateBrackets` over its

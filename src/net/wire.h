@@ -58,7 +58,7 @@ namespace opaq {
 /// clients may PIPELINE requests: send k `kReadRange` frames back to back,
 /// then consume the k responses in order. The server answers frames in
 /// arrival order on each connection, which is what makes pipelining safe
-/// and what `RemoteRunSource` exploits to overlap network latency with
+/// and what the remote run streams exploit to overlap network latency with
 /// compute.
 ///
 /// Security caveat: the protocol is UNAUTHENTICATED and unencrypted — a

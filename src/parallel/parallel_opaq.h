@@ -213,27 +213,6 @@ Result<ParallelOpaqResult<K>> RunParallelOpaq(
   return result;
 }
 
-/// Deprecated back-compat wrapper: one plain data file per processor.
-template <typename K>
-[[deprecated(
-    "wrap each file in a FileRunProvider (or opaq::Source) and call the "
-    "RunProvider overload")]]
-Result<ParallelOpaqResult<K>> RunParallelOpaq(
-    Cluster& cluster, const std::vector<const TypedDataFile<K>*>& local_files,
-    const ParallelOpaqOptions& options) {
-  std::vector<FileRunProvider<K>> providers;
-  providers.reserve(local_files.size());
-  std::vector<const RunProvider<K>*> pointers;
-  pointers.reserve(local_files.size());
-  for (const TypedDataFile<K>* file : local_files) {
-    providers.emplace_back(file);
-  }
-  for (const FileRunProvider<K>& provider : providers) {
-    pointers.push_back(&provider);
-  }
-  return RunParallelOpaq(cluster, pointers, options);
-}
-
 }  // namespace opaq
 
 #endif  // OPAQ_PARALLEL_PARALLEL_OPAQ_H_

@@ -37,6 +37,15 @@ struct MemoryFile {
   }
 };
 
+// Opens the prefetching plain-file reader through its provider.
+std::unique_ptr<RunSource<Key>> OpenAsync(const TypedDataFile<Key>* file,
+                                          uint64_t run_size, uint64_t depth,
+                                          uint64_t first = 0,
+                                          uint64_t count = UINT64_MAX) {
+  return FileRunProvider<Key>(file).OpenRuns(
+      ReadOptions{run_size, IoMode::kAsync, depth, true}, first, count);
+}
+
 // Runs the full one-pass sample phase and serializes the finalized state:
 // the strongest equality we can assert is that the persisted sketch bytes
 // match exactly.
@@ -189,10 +198,8 @@ TEST(AsyncIoTest, AsyncBeatsSyncOnSlowDisk) {
 
   WallTimer async_timer;
   {
-    AsyncReaderOptions options;
-    options.prefetch_depth = 2;
-    AsyncRunReader<Key> reader(&*file, kRunSize, options);
-    consume(&reader);
+    auto reader = OpenAsync(&*file, kRunSize, 2);
+    consume(reader.get());
   }
   const double async_seconds = async_timer.ElapsedSeconds();
 
@@ -205,20 +212,18 @@ TEST(AsyncIoTest, DepthLargerThanRunCount) {
   DatasetSpec spec;
   spec.n = 300;  // 3 runs of 100
   MemoryFile data(spec);
-  AsyncReaderOptions options;
-  options.prefetch_depth = 16;
-  AsyncRunReader<Key> reader(&*data.file, 100, options);
+  auto reader = OpenAsync(&*data.file, 100, 16);
   std::vector<Key> buffer;
   int runs = 0;
   while (true) {
-    auto more = reader.NextRun(&buffer);
+    auto more = reader->NextRun(&buffer);
     ASSERT_TRUE(more.ok());
     if (!*more) break;
     ++runs;
   }
   EXPECT_EQ(runs, 3);
   // Exhausted source keeps reporting EOF, not an error.
-  auto again = reader.NextRun(&buffer);
+  auto again = reader->NextRun(&buffer);
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE(*again);
 }
@@ -227,9 +232,9 @@ TEST(AsyncIoTest, EmptyFileYieldsNoRuns) {
   auto device = std::make_unique<MemoryBlockDevice>();
   auto created = TypedDataFile<Key>::Create(device.get(), 0);
   ASSERT_TRUE(created.ok());
-  AsyncRunReader<Key> reader(&*created, 128);
+  auto reader = OpenAsync(&*created, 128, 2);
   std::vector<Key> buffer;
-  auto more = reader.NextRun(&buffer);
+  auto more = reader->NextRun(&buffer);
   ASSERT_TRUE(more.ok());
   EXPECT_FALSE(*more);
 }
@@ -242,11 +247,9 @@ TEST(AsyncIoTest, AbandonedMidStreamJoinsCleanly) {
   spec.n = 64 * 1024;
   MemoryFile data(spec);
   for (uint64_t depth : {1u, 4u}) {
-    AsyncReaderOptions options;
-    options.prefetch_depth = depth;
-    AsyncRunReader<Key> reader(&*data.file, 1024, options);
+    auto reader = OpenAsync(&*data.file, 1024, depth);
     std::vector<Key> buffer;
-    auto more = reader.NextRun(&buffer);
+    auto more = reader->NextRun(&buffer);
     ASSERT_TRUE(more.ok());
     EXPECT_TRUE(*more);
     // Drop the reader with ~63 runs still pending.
@@ -314,10 +317,7 @@ TEST(AsyncIoTest, SubRangeMatchesSyncReader) {
 
   RunReader<Key> sync_reader(&*data.file, 64, 130, 333);
   std::vector<Key> expected = drain(&sync_reader);
-  AsyncReaderOptions options;
-  options.prefetch_depth = 3;
-  AsyncRunReader<Key> async_reader(&*data.file, 64, options, 130, 333);
-  EXPECT_EQ(drain(&async_reader), expected);
+  EXPECT_EQ(drain(OpenAsync(&*data.file, 64, 3, 130, 333).get()), expected);
 }
 
 }  // namespace

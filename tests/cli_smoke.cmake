@@ -56,6 +56,12 @@ run_cli(append_out append --live=${LIVE} --n=2000 --dist=uniform --seed=12)
 if(NOT append_out MATCHES "live dataset now holds 5000 elements in 2 segments")
   message(FATAL_ERROR "unexpected append summary:\n${append_out}")
 endif()
+# --data accepts the live directory itself (it opens as the live dataset).
+run_cli(live_sketch_out sketch --data=${LIVE} --out=${WORK_DIR}/live.sketch
+        --run-size=1000 --samples=100)
+if(NOT live_sketch_out MATCHES "sketched 5000 keys \\(5 runs, 500 samples\\)")
+  message(FATAL_ERROR "unexpected live sketch summary:\n${live_sketch_out}")
+endif()
 run_cli(sketch_out sketch --data=${DATA} --out=${SKETCH}
         --run-size=1000 --samples=100)
 if(NOT sketch_out MATCHES "sketched 10000 keys \\(10 runs, 1000 samples\\)")

@@ -96,6 +96,16 @@ Result<std::vector<Key>> Drain(RunSource<Key>& source) {
   }
 }
 
+/// Opens a run stream over `file` through its provider.
+std::unique_ptr<RunSource<Key>> OpenExtents(const ExtentFile& file,
+                                            uint64_t run_size, IoMode mode,
+                                            bool verify_checksums = true,
+                                            uint64_t first = 0,
+                                            uint64_t count = UINT64_MAX) {
+  return ExtentFileProvider<Key>(&file).OpenRuns(
+      ReadOptions{run_size, mode, 2, verify_checksums}, first, count);
+}
+
 /// One valid stored extent (header + payload) packed with `codec`, for the
 /// hostile-byte rows to mutate.
 std::vector<uint8_t> MakeStoredExtent(const std::vector<Key>& values,
@@ -311,13 +321,10 @@ TEST(ExtentRoundTripTest, AcrossCodecsSizesStripesAndTails) {
                 (c.n + c.extent_elements - 1) / c.extent_elements);
       // Inline (sync) and threaded (async) streams must both deliver the
       // exact logical order.
-      for (bool threaded : {false, true}) {
-        ExtentReaderOptions reader;
-        reader.threaded = threaded;
-        ExtentRunSource<Key> source(&*file, /*run_size=*/17, reader);
-        auto streamed = Drain(source);
+      for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
+        auto streamed = Drain(*OpenExtents(*file, /*run_size=*/17, mode));
         ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-        EXPECT_EQ(*streamed, data) << (threaded ? "threaded" : "inline");
+        EXPECT_EQ(*streamed, data) << IoModeName(mode);
       }
       // Random access agrees with the stream.
       if (c.n >= 3) {
@@ -344,15 +351,12 @@ TEST(ExtentRoundTripTest, SubRangeStreamsMatchTheSlice) {
   const Range kRanges[] = {{0, 333}, {5, 40},  {16, 16}, {15, 18},
                            {330, 3}, {100, 0}, {333, 0}, {47, 111}};
   for (const Range& r : kRanges) {
-    for (bool threaded : {false, true}) {
+    for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
       SCOPED_TRACE("[" + std::to_string(r.first) + ", +" +
-                   std::to_string(r.count) + ") threaded=" +
-                   std::to_string(threaded));
-      ExtentReaderOptions reader;
-      reader.threaded = threaded;
-      ExtentRunSource<Key> source(&*file, /*run_size=*/7, reader, r.first,
-                                  r.count);
-      auto streamed = Drain(source);
+                   std::to_string(r.count) + ") " + IoModeName(mode));
+      auto streamed = Drain(*OpenExtents(*file, /*run_size=*/7, mode,
+                                         /*verify_checksums=*/true, r.first,
+                                         r.count));
       ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
       EXPECT_EQ(*streamed,
                 std::vector<Key>(data.begin() + r.first,
@@ -377,8 +381,7 @@ TEST(ExtentRoundTripTest, PackStatsAccount) {
 
   auto file = ExtentFile::Open(stripes.raw());
   ASSERT_TRUE(file.ok());
-  ExtentRunSource<Key> source(&*file, 100, ExtentReaderOptions{2, false});
-  ASSERT_TRUE(Drain(source).ok());
+  ASSERT_TRUE(Drain(*OpenExtents(*file, 100, IoMode::kSync)).ok());
   // The reader's unpack accounting mirrors the writer's pack accounting.
   const ExtentStatsSnapshot unpacked = file->stats().Snapshot();
   EXPECT_EQ(unpacked.extents, packed.extents);
@@ -406,8 +409,7 @@ TEST(ExtentRoundTripTest, IncompressibleExtentsFallBackToRaw) {
       << "random data should defeat the delta codec";
   auto file = ExtentFile::Open(stripes.raw());
   ASSERT_TRUE(file.ok());
-  ExtentRunSource<Key> source(&*file, 64, ExtentReaderOptions{2, false});
-  auto streamed = Drain(source);
+  auto streamed = Drain(*OpenExtents(*file, 64, IoMode::kSync));
   ASSERT_TRUE(streamed.ok());
   EXPECT_EQ(*streamed, data);
 }
@@ -688,34 +690,30 @@ TEST(ExtentHostileTest, CorruptExtentSurfacesAsStickyStatusMidStream) {
   auto device = DeviceFrom(bytes);
   auto file = ExtentFile::Open({device.get()});
   ASSERT_TRUE(file.ok()) << file.status().ToString();
-  for (bool threaded : {false, true}) {
-    SCOPED_TRACE(threaded ? "threaded" : "inline");
-    ExtentReaderOptions reader;
-    reader.threaded = threaded;
-    ExtentRunSource<Key> source(&*file, /*run_size=*/8, reader);
+  for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
+    SCOPED_TRACE(IoModeName(mode));
+    auto source = OpenExtents(*file, /*run_size=*/8, mode);
     std::vector<Key> run;
     // Intact prefix first: extents 0..3 are clean.
     for (int r = 0; r < 4; ++r) {
-      auto more = source.NextRun(&run);
+      auto more = source->NextRun(&run);
       ASSERT_TRUE(more.ok()) << more.status().ToString();
       ASSERT_TRUE(*more);
       EXPECT_EQ(run, std::vector<Key>(data.begin() + r * 8,
                                       data.begin() + (r + 1) * 8));
     }
     // Then the corruption surfaces — and sticks.
-    auto bad = source.NextRun(&run);
+    auto bad = source->NextRun(&run);
     ASSERT_FALSE(bad.ok());
     EXPECT_NE(bad.status().message().find("CRC"), std::string::npos)
         << bad.status().ToString();
-    EXPECT_FALSE(source.NextRun(&run).ok()) << "status must be sticky";
+    EXPECT_FALSE(source->NextRun(&run).ok()) << "status must be sticky";
   }
   // Turning verification off skips only the CRC: the flipped payload now
   // decodes (to wrong bytes — that is the documented trade).
-  ExtentReaderOptions unchecked;
-  unchecked.threaded = false;
-  unchecked.verify_checksums = false;
-  ExtentRunSource<Key> source(&*file, /*run_size=*/64, unchecked);
-  EXPECT_TRUE(Drain(source).ok());
+  EXPECT_TRUE(Drain(*OpenExtents(*file, /*run_size=*/64, IoMode::kSync,
+                                 /*verify_checksums=*/false))
+                  .ok());
 }
 
 TEST(ExtentHostileTest, AbandonedThreadedReaderJoinsCleanly) {
@@ -725,11 +723,9 @@ TEST(ExtentHostileTest, AbandonedThreadedReaderJoinsCleanly) {
   ASSERT_TRUE(stripes.write_stats.ok());
   auto file = ExtentFile::Open(stripes.raw());
   ASSERT_TRUE(file.ok());
-  ExtentReaderOptions reader;
-  reader.threaded = true;
-  ExtentRunSource<Key> source(&*file, /*run_size=*/10, reader);
+  auto source = OpenExtents(*file, /*run_size=*/10, IoMode::kAsync);
   std::vector<Key> run;
-  auto more = source.NextRun(&run);
+  auto more = source->NextRun(&run);
   ASSERT_TRUE(more.ok());
   // Destructor must close channels and join all stripe threads without
   // draining the stream (no hang, no leak — TSan/ASan watch this).

@@ -143,6 +143,31 @@ TEST(SourceTest, OpenOwnsRealFiles) {
   EXPECT_FALSE(missing.ok());
 }
 
+TEST(SourceTest, OpenOfADirectoryOpensTheLiveDataset) {
+  // `Source::Open` is what the CLI's --data reaches; a live dataset is a
+  // directory, and must sketch exactly as `OpenLive` does.
+  auto dir = TempDir::Make("opaq-facade-live");
+  ASSERT_TRUE(dir.ok());
+  const std::string live_dir = dir->FilePath("live");
+  {
+    auto live = LiveDataset<Key>::Create(live_dir);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_TRUE(live->Append(TestData(3000)).ok());
+    ASSERT_TRUE(live->Append(TestData(1700)).ok());
+  }
+  auto opened = Source<Key>::Open(live_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto live = Source<Key>::OpenLive(live_dir);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(opened->size(), 4700u);
+  auto from_open = Engine<Key>(SmallConfig(), *opened).Build();
+  auto from_live = Engine<Key>(SmallConfig(), *live).Build();
+  ASSERT_TRUE(from_open.ok()) << from_open.status().ToString();
+  ASSERT_TRUE(from_live.ok()) << from_live.status().ToString();
+  EXPECT_EQ(Serialize(from_open->sample_list()),
+            Serialize(from_live->sample_list()));
+}
+
 TEST(SourceTest, OpenStripedOwnsRealFiles) {
   auto dir = TempDir::Make("opaq-facade-striped");
   ASSERT_TRUE(dir.ok());
@@ -523,47 +548,6 @@ TEST(FacadeAppsTest, BuildersMatchClassicConstruction) {
       EstimateRangeSelectivity(*session, Key{10}, Key{5}).status().code(),
       StatusCode::kInvalidArgument);
 }
-
-// ------------------------------------------------ Deprecated wrappers ----
-
-// The pre-facade entry points survive as deprecated one-line wrappers; this
-// is the one place that may still call them, proving they forward to the
-// same results the facade produces.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST(DeprecatedWrapperTest, OldEntryPointsForwardToTheFacadePath) {
-  const std::vector<Key> data = TestData(9000);
-  MemoryBlockDevice device;
-  OPAQ_CHECK_OK(WriteDataset(data, &device));
-  auto file = TypedDataFile<Key>::Open(&device);
-  ASSERT_TRUE(file.ok());
-  OpaqConfig config = SmallConfig();
-
-  OpaqSketch<Key> via_wrapper(config);
-  ASSERT_TRUE(via_wrapper.ConsumeFile(&*file).ok());
-  OpaqSketch<Key> via_provider(config);
-  ASSERT_TRUE(via_provider.Consume(FileRunProvider<Key>(&*file)).ok());
-  SampleList<Key> wrapper_list = via_wrapper.FinalizeSampleList();
-  SampleList<Key> provider_list = via_provider.FinalizeSampleList();
-  EXPECT_EQ(Serialize(wrapper_list), Serialize(provider_list));
-
-  auto old_reader = MakeRunSource<Key>(&*file, config);
-  auto new_reader = FileRunProvider<Key>(&*file).OpenRuns(
-      config.read_options());
-  std::vector<Key> old_replay, new_replay, buffer;
-  while (*old_reader->NextRun(&buffer)) {
-    old_replay.insert(old_replay.end(), buffer.begin(), buffer.end());
-  }
-  while (*new_reader->NextRun(&buffer)) {
-    new_replay.insert(new_replay.end(), buffer.begin(), buffer.end());
-  }
-  EXPECT_EQ(old_replay, new_replay);
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 // -------------------------------------------- point() doc/behavior fix ----
 

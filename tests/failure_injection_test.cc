@@ -42,6 +42,14 @@ FaultyDevice::Options TruncateAfterBytes(uint64_t bytes) {
   return options;
 }
 
+// Opens a run stream over `provider` (any backend) in `mode`.
+template <typename Provider>
+std::unique_ptr<RunSource<uint64_t>> OpenRuns(const Provider& provider,
+                                              uint64_t run_size, IoMode mode,
+                                              uint64_t depth) {
+  return provider.OpenRuns(ReadOptions{run_size, mode, depth, true});
+}
+
 // Builds a data file of `n` keys on a FaultyDevice with `options`.
 struct FaultyFixture {
   std::unique_ptr<FaultyDevice> device;
@@ -139,7 +147,7 @@ TEST(FailureInjectionTest, RunReaderSurfacesShortRead) {
 
 TEST(FailureInjectionTest, SketchConsumeFileSurfacesShortRead) {
   // A device truncated after Open must stop the one-pass sample phase
-  // cleanly: ConsumeFile returns OutOfRange, and the sketch holds only
+  // cleanly: Consume returns OutOfRange, and the sketch holds only
   // the fully-consumed prefix runs.
   FaultyFixture f(10000, {});
   ASSERT_TRUE(f.file.ok());
@@ -158,7 +166,7 @@ TEST(FailureInjectionTest, SketchConsumeFileSurfacesShortRead) {
 TEST(FailureInjectionTest, AsyncConsumeFileSurfacesError) {
   // The same mid-stream read failure as the sync test, routed through the
   // prefetching pipeline at every sweep depth: the error must surface as a
-  // clean Status from ConsumeFile (no hang), the reader thread must be
+  // clean Status from Consume (no hang), the reader thread must be
   // joined by then (asan/tsan gate leaks), and the sketch must hold exactly
   // the same fully-consumed prefix as the sync path.
   for (uint64_t depth : {1u, 2u, 4u, 8u}) {
@@ -203,14 +211,13 @@ TEST(FailureInjectionTest, AsyncReaderKeepsReportingErrorAfterFailure) {
   // must keep returning that error (not EOF, not a crash).
   FaultyFixture f(1000, FailReadAt(2));  // first data read fails
   ASSERT_TRUE(f.file.ok());
-  AsyncReaderOptions options;
-  options.prefetch_depth = 2;
-  AsyncRunReader<uint64_t> reader(&*f.file, 250, options);
+  auto reader =
+      OpenRuns(FileRunProvider<uint64_t>(&*f.file), 250, IoMode::kAsync, 2);
   std::vector<uint64_t> buffer;
-  auto first = reader.NextRun(&buffer);
+  auto first = reader->NextRun(&buffer);
   EXPECT_FALSE(first.ok());
   EXPECT_EQ(first.status().code(), StatusCode::kIoError);
-  auto second = reader.NextRun(&buffer);
+  auto second = reader->NextRun(&buffer);
   EXPECT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kIoError);
 }
@@ -220,9 +227,8 @@ TEST(FailureInjectionTest, AsyncReaderAbandonedAfterErrorDoesNotHang) {
   // consuming: the destructor must still close the pipeline and join.
   FaultyFixture f(1000, FailReadAt(2));
   ASSERT_TRUE(f.file.ok());
-  AsyncReaderOptions options;
-  options.prefetch_depth = 8;
-  AsyncRunReader<uint64_t> reader(&*f.file, 100, options);
+  auto reader =
+      OpenRuns(FileRunProvider<uint64_t>(&*f.file), 100, IoMode::kAsync, 8);
   // No NextRun at all.
 }
 
@@ -360,7 +366,7 @@ TEST(FailureInjectionTest, StripedOpenFailsWhenStripeHeaderDies) {
 TEST(FailureInjectionTest, StripedConsumeFileSurfacesStripeDeath) {
   // Kill stripe 1 on its second data chunk (read #3 after header + chunk 1):
   // the dying chunk is logical run 4, so exactly runs 0-3 must be consumed,
-  // the error must surface as a clean Status from ConsumeFile, and every
+  // the error must surface as a clean Status from Consume, and every
   // stripe reader thread must be joined by then (asan/tsan gate leaks) — at
   // every prefetch depth, in both threaded and inline modes.
   for (IoMode io_mode : {IoMode::kSync, IoMode::kAsync}) {
@@ -390,26 +396,22 @@ TEST(FailureInjectionTest, StripedConsumeFileSurfacesStripeDeath) {
 TEST(FailureInjectionTest, StripedReaderKeepsReportingErrorAfterFailure) {
   // Both reading modes must latch the failure: a transient device error
   // must not let a retried NextRun silently resume mid-stream.
-  for (bool threaded : {true, false}) {
+  for (IoMode mode : {IoMode::kAsync, IoMode::kSync}) {
     FaultyStripeFixture f(6000, FailReadAt(2));  // stripe 1's 1st data chunk
     ASSERT_TRUE(f.file.ok());
-    StripedReaderOptions options;
-    options.prefetch_chunks = 2;
-    options.threaded = threaded;
-    StripedRunSource<uint64_t> source(&*f.file,
-                                      FaultyStripeFixture::kRunSize,
-                                      options);
+    auto source = OpenRuns(StripedFileProvider<uint64_t>(&*f.file),
+                           FaultyStripeFixture::kRunSize, mode, 2);
     std::vector<uint64_t> buffer;
     // Run 0 (stripe 0) is intact; run 1 dies; so does every later call —
     // even though the FaultyDevice only poisons one read.
-    auto first = source.NextRun(&buffer);
-    ASSERT_TRUE(first.ok()) << "threaded=" << threaded;
+    auto first = source->NextRun(&buffer);
+    ASSERT_TRUE(first.ok()) << IoModeName(mode);
     EXPECT_TRUE(*first);
     for (int i = 0; i < 3; ++i) {
-      auto failed = source.NextRun(&buffer);
-      EXPECT_FALSE(failed.ok()) << "threaded=" << threaded;
+      auto failed = source->NextRun(&buffer);
+      EXPECT_FALSE(failed.ok()) << IoModeName(mode);
       EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
-          << "threaded=" << threaded;
+          << IoModeName(mode);
     }
   }
 }
@@ -419,9 +421,8 @@ TEST(FailureInjectionTest, StripedReaderAbandonedAfterErrorDoesNotHang) {
   // close every channel and join every thread.
   FaultyStripeFixture f(6000, FailReadAt(2));
   ASSERT_TRUE(f.file.ok());
-  StripedReaderOptions options;
-  options.prefetch_chunks = 8;
-  StripedRunSource<uint64_t> source(&*f.file, 250, options);
+  auto source = OpenRuns(StripedFileProvider<uint64_t>(&*f.file), 250,
+                         IoMode::kAsync, 8);
   // No NextRun at all.
 }
 
@@ -594,27 +595,23 @@ TEST(FailureInjectionTest, ExtentConsumeSurfacesStripeDeath) {
 TEST(FailureInjectionTest, ExtentReaderKeepsReportingErrorAfterFailure) {
   // Both decoding modes must latch a mid-extent device error: a retried
   // NextRun must not silently resume the packed stream.
-  for (bool threaded : {true, false}) {
+  for (IoMode mode : {IoMode::kAsync, IoMode::kSync}) {
     FaultyExtentFixture f(6000, FailReadAt(4));  // stripe 1's 1st extent
     ASSERT_TRUE(f.file.ok()) << f.file.status().ToString();
-    ExtentReaderOptions options;
-    options.prefetch_extents = 2;
-    options.threaded = threaded;
-    ExtentRunSource<uint64_t> source(&*f.file,
-                                     FaultyExtentFixture::kRunSize,
-                                     options);
+    auto source = OpenRuns(ExtentFileProvider<uint64_t>(&*f.file),
+                           FaultyExtentFixture::kRunSize, mode, 2);
     std::vector<uint64_t> buffer;
     // Run 0 (extent 0, stripe 0) is intact; run 1 dies; so does every
     // later call — even though the FaultyDevice poisons only one read.
-    auto first = source.NextRun(&buffer);
-    ASSERT_TRUE(first.ok()) << "threaded=" << threaded;
+    auto first = source->NextRun(&buffer);
+    ASSERT_TRUE(first.ok()) << IoModeName(mode);
     EXPECT_TRUE(*first);
     EXPECT_EQ(buffer.size(), FaultyExtentFixture::kRunSize);
     for (int i = 0; i < 3; ++i) {
-      auto failed = source.NextRun(&buffer);
-      EXPECT_FALSE(failed.ok()) << "threaded=" << threaded;
+      auto failed = source->NextRun(&buffer);
+      EXPECT_FALSE(failed.ok()) << IoModeName(mode);
       EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
-          << "threaded=" << threaded;
+          << IoModeName(mode);
     }
   }
 }
@@ -624,9 +621,8 @@ TEST(FailureInjectionTest, ExtentReaderAbandonedAfterErrorDoesNotHang) {
   // close every channel and join every thread.
   FaultyExtentFixture f(6000, FailReadAt(4));
   ASSERT_TRUE(f.file.ok()) << f.file.status().ToString();
-  ExtentReaderOptions options;
-  options.prefetch_extents = 8;
-  ExtentRunSource<uint64_t> source(&*f.file, 250, options);
+  auto source = OpenRuns(ExtentFileProvider<uint64_t>(&*f.file), 250,
+                         IoMode::kAsync, 8);
   // No NextRun at all.
 }
 

@@ -261,7 +261,7 @@ void ExpectRemoteMatchesLocal(const NodeFixture& node, uint64_t run_size,
   }
 }
 
-TEST(RemoteRunSourceTest, MatchesLocalReaderAcrossModes) {
+TEST(RemoteRunProviderTest, MatchesLocalReaderAcrossModes) {
   NodeFixture node(10007);  // ragged tail
   for (uint64_t run_size : {1u, 100u, 999u, 10007u, 20000u}) {
     ExpectRemoteMatchesLocal(node, run_size, IoMode::kSync, 2);
@@ -313,7 +313,7 @@ TEST(NodeServerTest, SequentialConnectionsAreReaped) {
   EXPECT_GE(node.server.connections_accepted(), 40u);
 }
 
-TEST(RemoteRunSourceTest, SmallReadBoundForcesManySlices) {
+TEST(RemoteRunProviderTest, SmallReadBoundForcesManySlices) {
   // A tiny per-request bound exercises the slice/splice path: runs must
   // still come out identical, sync and async.
   NodeServerOptions options;
@@ -323,7 +323,7 @@ TEST(RemoteRunSourceTest, SmallReadBoundForcesManySlices) {
   ExpectRemoteMatchesLocal(node, 1000, IoMode::kAsync, 3);
 }
 
-TEST(RemoteRunSourceTest, SubRangesClampLikeLocalReader) {
+TEST(RemoteRunProviderTest, SubRangesClampLikeLocalReader) {
   NodeFixture node(5000);
   auto provider = RemoteRunProvider<Key>::Connect(node.spec());
   ASSERT_TRUE(provider.ok());
@@ -350,7 +350,7 @@ TEST(RemoteRunSourceTest, SubRangesClampLikeLocalReader) {
   }
 }
 
-TEST(RemoteRunSourceTest, StripedExportServesLogicalOrder) {
+TEST(RemoteRunProviderTest, StripedExportServesLogicalOrder) {
   NodeFixture node(9000, NodeServerOptions(), /*stripes=*/3, /*chunk=*/123);
   auto provider = RemoteRunProvider<Key>::Connect(node.spec("striped"));
   ASSERT_TRUE(provider.ok()) << provider.status().ToString();
@@ -363,7 +363,7 @@ TEST(RemoteRunSourceTest, StripedExportServesLogicalOrder) {
   EXPECT_EQ(flat, node.data);
 }
 
-TEST(RemoteRunSourceTest, ConcurrentStreamsFromOneProvider) {
+TEST(RemoteRunProviderTest, ConcurrentStreamsFromOneProvider) {
   // Each OpenRuns dials its own connection; two threads streaming halves
   // of the dataset concurrently must each see exactly their half.
   NodeFixture node(20000);

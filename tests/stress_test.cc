@@ -220,7 +220,7 @@ TEST(StressTest, MunroPatersonBoundedErrorOnAdversarialOrders) {
 
 // ----------------------------------------------- disk-scale async sweep --
 
-// 64M-element async ConsumeFile through a ThrottledDevice with a randomized
+// 64M-element async Consume through a ThrottledDevice with a randomized
 // prefetch depth: the Lemma 1-3 certificate invariants checked by
 // certificate_property_test must survive the prefetching pipeline at real
 // disk-resident scale. Sequential keys 1..n make ground truth free (the

@@ -1,6 +1,6 @@
 // Unit tests for the striped multi-disk storage backend: chunk geometry,
 // header validation at Open, scatter/gather reads and writes, and the
-// striped run source's ordering contract (threaded and inline modes).
+// striped provider's ordering contract (threaded and inline modes).
 
 #include <gtest/gtest.h>
 
@@ -281,7 +281,17 @@ TEST(StripedDataFileTest, WorksOnRealFiles) {
   EXPECT_EQ(*all, data);
 }
 
-// ------------------------------------------------------- StripedRunSource --
+// ---------------------------------------------------- StripedFileProvider --
+
+// Opens a run stream over `file` through its provider.
+std::unique_ptr<RunSource<Key>> OpenStriped(const StripedDataFile<Key>& file,
+                                            uint64_t run_size, IoMode mode,
+                                            uint64_t depth = 2,
+                                            uint64_t first = 0,
+                                            uint64_t count = UINT64_MAX) {
+  return StripedFileProvider<Key>(&file).OpenRuns(
+      ReadOptions{run_size, mode, depth, true}, first, count);
+}
 
 std::vector<Key> Drain(RunSource<Key>* source,
                        std::vector<uint64_t>* run_lengths = nullptr) {
@@ -296,7 +306,7 @@ std::vector<Key> Drain(RunSource<Key>* source,
   return seen;
 }
 
-TEST(StripedRunSourceTest, DeliversExactRunOrder) {
+TEST(StripedFileProviderTest, DeliversExactRunOrder) {
   // Every (stripes, chunk, run) shape must reproduce the plain reader's run
   // stream exactly: same run lengths, same contents, same order.
   std::vector<Key> data = Iota(10007);  // ragged everywhere
@@ -305,14 +315,12 @@ TEST(StripedRunSourceTest, DeliversExactRunOrder) {
       for (uint64_t run : {100u, 128u, 999u, 20000u}) {
         MemoryStripes striped(data, stripes, chunk);
         ASSERT_TRUE(striped.file.ok());
-        for (bool threaded : {false, true}) {
-          StripedReaderOptions options;
-          options.threaded = threaded;
-          StripedRunSource<Key> source(&*striped.file, run, options);
+        for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
+          auto source = OpenStriped(*striped.file, run, mode);
           std::vector<uint64_t> lengths;
-          EXPECT_EQ(Drain(&source, &lengths), data)
+          EXPECT_EQ(Drain(source.get(), &lengths), data)
               << "stripes=" << stripes << " chunk=" << chunk
-              << " run=" << run << " threaded=" << threaded;
+              << " run=" << run << " mode=" << IoModeName(mode);
           // Run shape must match the plain RunReader contract.
           for (size_t i = 0; i + 1 < lengths.size(); ++i) {
             EXPECT_EQ(lengths[i], run);
@@ -327,7 +335,7 @@ TEST(StripedRunSourceTest, DeliversExactRunOrder) {
   }
 }
 
-TEST(StripedRunSourceTest, HonorsSubRanges) {
+TEST(StripedFileProviderTest, HonorsSubRanges) {
   std::vector<Key> data = Iota(1000);
   MemoryStripes striped(data, 3, 32);
   ASSERT_TRUE(striped.file.ok());
@@ -344,69 +352,58 @@ TEST(StripedRunSourceTest, HonorsSubRanges) {
                          Range{7, 32}}) {
     RunReader<Key> reference(&*plain_file, 64, r.first, r.count);
     std::vector<Key> expected = Drain(&reference);
-    for (bool threaded : {false, true}) {
-      StripedReaderOptions options;
-      options.threaded = threaded;
-      options.prefetch_chunks = 3;
-      StripedRunSource<Key> source(&*striped.file, 64, options, r.first,
-                                   r.count);
-      EXPECT_EQ(Drain(&source), expected)
+    for (IoMode mode : {IoMode::kSync, IoMode::kAsync}) {
+      auto source = OpenStriped(*striped.file, 64, mode, 3, r.first, r.count);
+      EXPECT_EQ(Drain(source.get()), expected)
           << "first=" << r.first << " count=" << r.count
-          << " threaded=" << threaded;
+          << " mode=" << IoModeName(mode);
     }
   }
 }
 
-TEST(StripedRunSourceTest, ExhaustedSourceKeepsReportingEof) {
+TEST(StripedFileProviderTest, ExhaustedSourceKeepsReportingEof) {
   MemoryStripes striped(Iota(100), 2, 16);
   ASSERT_TRUE(striped.file.ok());
-  StripedRunSource<Key> source(&*striped.file, 64);
+  auto source = OpenStriped(*striped.file, 64, IoMode::kAsync);
   std::vector<Key> buffer;
-  Drain(&source);
+  Drain(source.get());
   for (int i = 0; i < 3; ++i) {
-    auto more = source.NextRun(&buffer);
+    auto more = source->NextRun(&buffer);
     ASSERT_TRUE(more.ok());
     EXPECT_FALSE(*more);
   }
 }
 
-TEST(StripedRunSourceTest, AbandonedMidStreamJoinsCleanly) {
+TEST(StripedFileProviderTest, AbandonedMidStreamJoinsCleanly) {
   // Destroying the source with most chunks unconsumed (prefetch rings full,
   // reader threads blocked on Send) must close the pipeline and join every
   // stripe thread — no hang, no leak (asan/tsan gate this).
   MemoryStripes striped(Iota(64 * 1024), 4, 256);
   ASSERT_TRUE(striped.file.ok());
   for (uint64_t depth : {1u, 4u}) {
-    StripedReaderOptions options;
-    options.prefetch_chunks = depth;
-    StripedRunSource<Key> source(&*striped.file, 1024, options);
+    auto source = OpenStriped(*striped.file, 1024, IoMode::kAsync, depth);
     std::vector<Key> buffer;
-    auto more = source.NextRun(&buffer);
+    auto more = source->NextRun(&buffer);
     ASSERT_TRUE(more.ok());
     EXPECT_TRUE(*more);
   }
 }
 
-TEST(StripedRunSourceTest, InlineModeIgnoresPrefetchDepth) {
+TEST(StripedFileProviderTest, InlineModeIgnoresPrefetchDepth) {
   // kSync maps to inline reads where the depth is meaningless; a bogus
   // depth (e.g. 0 from an unset flag) must not abort — only the threaded
   // mode allocates prefetch rings and enforces the bound.
   MemoryStripes striped(Iota(200), 2, 32);
   ASSERT_TRUE(striped.file.ok());
-  StripedReaderOptions options;
-  options.threaded = false;
-  options.prefetch_chunks = 0;
-  StripedRunSource<Key> source(&*striped.file, 64, options);
-  EXPECT_EQ(Drain(&source), Iota(200));
+  auto source = OpenStriped(*striped.file, 64, IoMode::kSync, /*depth=*/0);
+  EXPECT_EQ(Drain(source.get()), Iota(200));
 }
 
-TEST(StripedRunSourceTest, DepthLargerThanChunkCount) {
+TEST(StripedFileProviderTest, DepthLargerThanChunkCount) {
   MemoryStripes striped(Iota(300), 2, 50);  // 6 chunks, 3 per stripe
   ASSERT_TRUE(striped.file.ok());
-  StripedReaderOptions options;
-  options.prefetch_chunks = 16;
-  StripedRunSource<Key> source(&*striped.file, 100, options);
-  EXPECT_EQ(Drain(&source), Iota(300));
+  auto source = OpenStriped(*striped.file, 100, IoMode::kAsync, 16);
+  EXPECT_EQ(Drain(source.get()), Iota(300));
 }
 
 }  // namespace
