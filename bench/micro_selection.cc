@@ -2,7 +2,8 @@
 // selection and regular-sample extraction across algorithms and run shapes.
 // Backs the paper's §2.1 claim that randomized selection "has small
 // constant and is practically very efficient" relative to the deterministic
-// [ea72], and guards the sample phase on duplicate-heavy runs.
+// [ea72], guards the sample phase on duplicate-heavy runs, and measures
+// how the striped distribution step scales with workers.
 //
 //   micro_selection --benchmark_filter=RegularSamples
 
@@ -86,29 +87,39 @@ void BM_RegularSamples(benchmark::State& state) {
   const size_t m = 1 << 20;
   const uint64_t s = static_cast<uint64_t>(state.range(1));
   const auto input = static_cast<RunInput>(state.range(2));
+  const auto workers = static_cast<size_t>(state.range(3));
   const std::vector<uint64_t> data = RunData(m, input);
   Xoshiro256 rng(7);
+  SelectScratch<uint64_t> scratch;
   for (auto _ : state) {
     state.PauseTiming();
     std::vector<uint64_t> work = data;
     state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        RegularSamples(work.data(), work.size(), s, algorithm, rng));
+    benchmark::DoNotOptimize(RegularSamplesBySubrunSize(
+        work.data(), work.size(), m / s, algorithm, rng, &scratch, workers));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(m));
   state.SetLabel(RunInputName(input));
 }
+// `workers` stripes each run across the shared pool (1 = the sequential
+// step). Rates are per wall-clock second, so the rows compare directly.
 BENCHMARK(BM_RegularSamples)
-    ->ArgNames({"algo", "s", "input"})
-    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 256, 0})
-    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 1024, 0})
-    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 4096, 0})
-    ->Args({static_cast<int>(SelectAlgorithm::kMedianOfMedians), 1024, 0})
-    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0})
-    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 1})
-    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 2})
-    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 3});
+    ->ArgNames({"algo", "s", "input", "workers"})
+    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 256, 0, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 1024, 0, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 4096, 0, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kMedianOfMedians), 1024, 0, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0, 2})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0, 4})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 1, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 1, 4})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 2, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 2, 4})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 3, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 3, 4})
+    ->UseRealTime();
 
 void BM_RegularSamplesBySorting(benchmark::State& state) {
   const size_t m = 1 << 20;

@@ -13,6 +13,7 @@
 #include "core/sample_list.h"
 #include "opaq/query.h"
 #include "opaq/source.h"
+#include "parallel/worker_pool.h"
 #include "telemetry/metrics.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -30,6 +31,9 @@ struct EngineStats {
   uint64_t runs = 0;
   uint64_t elements = 0;
   size_t shards = 0;
+  /// Workers each shard's sketch stripes a run across: every core for one
+  /// source, 1 when several shards sample side by side.
+  size_t sample_workers = 0;
   /// Pack/unpack accounting over the build, summed across compressed-extent
   /// shards (all-zero when no shard is compressed): how many extents were
   /// decoded, and how `packed_bytes` read from disk expanded to
@@ -40,10 +44,15 @@ struct EngineStats {
 
 /// The front door of the public API: owns an `OpaqConfig` and the
 /// `Source`(s) to summarize, and drives the whole paper pipeline — the
-/// one-pass sample phase (sequential for one source, one thread per shard
-/// for several), the per-run/per-shard sample-list merges, and finalization
-/// — behind a single `Build()` call that returns a ready `QuerySession` or
-/// a `Status` (no aborts on bad configs or dead disks).
+/// one-pass sample phase, the per-run/per-shard sample-list merges, and
+/// finalization — behind a single `Build()` call that returns a ready
+/// `QuerySession` or a `Status` (no aborts on bad configs or dead disks).
+///
+/// The sampling width is derived, not configured: one source reads its
+/// runs in order and every core samples each resident run (the striped
+/// distribution step of select/multi_select.h); several sources get one
+/// thread per shard, each sampling with one worker, so the cores are
+/// already shared out and no shard holds more than its one run.
 ///
 ///     OpaqConfig config;
 ///     auto session = Engine<uint64_t>(config, Source<uint64_t>::Open(path)
@@ -86,6 +95,8 @@ class Engine {
     }
     stats_ = EngineStats{};
     stats_.shards = shards_.size();
+    stats_.sample_workers =
+        shards_.size() == 1 ? WorkerPool::HardwareWidth() : 1;
     WallTimer total_timer;
 
     // Compressed-extent backends keep cumulative pack/unpack counters;
@@ -136,7 +147,7 @@ class Engine {
         // Unimplemented = the node cannot compute over this dataset
         // (untyped export); stream its runs over v1 instead.
       }
-      OpaqSketch<K> sketch(shard_config);
+      OpaqSketch<K> sketch(shard_config, stats_.sample_workers);
       statuses[rank] =
           sketch.Consume(shards_[rank].provider(), &io_seconds[rank]);
       if (!statuses[rank].ok()) return;  // skip the finalize sort/merge
@@ -214,6 +225,8 @@ class Engine {
         ->Add(stats_.extents.packed_bytes);
     registry.GetCounter("engine.extent_unpacked_bytes")
         ->Add(stats_.extents.unpacked_bytes);
+    registry.GetGauge("engine.sample_workers")
+        ->Set(static_cast<int64_t>(stats_.sample_workers));
   }
 
   OpaqConfig config_;

@@ -13,6 +13,7 @@
 #include "io/async_run_reader.h"
 #include "io/run_reader.h"
 #include "io/striped_run_source.h"
+#include "parallel/worker_pool.h"
 #include "select/multi_select.h"
 #include "telemetry/trace.h"
 #include "util/random.h"
@@ -53,12 +54,23 @@ std::unique_ptr<RunSource<K>> MakeRunSource(const RunProvider<K>& provider,
 ///
 /// Memory: one run buffer (m elements) plus the accumulated sample lists
 /// (r*s elements) — the paper's §2.3 constraint r*s + m <= M — plus m bytes
-/// of selection scratch (see select/multi_select.h).
+/// of selection scratch and, when sampling is striped, one small gather
+/// buffer per worker (see select/multi_select.h).
+///
+/// Sampling width: each run of at least `sample_workers` ×
+/// `kDistributeMinElements` elements is sampled by that many workers of the
+/// shared pool, all on the one resident run. The default is every core,
+/// which is what a single sketch (one-source `Engine::Build`, `Consume`,
+/// a data node's `NodeSampleRuns`) wants. Sketches that already run side by
+/// side, one per shard or per simulated processor, pass 1. The width never
+/// changes the samples, only how fast they are found.
 template <typename K>
 class OpaqSketch {
  public:
-  explicit OpaqSketch(const OpaqConfig& config)
+  explicit OpaqSketch(const OpaqConfig& config,
+                      size_t sample_workers = WorkerPool::HardwareWidth())
       : config_(config),
+        sample_workers_(sample_workers),
         rng_(config.seed),
         builder_(config.subrun_size()) {
     OPAQ_CHECK_OK(config.Validate());
@@ -68,9 +80,19 @@ class OpaqSketch {
   uint64_t runs_consumed() const { return builder_.num_runs(); }
   uint64_t elements_consumed() const { return builder_.total_elements(); }
 
-  /// Samples one run. The buffer is consumed (rearranged by selection);
-  /// pass by value and move in to make the cost explicit at call sites.
-  void AddRun(std::vector<K> run) { SampleRun(run.data(), run.size()); }
+  /// Samples the run `run[0..n)` in place: selection rearranges its
+  /// elements, and the buffer stays the caller's to refill with the next
+  /// run, so a stream of runs needs one buffer.
+  void AddRun(K* run, size_t n) {
+    OPAQ_CHECK_LE(n, config_.run_size)
+        << "a run longer than config.run_size would break the error bounds";
+    if (n == 0) return;
+    TraceSpan sample_span(TraceStage::kSample);
+    std::vector<K> samples = RegularSamplesBySubrunSize(
+        run, n, config_.subrun_size(), config_.select_algorithm, rng_,
+        &scratch_, sample_workers_);
+    builder_.AddRunSamples(std::move(samples), n);
+  }
 
   /// Streams every run of any storage backend through the sketch: the whole
   /// one-pass sample phase of Figure 1. Honors `config.io_mode`: kSync
@@ -108,7 +130,7 @@ class OpaqSketch {
       if (!more.ok()) return more.status();
       if (!*more) break;
       if (io_seconds != nullptr) *io_seconds += io_timer.ElapsedSeconds();
-      SampleRun(buffer.data(), buffer.size());
+      AddRun(buffer.data(), buffer.size());
     }
     return Status::OK();
   }
@@ -123,22 +145,11 @@ class OpaqSketch {
   }
 
  private:
-  /// Regular-samples `run[0..n)` in place (the elements are rearranged).
-  void SampleRun(K* run, size_t n) {
-    OPAQ_CHECK_LE(n, config_.run_size)
-        << "a run longer than config.run_size would break the error bounds";
-    if (n == 0) return;
-    TraceSpan sample_span(TraceStage::kSample);
-    std::vector<K> samples =
-        RegularSamplesBySubrunSize(run, n, config_.subrun_size(),
-                                   config_.select_algorithm, rng_, &oracle_);
-    builder_.AddRunSamples(std::move(samples), n);
-  }
-
   OpaqConfig config_;
+  size_t sample_workers_;
   Xoshiro256 rng_;
   SampleListBuilder<K> builder_;
-  std::vector<uint8_t> oracle_;  ///< selection scratch, reused across runs
+  SelectScratch<K> scratch_;  ///< reused across runs
 };
 
 /// One-shot helper: estimate the q-1 equi-spaced quantiles of a disk file.
@@ -151,17 +162,19 @@ Result<std::vector<QuantileEstimate<K>>> EstimateQuantilesFromFile(
   return sketch.Finalize().EquiQuantiles(q);
 }
 
-/// One-shot helper over an in-memory dataset (slices it into runs).
+/// One-shot helper over an in-memory dataset: copies it run by run into
+/// one reused buffer and samples each copy in place.
 template <typename K>
 OpaqEstimator<K> EstimateQuantilesInMemory(const std::vector<K>& data,
                                            const OpaqConfig& config) {
   OPAQ_CHECK_OK(config.Validate());
   OpaqSketch<K> sketch(config);
+  std::vector<K> buffer;
   for (uint64_t first = 0; first < data.size();
        first += config.run_size) {
     uint64_t len = std::min<uint64_t>(config.run_size, data.size() - first);
-    sketch.AddRun(std::vector<K>(data.begin() + first,
-                                 data.begin() + first + len));
+    buffer.assign(data.begin() + first, data.begin() + first + len);
+    sketch.AddRun(buffer.data(), buffer.size());
   }
   return sketch.Finalize();
 }

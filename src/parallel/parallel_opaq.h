@@ -86,7 +86,9 @@ Result<ParallelOpaqResult<K>> RunParallelOpaq(
     // --- Sample phase: read runs, select regular samples per run. ---
     OpaqConfig config = options.config;
     config.seed += static_cast<uint64_t>(ctx.rank());  // independent pivots
-    OpaqSketch<K> sketch(config);
+    // One sampling worker: the simulated processors already share the
+    // cores, as the paper's p processors each sample their own runs.
+    OpaqSketch<K> sketch(config, /*sample_workers=*/1);
     std::unique_ptr<RunSource<K>> reader = MakeRunSource<K>(*provider, config);
     std::vector<K> buffer;
     Status local_status;
@@ -99,8 +101,7 @@ Result<ParallelOpaqResult<K>> RunParallelOpaq(
       }
       if (!*more) break;
       timer.Start(kPhaseSampling);
-      sketch.AddRun(std::move(buffer));
-      buffer = std::vector<K>();
+      sketch.AddRun(buffer.data(), buffer.size());
     }
 
     // --- Local merge of the r per-run sample lists. ---

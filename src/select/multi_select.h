@@ -2,10 +2,13 @@
 #define OPAQ_SELECT_MULTI_SELECT_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "parallel/worker_pool.h"
 #include "select/bucket_classifier.h"
 #include "select/select.h"
 #include "util/check.h"
@@ -40,8 +43,23 @@ namespace opaq {
 /// runs (Zipf heads, all-equal, few-valued) at least as fast as the
 /// recursive path.
 ///
-/// Both paths return the same values: a sample is an order statistic of
-/// the run, whatever algorithm finds it.
+/// The top-level distribution step can be striped across T workers of the
+/// shared pool (parallel/worker_pool.h), so every core works on the one
+/// resident run. Worker w classifies and permutes its own contiguous
+/// stripe of n/T elements in place. Bucket b of the window is then the T
+/// pieces "bucket b of stripe w"; workers claim the buckets holding target
+/// ranks one at a time, gather each one's pieces into a reused per-worker
+/// buffer, and finish it as above. Equality buckets are answered without a
+/// gather. With T = 1 the single stripe is the whole window and every
+/// bucket already lies whole in place, so this is the sequential step, not
+/// a second implementation. The partition postcondition of `MultiSelect`
+/// (each sample at its own rank in the rearranged run) holds for one
+/// worker only; with several, the run comes back grouped by bucket within
+/// each stripe.
+///
+/// All paths return the same values for any T: a sample is an order
+/// statistic of the run, whatever algorithm and however many workers find
+/// it.
 
 namespace internal_select {
 
@@ -118,13 +136,34 @@ void PermuteByOracle(K* data, const uint8_t* oracle, const size_t* begin,
   }
 }
 
+/// Start of stripe `w` when `n` elements are cut into `workers` stripes
+/// whose sizes differ by at most one.
+inline size_t StripeStart(size_t n, size_t workers, size_t w) {
+  return n / workers * w + std::min(w, n % workers);
+}
+
+/// Runs `body(w)` for each worker w in [0, workers): inline for one worker,
+/// so one-worker sampling never creates the shared pool, otherwise on it.
+template <typename Body>
+void ForEachWorker(size_t workers, Body&& body) {
+  if (workers == 1) {
+    body(0);
+  } else {
+    WorkerPool::Shared().ParallelFor(workers, body);
+  }
+}
+
 /// Distribution-step multi-selection over one window (see the file
-/// comment); `oracle` has room for `n` bytes.
+/// comment); `oracle` has room for `n` bytes. With `workers` > 1 the window
+/// is striped: `gather` points to `workers` reusable buffers, and `data`
+/// comes back a permutation of its input but not partitioned around the
+/// selected ranks.
 template <typename K>
 void DistributeSelect(K* data, size_t n, const uint64_t* ranks,
                       size_t num_ranks, uint64_t base, K* out,
                       SelectAlgorithm algorithm, Xoshiro256& rng,
-                      uint8_t* oracle, int depth) {
+                      uint8_t* oracle, int depth, size_t workers = 1,
+                      std::vector<K>* gather = nullptr) {
   // About four range buckets per target rank, up to one oracle byte's worth.
   int log_range = 2;
   while (log_range < 8 && (size_t{1} << log_range) < 4 * num_ranks) {
@@ -160,69 +199,158 @@ void DistributeSelect(K* data, size_t n, const uint64_t* ranks,
   const size_t num_ids = classifier.num_ids();
   OPAQ_DCHECK(num_ids <= kMaxBucketIds);
 
-  size_t counts[kMaxBucketIds] = {};
-  classifier.Classify(data, n, oracle, counts);
+  // Stripe w is classified and permuted in place on its own, so its bucket
+  // b is contiguous: data[stripe_begin[w][b], stripe_begin[w][b + 1]). One
+  // stripe is the whole window.
+  constexpr size_t kStride = kMaxBucketIds + 1;
+  size_t one_stripe[kStride];
+  std::vector<size_t> many_stripes(workers > 1 ? workers * kStride : 0);
+  size_t* const stripe_begin = workers > 1 ? many_stripes.data() : one_stripe;
+  ForEachWorker(workers, [&](size_t w) {
+    const size_t lo = StripeStart(n, workers, w);
+    const size_t len = StripeStart(n, workers, w + 1) - lo;
+    size_t counts[kMaxBucketIds] = {};
+    classifier.Classify(data + lo, len, oracle + lo, counts);
+    size_t* begin = &stripe_begin[w * kStride];
+    begin[0] = 0;
+    for (size_t b = 0; b < num_ids; ++b) begin[b + 1] = begin[b] + counts[b];
+    PermuteByOracle(data + lo, oracle + lo, begin, num_ids);
+    for (size_t b = 0; b <= num_ids; ++b) begin[b] += lo;
+  });
+  // Bucket b of stripe w: its first element and its length.
+  auto piece = [&](size_t w, size_t b) {
+    const size_t* begin = &stripe_begin[w * kStride];
+    return std::make_pair(data + begin[b], begin[b + 1] - begin[b]);
+  };
+
+  // Bucket b of the window holds every stripe's bucket b, from begin[b].
   size_t begin[kMaxBucketIds + 1];
   begin[0] = 0;
-  for (size_t b = 0; b < num_ids; ++b) begin[b + 1] = begin[b] + counts[b];
-  PermuteByOracle(data, oracle, begin, num_ids);
+  for (size_t b = 0; b < num_ids; ++b) {
+    begin[b + 1] = begin[b];
+    for (size_t w = 0; w < workers; ++w) begin[b + 1] += piece(w, b).second;
+  }
 
-  // Ranks are sorted, so the buckets holding them come in order too. The
-  // oracle is free again and serves as scratch for nested steps.
-  size_t first = 0;
-  for (size_t b = 0; b < num_ids && first < num_ranks; ++b) {
+  // Ranks are sorted, so the buckets holding them come in order too.
+  struct Target {
+    size_t bucket, first, last;  // ranks [first, last) lie in the bucket
+  };
+  Target targets[kMaxBucketIds];
+  size_t num_targets = 0;
+  size_t largest = 0;  // the biggest bucket that must be gathered
+  for (size_t b = 0, first = 0; b < num_ids && first < num_ranks; ++b) {
     size_t last = first;
     while (last < num_ranks && ranks[last] - base < begin[b + 1]) ++last;
     if (last == first) continue;
-    K* bucket = data + begin[b];
-    const size_t size = begin[b + 1] - begin[b];
-    if (classifier.IsEqualityBucket(b)) {
-      std::fill(out + first, out + last, bucket[0]);
-    } else if (last - first >= 2 && size >= kRedistributeMinElements &&
-               depth + 1 < kMaxDistributeDepth) {
-      DistributeSelect(bucket, size, ranks + first, last - first,
-                       base + begin[b], out + first, algorithm, rng, oracle,
-                       depth + 1);
-    } else {
-      MultiSelectImpl(bucket, size, ranks + first, last - first,
-                      base + begin[b], out + first, algorithm, rng);
+    targets[num_targets++] = {b, first, last};
+    if (!classifier.IsEqualityBucket(b)) {
+      largest = std::max(largest, begin[b + 1] - begin[b]);
     }
     first = last;
   }
+  // Sized here, on the calling thread, so workers never allocate them.
+  if (workers > 1) {
+    for (size_t w = 0; w < workers; ++w) {
+      if (gather[w].size() < largest) gather[w].resize(largest);
+    }
+  }
+  std::vector<Xoshiro256> worker_rngs;
+  for (size_t w = 1; w < workers; ++w) worker_rngs.emplace_back(rng.Next());
+
+  // Workers claim target buckets one at a time. A bucket's pieces are
+  // gathered into the worker's buffer (with one stripe the bucket already
+  // lies whole in `data`). The oracle is free again and serves as scratch
+  // for nested steps: one worker reuses its head, which stays in cache;
+  // several use the disjoint bytes under each bucket's place in the window.
+  std::atomic<size_t> next_target{0};
+  ForEachWorker(workers, [&](size_t w) {
+    Xoshiro256& local_rng = w == 0 ? rng : worker_rngs[w - 1];
+    for (size_t t; (t = next_target.fetch_add(1, std::memory_order_relaxed)) <
+                   num_targets;) {
+      const size_t b = targets[t].bucket;
+      const size_t first = targets[t].first;
+      const size_t last = targets[t].last;
+      const size_t size = begin[b + 1] - begin[b];
+      if (classifier.IsEqualityBucket(b)) {
+        size_t stripe = 0;
+        while (piece(stripe, b).second == 0) ++stripe;
+        std::fill(out + first, out + last, *piece(stripe, b).first);
+        continue;
+      }
+      K* bucket = data + begin[b];
+      if (workers > 1) {
+        bucket = gather[w].data();
+        K* at = bucket;
+        for (size_t stripe = 0; stripe < workers; ++stripe) {
+          const auto [from, len] = piece(stripe, b);
+          at = std::copy(from, from + len, at);
+        }
+      }
+      if (last - first >= 2 && size >= kRedistributeMinElements &&
+          depth + 1 < kMaxDistributeDepth) {
+        DistributeSelect(bucket, size, ranks + first, last - first,
+                         base + begin[b], out + first, algorithm, local_rng,
+                         workers == 1 ? oracle : oracle + begin[b],
+                         depth + 1);
+      } else {
+        MultiSelectImpl(bucket, size, ranks + first, last - first,
+                        base + begin[b], out + first, algorithm, local_rng);
+      }
+    }
+  });
 }
 
 }  // namespace internal_select
 
+/// Scratch that a caller keeps across runs so multi-selection allocates it
+/// once: the distribution step's one-byte-per-element oracle and, for a
+/// striped step, one gather buffer per worker (each about the largest
+/// bucket holding a target rank, a few hundredths of the run).
+template <typename K>
+struct SelectScratch {
+  std::vector<uint8_t> oracle;
+  std::vector<std::vector<K>> gather;
+};
+
 /// Selects the elements at each 0-based rank in `ranks` (strictly increasing,
 /// all < n) from `data[0..n)`, rearranging `data` in the process. The output
-/// is sorted by construction, and afterwards `data[ranks[i]] == out[i]` with
-/// no larger element before it and no smaller one after it.
+/// is sorted by construction. With one worker, afterwards
+/// `data[ranks[i]] == out[i]` with no larger element before it and no
+/// smaller one after it; with several, `data` is only a permutation of its
+/// input.
 ///
 /// `algorithm` is the single-element selector: it does all the work on
 /// windows below `kDistributeMinElements`, and finishes each bucket after
-/// the distribution step on larger ones. `oracle`, when given, is the
-/// distribution step's one-byte-per-element scratch; pass the same vector
-/// for every run to allocate it once.
+/// the distribution step on larger ones. `scratch`, when given, is reused
+/// (pass the same one for every run). `workers` stripes the top-level
+/// distribution step across that many workers of the shared pool; windows
+/// below `workers * kDistributeMinElements` take one. The output does not
+/// depend on `workers`.
 template <typename K>
 std::vector<K> MultiSelect(K* data, size_t n, const std::vector<uint64_t>& ranks,
                            SelectAlgorithm algorithm, Xoshiro256& rng,
-                           std::vector<uint8_t>* oracle = nullptr) {
+                           SelectScratch<K>* scratch = nullptr,
+                           size_t workers = 1) {
   for (size_t i = 0; i < ranks.size(); ++i) {
     OPAQ_CHECK_LT(ranks[i], n);
     if (i > 0) OPAQ_CHECK_LT(ranks[i - 1], ranks[i]);
   }
+  OPAQ_CHECK_GT(workers, 0u);
   std::vector<K> out(ranks.size());
   if (n < internal_select::kDistributeMinElements || ranks.empty()) {
     internal_select::MultiSelectImpl(data, n, ranks.data(), ranks.size(),
                                      uint64_t{0}, out.data(), algorithm, rng);
     return out;
   }
-  std::vector<uint8_t> local;
-  if (oracle == nullptr) oracle = &local;
-  if (oracle->size() < n) oracle->resize(n);
+  if (n / workers < internal_select::kDistributeMinElements) workers = 1;
+  SelectScratch<K> local;
+  if (scratch == nullptr) scratch = &local;
+  if (scratch->oracle.size() < n) scratch->oracle.resize(n);
+  if (scratch->gather.size() < workers) scratch->gather.resize(workers);
   internal_select::DistributeSelect(data, n, ranks.data(), ranks.size(),
                                     uint64_t{0}, out.data(), algorithm, rng,
-                                    oracle->data(), /*depth=*/0);
+                                    scratch->oracle.data(), /*depth=*/0,
+                                    workers, scratch->gather.data());
   return out;
 }
 
@@ -238,8 +366,8 @@ template <typename K>
 std::vector<K> RegularSamplesBySubrunSize(K* data, size_t n, uint64_t subrun_size,
                                           SelectAlgorithm algorithm,
                                           Xoshiro256& rng,
-                                          std::vector<uint8_t>* oracle =
-                                              nullptr) {
+                                          SelectScratch<K>* scratch = nullptr,
+                                          size_t workers = 1) {
   OPAQ_CHECK_GT(subrun_size, 0u);
   const uint64_t num_samples = n / subrun_size;
   std::vector<uint64_t> ranks;
@@ -247,7 +375,7 @@ std::vector<K> RegularSamplesBySubrunSize(K* data, size_t n, uint64_t subrun_siz
   for (uint64_t j = 1; j <= num_samples; ++j) {
     ranks.push_back(j * subrun_size - 1);  // 0-based index of rank j*c
   }
-  return MultiSelect(data, n, ranks, algorithm, rng, oracle);
+  return MultiSelect(data, n, ranks, algorithm, rng, scratch, workers);
 }
 
 /// Regular samples with an explicit sample count `s` (requires s | m, the

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/exact.h"
@@ -36,6 +38,7 @@
 #include "opaq/query.h"
 #include "opaq/source.h"
 #include "parallel/parallel_opaq.h"
+#include "parallel/worker_pool.h"
 #include "util/random.h"
 
 namespace opaq {
@@ -61,8 +64,19 @@ struct SweepCase {
   }
 };
 
+// The serialized sample list — the strongest practical equality.
+std::vector<uint8_t> SampleListBytes(const SampleList<Key>& list) {
+  MemoryBlockDevice out;
+  OPAQ_CHECK_OK(SaveSampleList(list, &out));
+  auto size = out.Size();
+  OPAQ_CHECK_OK(size.status());
+  std::vector<uint8_t> bytes(*size);
+  OPAQ_CHECK_OK(out.ReadAt(0, bytes.data(), bytes.size()));
+  return bytes;
+}
+
 // Runs the full sample phase through `provider` with the given io mode and
-// returns the serialized sketch — the strongest practical equality.
+// returns the serialized sketch.
 std::vector<uint8_t> SketchBytes(const RunProvider<Key>& provider,
                                  const SweepCase& c, IoMode io_mode,
                                  uint64_t prefetch_depth) {
@@ -74,14 +88,7 @@ std::vector<uint8_t> SketchBytes(const RunProvider<Key>& provider,
   config.prefetch_depth = prefetch_depth;
   OpaqSketch<Key> sketch(config);
   OPAQ_CHECK_OK(sketch.Consume(provider));
-  SampleList<Key> list = sketch.FinalizeSampleList();
-  MemoryBlockDevice out;
-  OPAQ_CHECK_OK(SaveSampleList(list, &out));
-  auto size = out.Size();
-  OPAQ_CHECK_OK(size.status());
-  std::vector<uint8_t> bytes(*size);
-  OPAQ_CHECK_OK(out.ReadAt(0, bytes.data(), bytes.size()));
-  return bytes;
+  return SampleListBytes(sketch.FinalizeSampleList());
 }
 
 // Same sample phase, driven through the public facade: an Engine over a
@@ -97,13 +104,7 @@ std::vector<uint8_t> EngineSketchBytes(const Source<Key>& source,
   config.prefetch_depth = prefetch_depth;
   auto session = Engine<Key>(config, source).Build();
   OPAQ_CHECK_OK(session.status());
-  MemoryBlockDevice out;
-  OPAQ_CHECK_OK(SaveSampleList(session->sample_list(), &out));
-  auto size = out.Size();
-  OPAQ_CHECK_OK(size.status());
-  std::vector<uint8_t> bytes(*size);
-  OPAQ_CHECK_OK(out.ReadAt(0, bytes.data(), bytes.size()));
-  return bytes;
+  return SampleListBytes(session->sample_list());
 }
 
 // One plain file, one D-striped file and one D-striped COMPRESSED extent
@@ -366,14 +367,7 @@ void ExpectAllBackendsAgree(const SweepCase& c) {
         OPAQ_CHECK_OK(delta.status());
         QuerySession<Key> absorbed = std::move(head_session).value();
         OPAQ_CHECK_OK(absorbed.Absorb(delta->sample_list()));
-        MemoryBlockDevice out;
-        OPAQ_CHECK_OK(SaveSampleList(absorbed.sample_list(), &out));
-        auto size = out.Size();
-        OPAQ_CHECK_OK(size.status());
-        std::vector<uint8_t> absorbed_bytes(*size);
-        OPAQ_CHECK_OK(out.ReadAt(0, absorbed_bytes.data(),
-                                 absorbed_bytes.size()));
-        EXPECT_EQ(absorbed_bytes, reference)
+        EXPECT_EQ(SampleListBytes(absorbed.sample_list()), reference)
             << c.Describe() << " Absorb(tail) vs from-scratch rebuild";
       }
     }
@@ -593,6 +587,99 @@ TEST(BackendConformanceTest, QuantilesAndExactPassAgreeAcrossBackends) {
     EXPECT_EQ(remote_batch->results[0].exact, *exact_plain)
         << "wire v" << version;
   }
+}
+
+TEST(BackendConformanceTest, SampleWidthNeverChangesTheSketch) {
+  // Runs long enough for the striped distribution step (at least
+  // 4 x 64Ki elements) through the plain-async, extent and striped
+  // backends: sampling each run with 1 worker and with 4 leaves the same
+  // bytes, and so does Engine::Build, which derives its own width (every
+  // core for one source). The ragged tail run is below the striping
+  // threshold and takes one worker either way.
+  constexpr uint64_t kRun = uint64_t{1} << 18;
+  DatasetSpec spec;
+  spec.n = 3 * kRun + 12345;
+  spec.distribution = Distribution::kZipf;
+  spec.seed = 77;
+  const std::vector<Key> data = GenerateDataset<Key>(spec);
+  Backends backends(data, 2, 50000);
+
+  OpaqConfig config;
+  config.run_size = kRun;
+  config.samples_per_run = 256;
+  config.io_mode = IoMode::kAsync;
+  auto width_bytes = [&](const RunProvider<Key>& provider, size_t workers) {
+    OpaqSketch<Key> sketch(config, workers);
+    OPAQ_CHECK_OK(sketch.Consume(provider));
+    return SampleListBytes(sketch.FinalizeSampleList());
+  };
+  const std::vector<uint8_t> reference = width_bytes(*backends.plain, 1);
+
+  auto extent_source = Source<Key>::FromFile(backends.extent_file.get());
+  OPAQ_CHECK_OK(extent_source.status());
+  const std::pair<const char*, Source<Key>> sources[] = {
+      {"plain-async", Source<Key>::FromFile(backends.plain_file.get())},
+      {"extent", *extent_source},
+      {"striped", Source<Key>::FromFile(backends.striped_file.get())},
+  };
+  for (const auto& [name, source] : sources) {
+    for (size_t workers : {size_t{1}, size_t{4}}) {
+      EXPECT_EQ(width_bytes(source.provider(), workers), reference)
+          << name << " workers=" << workers;
+    }
+    Engine<Key> engine(config, source);
+    auto session = engine.Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(engine.stats().sample_workers, WorkerPool::HardwareWidth());
+    EXPECT_EQ(SampleListBytes(session->sample_list()), reference)
+        << name << " Engine::Build";
+  }
+
+  // Several shards already sample side by side: one worker each.
+  Engine<Key> sharded(config, {sources[0].second, sources[2].second});
+  ASSERT_TRUE(sharded.Build().ok());
+  EXPECT_EQ(sharded.stats().sample_workers, 1u);
+}
+
+TEST(BackendConformanceTest, ConcurrentSketchesShareThePool) {
+  // Two sketches sample 2^20-element runs at the same time, both striping
+  // across every worker of the one shared pool. Neither may wait on the
+  // other, and both must land on sort-then-pick samples.
+  constexpr uint64_t kRun = uint64_t{1} << 20;
+  OpaqConfig config;
+  config.run_size = kRun;
+  config.samples_per_run = 1024;
+  std::vector<Key> datasets[2];
+  std::vector<uint8_t> expected[2];
+  for (int i = 0; i < 2; ++i) {
+    DatasetSpec spec;
+    spec.n = 2 * kRun;
+    spec.distribution = i == 0 ? Distribution::kUniform : Distribution::kZipf;
+    spec.seed = 900 + i;
+    datasets[i] = GenerateDataset<Key>(spec);
+    SampleListBuilder<Key> builder(config.subrun_size());
+    for (uint64_t first = 0; first < spec.n; first += kRun) {
+      std::vector<Key> run(datasets[i].begin() + first,
+                           datasets[i].begin() + first + kRun);
+      builder.AddRunSamples(
+          RegularSamplesBySorting(run.data(), run.size(), config.subrun_size()),
+          kRun);
+    }
+    expected[i] = SampleListBytes(builder.Finalize());
+  }
+  std::vector<uint8_t> got[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      OpaqSketch<Key> sketch(config, 4);
+      VectorRunSource<Key> runs(&datasets[i], kRun);
+      OPAQ_CHECK_OK(sketch.ConsumeRuns(&runs));
+      got[i] = SampleListBytes(sketch.FinalizeSampleList());
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(got[0], expected[0]);
+  EXPECT_EQ(got[1], expected[1]);
 }
 
 TEST(BackendConformanceTest, ParallelHarnessAgreesOnStripedShards) {

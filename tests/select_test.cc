@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
 #include "data/dataset.h"
+#include "parallel/worker_pool.h"
 #include "select/multi_select.h"
 #include "select/select.h"
 
@@ -275,11 +278,15 @@ enum class Shape {
   // Every sampled splitter is equal: one key everywhere except three
   // smaller and three larger outliers.
   kSplitterCollision,
+  // Distinct ascending keys, then one key filling the second half: striped,
+  // the heavy key's equality bucket is empty in the leading stripes.
+  kHeavySecondHalf,
 };
 constexpr Shape kAllShapes[] = {
-    Shape::kUniform,   Shape::kZipf,     Shape::kSequential,
-    Shape::kReversed,  Shape::kOrganPipe, Shape::kAllEqual,
-    Shape::kTwoValued, Shape::kOneKey90, Shape::kSplitterCollision};
+    Shape::kUniform,          Shape::kZipf,     Shape::kSequential,
+    Shape::kReversed,         Shape::kOrganPipe, Shape::kAllEqual,
+    Shape::kTwoValued,        Shape::kOneKey90, Shape::kSplitterCollision,
+    Shape::kHeavySecondHalf};
 constexpr SelectAlgorithm kAllAlgorithms[] = {
     SelectAlgorithm::kStdNthElement, SelectAlgorithm::kMedianOfMedians,
     SelectAlgorithm::kFloydRivest, SelectAlgorithm::kIntroSelect};
@@ -295,6 +302,7 @@ const char* ShapeName(Shape shape) {
     case Shape::kTwoValued: return "two-valued";
     case Shape::kOneKey90: return "90%-one-key";
     case Shape::kSplitterCollision: return "splitter-collision";
+    case Shape::kHeavySecondHalf: return "heavy-second-half";
   }
   return "unknown";
 }
@@ -348,6 +356,9 @@ std::vector<K> MakeShape(Shape shape, size_t n, uint64_t seed) {
                                        500
                                  : 3);
         break;
+      case Shape::kHeavySecondHalf:
+        out[i] = SmallKey<K>(at < half ? at - half : 0);
+        break;
       default:  // kSplitterCollision
         out[i] = SmallKey<K>(0);
         break;
@@ -385,9 +396,9 @@ void CheckRegularSamples(const std::vector<K>& input, uint64_t c,
                SelectAlgorithmName(algorithm));
   std::vector<K> work = input;
   Xoshiro256 rng(input.size());
-  std::vector<uint8_t> oracle;
+  SelectScratch<K> scratch;
   const std::vector<K> fast = RegularSamplesBySubrunSize(
-      work.data(), work.size(), c, algorithm, rng, &oracle);
+      work.data(), work.size(), c, algorithm, rng, &scratch);
   std::vector<K> sorted = input;
   const std::vector<K> slow =
       RegularSamplesBySorting(sorted.data(), sorted.size(), c);
@@ -525,7 +536,7 @@ TEST(DistributeSelectTest2, DepthBoundHandsBucketsToTheSelector) {
 }
 
 TEST(DistributeSelectTest2, OracleIsReusedAcrossRuns) {
-  std::vector<uint8_t> oracle;
+  SelectScratch<uint64_t> scratch;
   Xoshiro256 rng(9);
   for (size_t n : {size_t{1} << 18, size_t{1} << 17, size_t{100}}) {
     std::vector<uint64_t> run = MakeShape<uint64_t>(Shape::kUniform, n, n);
@@ -534,11 +545,152 @@ TEST(DistributeSelectTest2, OracleIsReusedAcrossRuns) {
         RegularSamplesBySorting(sorted.data(), sorted.size(), 64);
     EXPECT_EQ(RegularSamplesBySubrunSize(run.data(), run.size(), 64,
                                          SelectAlgorithm::kIntroSelect, rng,
-                                         &oracle),
+                                         &scratch),
               expected);
     // Grown once to the largest run; never shrunk, never grown again.
-    EXPECT_EQ(oracle.size(), size_t{1} << 18);
+    EXPECT_EQ(scratch.oracle.size(), size_t{1} << 18);
   }
+}
+
+// ------------------------------------------- Striped distribution step --
+//
+// With T workers the top-level step classifies and permutes T stripes on
+// their own, then gathers each target bucket's T pieces. The samples must
+// still equal sort-then-pick for every T, and the run must come back a
+// permutation of its input. (Only the one-worker path keeps each sample at
+// its own rank; CheckRegularSamples pins that.)
+
+constexpr size_t kWorkerCounts[] = {2, 3, 4, 7};
+
+template <typename K>
+void CheckStripedSamples(const std::vector<K>& input,
+                         const std::vector<K>& expected, uint64_t c,
+                         size_t workers, SelectAlgorithm algorithm,
+                         const std::string& what) {
+  SCOPED_TRACE(what + " n=" + std::to_string(input.size()) + " workers=" +
+               std::to_string(workers) + " selector=" +
+               SelectAlgorithmName(algorithm));
+  std::vector<K> work = input;
+  Xoshiro256 rng(input.size() + workers);
+  SelectScratch<K> scratch;
+  ASSERT_EQ(RegularSamplesBySubrunSize(work.data(), work.size(), c, algorithm,
+                                       rng, &scratch, workers),
+            expected);
+  ASSERT_EQ(MultisetFingerprint(work), MultisetFingerprint(input))
+      << "work buffer is not a permutation of the input";
+}
+
+TYPED_TEST(DistributeSelectTest, StripedStepMatchesSorting) {
+  using K = TypeParam;
+  constexpr size_t kT = internal_select::kDistributeMinElements;
+  constexpr size_t kM = size_t{1} << 20;
+  constexpr uint64_t kC = 512;
+  // Each T's own threshold from both sides (one below it takes a single
+  // worker), then a full run and one with a ragged tail, striped by every T.
+  struct Case {
+    size_t n;
+    size_t workers;  // 0: every worker count
+  };
+  std::vector<Case> cases;
+  for (size_t workers : kWorkerCounts) {
+    cases.push_back({workers * kT - 1, workers});
+    cases.push_back({workers * kT, workers});
+  }
+  cases.push_back({kM, 0});
+  cases.push_back({kM + kC / 2 + 3, 0});
+  size_t case_index = 0;
+  for (Shape shape : kAllShapes) {
+    for (const Case& c : cases) {
+      const std::vector<K> input = MakeShape<K>(shape, c.n, 31 + c.n);
+      std::vector<K> sorted = input;
+      const std::vector<K> expected =
+          RegularSamplesBySorting(sorted.data(), sorted.size(), kC);
+      for (size_t workers : kWorkerCounts) {
+        if (c.workers != 0 && c.workers != workers) continue;
+        CheckStripedSamples(input, expected, kC, workers,
+                            kAllAlgorithms[case_index++ % 4],
+                            ShapeName(shape));
+        if (this->HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(DistributeSelectTest2, StripedScratchIsReusedAcrossRuns) {
+  // One scratch serves runs of every worker count, with and without
+  // equality buckets; its gather buffers hold one bucket each, a small
+  // fraction of the run.
+  constexpr size_t kM = size_t{1} << 20;
+  SelectScratch<uint64_t> scratch;
+  Xoshiro256 rng(11);
+  const std::pair<Shape, size_t> runs[] = {{Shape::kUniform, 4},
+                                           {Shape::kZipf, 2},
+                                           {Shape::kTwoValued, 1},
+                                           {Shape::kOneKey90, 3}};
+  for (const auto& [shape, workers] : runs) {
+    SCOPED_TRACE(std::string(ShapeName(shape)) +
+                 " workers=" + std::to_string(workers));
+    std::vector<uint64_t> run = MakeShape<uint64_t>(shape, kM, workers);
+    std::vector<uint64_t> sorted = run;
+    const std::vector<uint64_t> expected =
+        RegularSamplesBySorting(sorted.data(), sorted.size(), 1024);
+    EXPECT_EQ(RegularSamplesBySubrunSize(run.data(), run.size(), 1024,
+                                         SelectAlgorithm::kIntroSelect, rng,
+                                         &scratch, workers),
+              expected);
+    EXPECT_EQ(scratch.oracle.size(), kM);
+    ASSERT_EQ(scratch.gather.size(), 4u);
+    for (const std::vector<uint64_t>& buffer : scratch.gather) {
+      EXPECT_LT(buffer.size(), kM / 32);
+    }
+  }
+}
+
+// ------------------------------------------------------------ Worker pool --
+
+TEST(WorkerPoolTest, RunsEverySliceOnce) {
+  for (size_t helpers : {size_t{0}, size_t{1}, size_t{3}}) {
+    WorkerPool pool(helpers);
+    for (size_t slices : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
+                          size_t{1000}}) {
+      std::vector<std::atomic<int>> hits(slices);
+      pool.ParallelFor(slices, [&](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < slices; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "helpers=" << helpers
+                                     << " slices=" << slices << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(WorkerPoolTest, ConcurrentCallersAllFinish) {
+  // More callers than helpers, each with more slices than helpers, and
+  // slices that call back into the pool: nobody waits on an unclaimed
+  // slice, so every job finishes.
+  WorkerPool pool(2);
+  constexpr size_t kCallers = 5;
+  std::vector<uint64_t> sums(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 50; ++round) {
+        std::vector<uint64_t> parts(6, 0);
+        pool.ParallelFor(parts.size(), [&](size_t i) {
+          std::atomic<uint64_t> inner{0};
+          pool.ParallelFor(3, [&](size_t j) { inner.fetch_add(i + j); });
+          parts[i] = inner.load();
+        });
+        sums[c] += std::accumulate(parts.begin(), parts.end(), uint64_t{0});
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  // Slice i adds 3i + 3 per round: 6 slices give 63 per round.
+  for (uint64_t sum : sums) EXPECT_EQ(sum, 50u * 63u);
+}
+
+TEST(WorkerPoolTest, SharedPoolLeavesOneCoreToTheCaller) {
+  EXPECT_EQ(WorkerPool::Shared().helpers() + 1, WorkerPool::HardwareWidth());
 }
 
 TEST(RegularSamplesTest2, SubrunCoverageProperties) {

@@ -84,12 +84,13 @@ TEST(StressTest, VariableLengthRunFeeding) {
   config.run_size = 4096;
   config.samples_per_run = 64;
   OpaqSketch<uint64_t> sketch(config);
+  std::vector<uint64_t> run;
   size_t cursor = 0;
   while (cursor < data.size()) {
     size_t len = std::min<size_t>(1 + rng.NextBounded(config.run_size),
                                   data.size() - cursor);
-    sketch.AddRun(std::vector<uint64_t>(data.begin() + cursor,
-                                        data.begin() + cursor + len));
+    run.assign(data.begin() + cursor, data.begin() + cursor + len);
+    sketch.AddRun(run.data(), run.size());
     cursor += len;
   }
   OpaqEstimator<uint64_t> est = sketch.Finalize();
