@@ -4,6 +4,12 @@
 # layer (core/..., io/..., util/..., ...) fails the build with a pointer at
 # the offending line.
 #
+# Part 3: the tool binaries open datasets only through the one opener
+# (ProbeKeyType -> VisitKeyType -> Source<K>::Open). A src/tools/*.cc line
+# that switches on a key type, reads an on-disk header struct, or opens a
+# file format directly fails the build, so per-layout openers cannot grow
+# back.
+#
 # Run as:  cmake -DREPO_ROOT=<repo> -P cmake/check_public_includes.cmake
 
 if(NOT DEFINED REPO_ROOT)
@@ -33,4 +39,24 @@ if(violations)
           "public-surface consumers include internal headers:\n${violations}"
           "Examples and the src/tools binaries must include only "
           "\"opaq/...\" headers.")
+endif()
+
+file(GLOB tools ${REPO_ROOT}/src/tools/*.cc)
+string(CONCAT opener_pattern
+       "case KeyType::|DataFileHeader|StripeFileHeader|ExtentFileHeader|"
+       "TypedDataFile<|StripedDataFile<|ExtentFile::Open")
+foreach(source IN LISTS tools)
+  file(STRINGS ${source} hits REGEX "${opener_pattern}")
+  foreach(line IN LISTS hits)
+    string(REGEX MATCH "${opener_pattern}" token "${line}")
+    file(RELATIVE_PATH rel ${REPO_ROOT} ${source})
+    string(APPEND violations "  ${rel}: ${token}\n")
+  endforeach()
+endforeach()
+
+if(violations)
+  message(FATAL_ERROR
+          "tool binaries open datasets by hand:\n${violations}"
+          "Open data with ProbeKeyType, VisitKeyType and Source<K>::Open "
+          "(opaq/source.h) instead.")
 endif()

@@ -14,6 +14,7 @@
 #include "io/block_device.h"
 #include "io/data_file.h"
 #include "io/extent.h"
+#include "io/file_backend.h"
 #include "io/run_reader.h"
 #include "io/striped_data_file.h"
 #include "io/striped_run_source.h"
@@ -25,7 +26,8 @@
 namespace opaq {
 
 /// The unified dataset handle of the public API: one type that stands for a
-/// plain disk file, a striped multi-disk file, an arbitrary user-supplied
+/// plain disk file, a striped multi-disk file, a compressed extent file, a
+/// live dataset, a remote data node's shard, an arbitrary user-supplied
 /// `RunProvider` backend, an in-memory vector, or a synthetic generator —
 /// anything the sample phase can read as runs.
 ///
@@ -62,10 +64,11 @@ class Source {
   /// accounting surfaces through `Engine`'s stats.
   static Result<Source> FromFile(const ExtentFile* file) {
     OPAQ_CHECK(file != nullptr);
-    OPAQ_RETURN_IF_ERROR(CheckExtentKeyType(*file));
+    OPAQ_RETURN_IF_ERROR(CheckExtentKeyType<K>(*file));
     Source s;
     s.provider_ = std::make_shared<ExtentFileProvider<K>>(file);
     s.stripes_ = file->num_stripes();
+    s.extent_ = file;
     return s;
   }
 
@@ -93,62 +96,36 @@ class Source {
     return FromVector(GenerateDataset<K>(spec));
   }
 
-  /// Opens the data file at `path`, sniffing the on-disk format from its
-  /// magic: plain data files ("OPAQDAT1") and compressed extent files
-  /// ("OPAQEXT1") both open through here, so readers never need to be told
-  /// whether a dataset is compressed. A directory is opened as a live
-  /// dataset (`OpenLive`). The source owns the device and file handles.
-  static Result<Source> Open(const std::string& path) {
+  /// Opens the dataset stored at `paths`, sniffing the layout from the
+  /// first file's magic: a plain data file ("OPAQDAT1", one path), the
+  /// stripes of a striped file ("OPAQSTP1"), or a compressed extent file of
+  /// one or more stripes ("OPAQEXT1"); one path naming a directory opens as
+  /// a live dataset (`OpenLive`). Readers never need to be told how a
+  /// dataset is stored. Files open read-only; the source owns every device
+  /// and file handle.
+  static Result<Source> Open(const std::vector<std::string>& paths) {
     std::error_code error;
-    if (std::filesystem::is_directory(path, error)) return OpenLive(path);
-    auto owned = std::make_shared<OwnedBackend>();
-    auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-    if (!device.ok()) return device.status();
-    owned->devices.push_back(std::move(device).value());
-    auto magic = SniffMagic(owned->devices.back().get());
-    if (!magic.ok()) return magic.status();
-    if (*magic == ExtentFileHeader::kMagic) {
-      return OpenExtentOwned(std::move(owned));
+    if (paths.size() == 1 && std::filesystem::is_directory(paths[0], error)) {
+      return OpenLive(paths[0]);
     }
-    auto file = TypedDataFile<K>::Open(owned->devices.back().get());
-    if (!file.ok()) return file.status();
-    owned->plain =
-        std::make_unique<TypedDataFile<K>>(std::move(file).value());
-    owned->provider =
-        std::make_unique<FileRunProvider<K>>(owned->plain.get());
-    return FromOwned(std::move(owned), 1);
+    OPAQ_ASSIGN_OR_RETURN(auto devices, OpenReadOnlyDevices(paths));
+    OPAQ_ASSIGN_OR_RETURN(uint64_t magic, ReadMagic(devices[0].get()));
+    OPAQ_ASSIGN_OR_RETURN(FileBackend<K> backend,
+                          OpenFileBackend<K>(std::move(devices), magic));
+    auto owned = std::make_shared<const FileBackend<K>>(std::move(backend));
+    Source s;
+    // Aliasing handle: shares ownership of the whole backend while pointing
+    // at its provider.
+    s.provider_ =
+        std::shared_ptr<const RunProvider<K>>(owned, owned->provider.get());
+    s.stripes_ = owned->stripes;
+    s.extent_ = owned->extent.get();
+    return s;
   }
 
-  /// Opens the striped data file whose stripes live at `stripe_paths` (one
-  /// per disk, logical order); the source owns all devices and handles.
-  /// Format-sniffing like `Open`: striped plain files ("OPAQSTP1") and
-  /// striped extent files ("OPAQEXT1") both open through here.
-  static Result<Source> OpenStriped(
-      const std::vector<std::string>& stripe_paths) {
-    if (stripe_paths.empty()) {
-      return Status::InvalidArgument("OpenStriped needs at least one path");
-    }
-    auto owned = std::make_shared<OwnedBackend>();
-    std::vector<BlockDevice*> raw;
-    for (const std::string& path : stripe_paths) {
-      auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-      if (!device.ok()) return device.status();
-      owned->devices.push_back(std::move(device).value());
-      raw.push_back(owned->devices.back().get());
-    }
-    auto magic = SniffMagic(owned->devices.front().get());
-    if (!magic.ok()) return magic.status();
-    if (*magic == ExtentFileHeader::kMagic) {
-      return OpenExtentOwned(std::move(owned));
-    }
-    auto file = StripedDataFile<K>::Open(std::move(raw));
-    if (!file.ok()) return file.status();
-    owned->striped =
-        std::make_unique<StripedDataFile<K>>(std::move(file).value());
-    owned->provider =
-        std::make_unique<StripedFileProvider<K>>(owned->striped.get());
-    const uint64_t stripes = owned->striped->num_stripes();
-    return FromOwned(std::move(owned), stripes);
+  /// `Open({path})`: one file, or a live dataset directory.
+  static Result<Source> Open(const std::string& path) {
+    return Open(std::vector<std::string>{path});
   }
 
   /// Opens a read snapshot of the live (appendable) dataset directory at
@@ -162,18 +139,16 @@ class Source {
   /// byte-identical to a full rebuild). The source owns the snapshot.
   static Result<Source> OpenLive(const std::string& dir,
                                  uint64_t first_element = 0) {
-    auto reader = LiveDatasetReader<K>::Open(dir);
-    if (!reader.ok()) return reader.status();
-    auto owned = std::make_shared<OwnedBackend>();
-    owned->live = std::make_shared<const LiveDatasetReader<K>>(
-        std::move(reader).value());
-    if (first_element == 0) {
-      const RunProvider<K>* provider = owned->live.get();
-      return FromOwned(std::move(owned), 1, provider);
+    OPAQ_ASSIGN_OR_RETURN(LiveDatasetReader<K> reader,
+                          LiveDatasetReader<K>::Open(dir));
+    auto live =
+        std::make_shared<const LiveDatasetReader<K>>(std::move(reader));
+    Source s;
+    s.provider_ = live;
+    if (first_element > 0) {
+      s.provider_ = std::make_shared<LiveTailProvider<K>>(live, first_element);
     }
-    owned->provider =
-        std::make_unique<LiveTailProvider<K>>(owned->live, first_element);
-    return FromOwned(std::move(owned), 1);
+    return s;
   }
 
   /// Connects to the dataset a remote data node (`opaq_noded` /
@@ -198,7 +173,7 @@ class Source {
     auto negotiated = NegotiateWireVersion(provider->spec(), options);
     if (!negotiated.ok()) return negotiated.status();
     const RemoteSpec parsed = provider->spec();
-    auto owned = std::make_shared<OwnedBackend>();
+    Source s;
     // Against a v4 node, probe for an extent export: when the dataset is
     // stored as compressed extents, every stream from this source ships
     // PACKED extents decoded client-side (RemoteExtentProvider). A node
@@ -207,17 +182,16 @@ class Source {
     if (*negotiated >= kExtentWireVersion) {
       auto extents = RemoteExtentProvider<K>::Connect(parsed, options);
       if (extents.ok()) {
-        owned->provider = std::make_unique<RemoteExtentProvider<K>>(
+        s.provider_ = std::make_shared<RemoteExtentProvider<K>>(
             std::move(extents).value());
       } else if (extents.status().code() != StatusCode::kUnimplemented) {
         return extents.status();
       }
     }
-    if (owned->provider == nullptr) {
-      owned->provider = std::make_unique<RemoteRunProvider<K>>(
+    if (s.provider_ == nullptr) {
+      s.provider_ = std::make_shared<RemoteRunProvider<K>>(
           std::move(provider).value());
     }
-    Source s = FromOwned(std::move(owned), 1);
     if (*negotiated >= 2 && options.node_compute) {
       s.compute_ = std::make_shared<const RemoteComputeClient<K>>(parsed,
                                                                   options);
@@ -257,72 +231,42 @@ class Source {
   /// uncompressed ones (see RunProvider::pack_stats).
   const ExtentStats* pack_stats() const { return provider_->pack_stats(); }
 
+  /// The local extent file this source reads (opened or borrowed); nullptr
+  /// for every other backend. A data node ships its stored extents
+  /// verbatim (`MakeExport`).
+  const ExtentFile* extent_file() const { return extent_; }
+
  private:
-  /// Ownership closure for the `Open*` factories.
-  struct OwnedBackend {
-    std::vector<std::unique_ptr<FileBlockDevice>> devices;
-    std::unique_ptr<TypedDataFile<K>> plain;
-    std::unique_ptr<StripedDataFile<K>> striped;
-    std::unique_ptr<ExtentFile> extent;
-    std::shared_ptr<const LiveDatasetReader<K>> live;
-    std::unique_ptr<RunProvider<K>> provider;
-  };
-
-  static Status CheckExtentKeyType(const ExtentFile& file) {
-    if (file.key_type() != static_cast<uint32_t>(KeyTraits<K>::kType)) {
-      return Status::InvalidArgument(
-          std::string("extent file holds a different key type than ") +
-          KeyTraits<K>::kName);
-    }
-    return Status::OK();
-  }
-
-  /// First 8 bytes of the device (0 when shorter) — enough to dispatch on
-  /// every OPAQ on-disk magic; full validation happens in the format's own
-  /// Open.
-  static Result<uint64_t> SniffMagic(BlockDevice* device) {
-    auto size = device->Size();
-    if (!size.ok()) return size.status();
-    uint64_t magic = 0;
-    if (*size >= sizeof(magic)) {
-      OPAQ_RETURN_IF_ERROR(device->ReadAt(0, &magic, sizeof(magic)));
-    }
-    return magic;
-  }
-
-  /// Finishes `Open`/`OpenStriped` for the extent format: the devices are
-  /// already in `owned`, in stripe order.
-  static Result<Source> OpenExtentOwned(std::shared_ptr<OwnedBackend> owned) {
-    std::vector<BlockDevice*> raw;
-    raw.reserve(owned->devices.size());
-    for (auto& device : owned->devices) raw.push_back(device.get());
-    auto file = ExtentFile::Open(std::move(raw));
-    if (!file.ok()) return file.status();
-    OPAQ_RETURN_IF_ERROR(CheckExtentKeyType(*file));
-    owned->extent = std::make_unique<ExtentFile>(std::move(file).value());
-    owned->provider =
-        std::make_unique<ExtentFileProvider<K>>(owned->extent.get());
-    const uint64_t stripes = owned->extent->num_stripes();
-    return FromOwned(std::move(owned), stripes);
-  }
-
-  static Source FromOwned(std::shared_ptr<OwnedBackend> owned,
-                          uint64_t stripes,
-                          const RunProvider<K>* provider = nullptr) {
-    Source s;
-    // Aliasing handle: shares ownership of the whole backend closure while
-    // pointing at its provider (or the caller's choice of provider inside
-    // the closure, e.g. the live reader itself).
-    if (provider == nullptr) provider = owned->provider.get();
-    s.provider_ = std::shared_ptr<const RunProvider<K>>(owned, provider);
-    s.stripes_ = stripes;
-    return s;
-  }
-
   std::shared_ptr<const RunProvider<K>> provider_;
   std::shared_ptr<const RemoteComputeClient<K>> compute_;
   uint64_t stripes_ = 1;
+  const ExtentFile* extent_ = nullptr;
 };
+
+/// The key type of the dataset stored at `paths` — what untyped callers
+/// (the daemons) pass to `VisitKeyType` before `Source<K>::Open(paths)`.
+/// One path naming a directory reads its live manifest; otherwise the
+/// first file's magic must be "OPAQDAT1", "OPAQSTP1" or "OPAQEXT1", and the
+/// tag comes from the header that magic names. Only headers are read:
+/// `Source<K>::Open` still validates everything.
+inline Result<KeyType> ProbeKeyType(const std::vector<std::string>& paths) {
+  if (paths.empty()) {
+    return Status::InvalidArgument("a dataset needs at least one path");
+  }
+  std::error_code error;
+  if (paths.size() == 1 && std::filesystem::is_directory(paths[0], error)) {
+    OPAQ_ASSIGN_OR_RETURN(LiveManifestInfo info,
+                          ReadLiveManifestInfo(paths[0]));
+    return info.key_type;
+  }
+  OPAQ_ASSIGN_OR_RETURN(auto devices, OpenReadOnlyDevices({paths[0]}));
+  auto tag = ReadKeyTypeTag(devices[0].get());
+  if (!tag.ok()) {
+    return Status(tag.status().code(),
+                  paths[0] + ": " + tag.status().message());
+  }
+  return static_cast<KeyType>(*tag);
+}
 
 }  // namespace opaq
 

@@ -9,11 +9,11 @@
 #include <utility>
 #include <vector>
 
-#include "io/async_run_reader.h"
 #include "io/block_device.h"
 #include "io/codec.h"
 #include "io/data_file.h"
 #include "io/extent.h"
+#include "io/file_backend.h"
 #include "io/run_reader.h"
 #include "util/status.h"
 
@@ -121,8 +121,8 @@ Result<LiveManifestInfo> ReadLiveManifestInfo(const std::string& dir);
 /// Writer handle options.
 struct LiveDatasetOptions {
   /// Store segments as compressed extent files instead of plain data
-  /// files. Readers sniff per segment, so packed and plain segments mix
-  /// freely in one dataset.
+  /// files. Readers take each segment's layout from its manifest record,
+  /// so packed and plain segments mix freely in one dataset.
   bool pack = false;
   /// Codec and extent size for packed segments.
   ExtentCodec codec = ExtentCodec::kDelta;
@@ -171,8 +171,8 @@ class LiveDataset {
   static Result<LiveDataset<K>> Open(
       const std::string& dir,
       const LiveDatasetOptions& options = LiveDatasetOptions()) {
-    auto manifest =
-        FileBlockDevice::Make(dir + "/MANIFEST", FileBlockDevice::Mode::kOpen);
+    auto manifest = FileBlockDevice::Make(dir + "/MANIFEST",
+                                          FileBlockDevice::Mode::kReadWrite);
     if (!manifest.ok()) {
       return Status::NotFound("no live dataset in " + dir + ": " +
                               manifest.status().message());
@@ -332,34 +332,24 @@ class LiveDatasetReader : public RunProvider<K> {
     LiveDatasetReader<K> reader;
     uint64_t flat = 0;
     for (const LiveManifestRecord& record : info.records) {
-      auto segment = std::make_unique<Segment>();
-      segment->first = flat;
-      segment->count = record.element_count;
       const std::string path = dir + "/" + LiveSegmentFileName(record.sequence);
-      auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-      if (!device.ok()) {
+      auto devices = OpenReadOnlyDevices({path});
+      if (!devices.ok()) {
         return Status::IoError("live dataset segment " + path +
                                " named by a durable manifest record is "
-                               "unreadable: " + device.status().message());
+                               "unreadable: " + devices.status().message());
       }
-      segment->device = std::move(*device);
-      uint64_t stored = 0;
-      if ((record.flags & LiveManifestRecord::kFlagPacked) != 0) {
-        auto file = ExtentFile::Open({segment->device.get()});
-        if (!file.ok()) return file.status();
-        segment->extent = std::make_unique<ExtentFile>(std::move(*file));
-        segment->provider =
-            std::make_unique<ExtentFileProvider<K>>(segment->extent.get());
-        stored = segment->extent->size();
-      } else {
-        auto file = TypedDataFile<K>::Open(segment->device.get());
-        if (!file.ok()) return file.status();
-        segment->plain =
-            std::make_unique<TypedDataFile<K>>(std::move(*file));
-        segment->provider =
-            std::make_unique<FileRunProvider<K>>(segment->plain.get());
-        stored = segment->plain->size();
-      }
+      // The manifest names each segment's layout; no magic read needed.
+      const bool packed = (record.flags & LiveManifestRecord::kFlagPacked) != 0;
+      Segment segment;
+      segment.first = flat;
+      segment.count = record.element_count;
+      OPAQ_ASSIGN_OR_RETURN(
+          segment.files,
+          OpenFileBackend<K>(std::move(devices).value(),
+                             packed ? ExtentFileHeader::kMagic
+                                    : DataFileHeader::kMagic));
+      const uint64_t stored = segment.files.provider->size();
       if (stored != record.element_count) {
         return Status::IoError(
             "live dataset segment " + path + " holds " +
@@ -385,40 +375,33 @@ class LiveDatasetReader : public RunProvider<K> {
     count = std::min(count, total_ - first);
     const uint64_t end = first + count;
     std::vector<typename LiveRunSource<K>::Span> spans;
-    for (const auto& segment : segments_) {
-      const uint64_t seg_end = segment->first + segment->count;
-      if (seg_end <= first || segment->first >= end) continue;
+    for (const Segment& segment : segments_) {
+      const uint64_t seg_end = segment.first + segment.count;
+      if (seg_end <= first || segment.first >= end) continue;
       typename LiveRunSource<K>::Span span;
-      span.provider = segment->provider.get();
-      span.first = std::max(first, segment->first) - segment->first;
-      span.count = std::min(end, seg_end) - (segment->first + span.first);
+      span.provider = segment.files.provider.get();
+      span.first = std::max(first, segment.first) - segment.first;
+      span.count = std::min(end, seg_end) - (segment.first + span.first);
       spans.push_back(span);
     }
     return std::make_unique<LiveRunSource<K>>(std::move(spans), options);
   }
 
   /// Random-access read of `[first, first + count)` across segments (the
-  /// node daemon's kReadRange path). Sized reads only — OutOfRange past
-  /// the end, like `TypedDataFile::Read`.
-  Status Read(uint64_t first, uint64_t count, K* out) const {
-    if (first + count > total_ || first + count < first) {
+  /// node daemon's kReadRange path). OutOfRange past the end, like every
+  /// `RunProvider::Read`.
+  Status Read(uint64_t first, uint64_t count, K* out) const override {
+    if (first > total_ || count > total_ - first) {
       return Status::OutOfRange("live dataset read past the end");
     }
-    if (count == 0) return Status::OK();
-    ReadOptions options;
-    options.io_mode = IoMode::kSync;
-    options.run_size = std::min<uint64_t>(count, uint64_t{64} << 10);
-    auto source = OpenRuns(options, first, count);
-    std::vector<K> buffer;
-    uint64_t copied = 0;
-    while (copied < count) {
-      auto more = source->NextRun(&buffer);
-      if (!more.ok()) return more.status();
-      if (!*more) {
-        return Status::IoError("live dataset run stream ended early");
-      }
-      std::copy(buffer.begin(), buffer.end(), out + copied);
-      copied += buffer.size();
+    const uint64_t end = first + count;
+    for (const Segment& segment : segments_) {
+      const uint64_t seg_end = segment.first + segment.count;
+      if (seg_end <= first || segment.first >= end) continue;
+      const uint64_t begin = std::max(first, segment.first);
+      OPAQ_RETURN_IF_ERROR(segment.files.provider->Read(
+          begin - segment.first, std::min(end, seg_end) - begin,
+          out + (begin - first)));
     }
     return Status::OK();
   }
@@ -428,7 +411,7 @@ class LiveDatasetReader : public RunProvider<K> {
   std::vector<uint64_t> segment_sizes() const {
     std::vector<uint64_t> sizes;
     sizes.reserve(segments_.size());
-    for (const auto& segment : segments_) sizes.push_back(segment->count);
+    for (const Segment& segment : segments_) sizes.push_back(segment.count);
     return sizes;
   }
 
@@ -438,13 +421,10 @@ class LiveDatasetReader : public RunProvider<K> {
   struct Segment {
     uint64_t first = 0;  // flat offset of this segment's first element
     uint64_t count = 0;
-    std::unique_ptr<FileBlockDevice> device;
-    std::unique_ptr<TypedDataFile<K>> plain;  // exactly one of plain/extent
-    std::unique_ptr<ExtentFile> extent;
-    std::unique_ptr<RunProvider<K>> provider;
+    FileBackend<K> files;
   };
 
-  std::vector<std::unique_ptr<Segment>> segments_;
+  std::vector<Segment> segments_;
   uint64_t total_ = 0;
 };
 
@@ -470,6 +450,13 @@ class LiveTailProvider : public RunProvider<K> {
     first = std::min(first, size());
     count = std::min(count, size() - first);
     return reader_->OpenRuns(options, first_ + first, count);
+  }
+
+  Status Read(uint64_t first, uint64_t count, K* out) const override {
+    if (first > size() || count > size() - first) {
+      return Status::OutOfRange("live dataset tail read past the end");
+    }
+    return reader_->Read(first_ + first, count, out);
   }
 
   const LiveDatasetReader<K>& reader() const { return *reader_; }

@@ -42,6 +42,10 @@ class FileRunProvider : public RunProvider<K> {
         LanesOf<K, FileReadLane<K, TypedDataFile<K>>>(file_));
   }
 
+  Status Read(uint64_t first, uint64_t count, K* out) const override {
+    return file_->Read(first, count, out);
+  }
+
   const TypedDataFile<K>* file() const { return file_; }
 
  private:

@@ -33,7 +33,9 @@ Result<uint64_t> MemoryBlockDevice::Size() const {
 
 Result<std::unique_ptr<FileBlockDevice>> FileBlockDevice::Make(
     const std::string& path, Mode mode) {
-  int flags = mode == Mode::kCreate ? (O_RDWR | O_CREAT | O_TRUNC) : O_RDWR;
+  int flags = O_RDONLY;
+  if (mode == Mode::kReadWrite) flags = O_RDWR;
+  if (mode == Mode::kCreate) flags = O_RDWR | O_CREAT | O_TRUNC;
   int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
     return Status::IoError("open('" + path + "'): " + std::strerror(errno));

@@ -88,8 +88,10 @@ class MemoryBlockDevice : public BlockDevice {
 /// POSIX-file-backed device using pread/pwrite (thread-safe positioned I/O).
 class FileBlockDevice : public BlockDevice {
  public:
-  /// Opens (mode kOpen) or creates/truncates (mode kCreate) `path`.
-  enum class Mode { kOpen, kCreate };
+  /// Opens `path` read-only (kOpen), opens it for reading and writing
+  /// (kReadWrite), or creates/truncates it (kCreate). Readers use kOpen, so
+  /// data they only read needs no write permission.
+  enum class Mode { kOpen, kReadWrite, kCreate };
   static Result<std::unique_ptr<FileBlockDevice>> Make(const std::string& path,
                                                        Mode mode);
 

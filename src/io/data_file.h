@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -48,6 +49,25 @@ struct KeyTraits<double> {
   static constexpr KeyType kType = KeyType::kF64;
   static constexpr const char* kName = "f64";
 };
+
+/// Calls `f(K{})` for the C++ key type `K` the `type` tag names and returns
+/// its result, which must be a `Status` or a `Result<T>`: how untyped code
+/// (the daemons, anything holding a tag read from disk or the wire) reaches
+/// the typed API. An unknown tag returns InvalidArgument naming it. This is
+/// the one switch over `KeyType`; add a key type here and in `KeyTraits`.
+template <typename F>
+auto VisitKeyType(KeyType type, F&& f) -> decltype(f(uint32_t{})) {
+  switch (type) {
+    case KeyType::kU32: return f(uint32_t{});
+    case KeyType::kU64: return f(uint64_t{});
+    case KeyType::kI64: return f(int64_t{});
+    case KeyType::kF32: return f(float{});
+    case KeyType::kF64: return f(double{});
+  }
+  return Status::InvalidArgument(
+      "unknown key type tag " +
+      std::to_string(static_cast<uint32_t>(type)));
+}
 
 /// Fixed 32-byte header at offset 0 of every data file.
 struct DataFileHeader {

@@ -320,6 +320,10 @@ class ExtentFileProvider : public RunProvider<K> {
 
   const ExtentStats* pack_stats() const override { return &file_->stats(); }
 
+  Status Read(uint64_t first, uint64_t count, K* out) const override {
+    return file_->ReadElements(first, count, out);
+  }
+
   const ExtentFile* file() const { return file_; }
 
  private:

@@ -58,6 +58,15 @@ class RunProvider {
   /// provider has opened — `Engine::Build` snapshots before and after to
   /// report per-build deltas.
   virtual const ExtentStats* pack_stats() const { return nullptr; }
+
+  /// Random-access read of `[first, first + count)` into `out`; OutOfRange
+  /// past the end. Every local backend forwards to its file's own read (a
+  /// data node serves range requests through this); the remote backends
+  /// only stream runs and keep this default.
+  virtual Status Read(uint64_t /*first*/, uint64_t /*count*/,
+                      K* /*out*/) const {
+    return Status::Unimplemented("backend has no random-access read");
+  }
 };
 
 /// End of the sub-range `[first, first + count)` of a `size`-element dataset,
@@ -164,6 +173,15 @@ class MemoryRunProvider : public RunProvider<K> {
       uint64_t count = UINT64_MAX) const override {
     return std::make_unique<VectorRunSource<K>>(&data_, options.run_size,
                                                 first, count);
+  }
+
+  Status Read(uint64_t first, uint64_t count, K* out) const override {
+    if (first > data_.size() || count > data_.size() - first) {
+      return Status::OutOfRange("element read past end of in-memory data");
+    }
+    std::copy_n(data_.begin() + static_cast<size_t>(first),
+                static_cast<size_t>(count), out);
+    return Status::OK();
   }
 
   const std::vector<K>& data() const { return data_; }

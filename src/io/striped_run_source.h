@@ -37,6 +37,10 @@ class StripedFileProvider : public RunProvider<K> {
         LanesOf<K, FileReadLane<K, StripedDataFile<K>>>(file_));
   }
 
+  Status Read(uint64_t first, uint64_t count, K* out) const override {
+    return file_->Read(first, count, out);
+  }
+
   const StripedDataFile<K>* file() const { return file_; }
 
  private:

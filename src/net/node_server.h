@@ -16,6 +16,7 @@
 #include "net/node_compute.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "opaq/source.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -72,11 +73,63 @@ struct ExportedDataset {
                                       uint64_t count)>
       append;
   std::function<uint64_t()> live_count;
-  /// Optional ownership hook: keeps backing objects (devices, files) alive
-  /// for exports the caller does not keep alive itself (`opaq_noded` uses
-  /// this; the borrow-style `Export` overloads leave it empty).
+  /// Optional ownership hook: keeps backing objects (devices, files, the
+  /// `Source` of a `MakeExport`) alive for as long as the export is
+  /// served.
   std::shared_ptr<void> owner;
 };
+
+/// A typed export whose `read` and v2 compute hooks (`sample_runs`,
+/// `exact_pass` — the paper's sample phase and §4 filter scan, run
+/// node-side) go through the `RunProvider<K>` that `current()` returns when
+/// each request arrives: one fixed provider for a static export, the newest
+/// snapshot for a live one. `current()` may return a raw or shared pointer.
+template <typename K, typename Current>
+ExportedDataset ProviderExport(Current current) {
+  ExportedDataset dataset;
+  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
+  dataset.element_size = sizeof(K);
+  dataset.element_count = current()->size();
+  dataset.read = [current](uint64_t first, uint64_t count, void* out) {
+    return current()->Read(first, count, static_cast<K*>(out));
+  };
+  dataset.sample_runs = [current](const WireSampleRunsRequest& request,
+                                  uint64_t max_run_bytes) {
+    return NodeSampleRuns<K>(*current(), request, max_run_bytes);
+  };
+  dataset.exact_pass = [current](const WireExactPassRequest& request,
+                                 const uint8_t* bracket_bytes,
+                                 uint64_t max_run_bytes) {
+    return NodeExactPass<K>(*current(), request, bracket_bytes,
+                            max_run_bytes);
+  };
+  return dataset;
+}
+
+/// Binds `source` as a typed export over its provider (`ProviderExport`);
+/// a source on a local extent file also gets the v4 extent hooks, so
+/// packed extents ship verbatim and the client decodes. The export keeps
+/// the source (and whatever it owns) alive in `owner`.
+template <typename K>
+ExportedDataset MakeExport(Source<K> source) {
+  auto owned = std::make_shared<Source<K>>(std::move(source));
+  const RunProvider<K>* provider = &owned->provider();
+  ExportedDataset dataset = ProviderExport<K>([provider] { return provider; });
+  if (const ExtentFile* file = owned->extent_file()) {
+    dataset.extent_elements = file->extent_elements();
+    dataset.num_extents = file->num_extents();
+    dataset.extent_codec = static_cast<uint16_t>(file->default_codec());
+    dataset.read_stored_extent = [file](uint64_t extent,
+                                        std::vector<uint8_t>* out) {
+      std::vector<uint8_t> stored;
+      OPAQ_RETURN_IF_ERROR(file->ReadStoredExtent(extent, &stored));
+      out->insert(out->end(), stored.begin(), stored.end());
+      return Status::OK();
+    };
+  }
+  dataset.owner = std::move(owned);
+  return dataset;
+}
 
 struct NodeServerOptions {
   /// IPv4 literal to bind. The protocol is unauthenticated, so the default
@@ -135,107 +188,33 @@ class NodeServer : public FrameServer {
   void Export(const std::string& name, ExportedDataset dataset);
 
   /// Exports a typed plain data file, borrowed (caller keeps it alive).
-  /// Typed exports are full compute nodes: the v2 `kSampleRuns` /
-  /// `kExactPass` hooks run over the same `FileRunProvider` local mode
-  /// uses (sync and async alike).
+  /// Typed exports are full compute nodes (see `MakeExport`).
   template <typename K>
   void Export(const std::string& name, const TypedDataFile<K>* file) {
-    OPAQ_CHECK(file != nullptr);
-    ExportedDataset dataset;
-    dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-    dataset.element_size = sizeof(K);
-    dataset.element_count = file->size();
-    dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-      return file->Read(first, count, static_cast<K*>(out));
-    };
-    dataset.sample_runs = [file](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-      return NodeSampleRuns<K>(FileRunProvider<K>(file), request,
-                               max_run_bytes);
-    };
-    dataset.exact_pass = [file](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-      return NodeExactPass<K>(FileRunProvider<K>(file), request,
-                              bracket_bytes, max_run_bytes);
-    };
-    Export(name, std::move(dataset));
+    Export(name, MakeExport(Source<K>::FromFile(file)));
   }
 
   /// Exports a striped multi-disk data file, borrowed. The node gathers
   /// across stripes locally and serves one flat logical element space — a
   /// client cannot tell (and need not care) how a node lays its data out.
-  /// Compute requests drive the striped readers directly (kAsync = one
-  /// thread per stripe), so node-side sampling enjoys the full array
-  /// bandwidth.
   template <typename K>
   void Export(const std::string& name, const StripedDataFile<K>* file) {
-    OPAQ_CHECK(file != nullptr);
-    ExportedDataset dataset;
-    dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-    dataset.element_size = sizeof(K);
-    dataset.element_count = file->size();
-    dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-      return file->Read(first, count, static_cast<K*>(out));
-    };
-    dataset.sample_runs = [file](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-      return NodeSampleRuns<K>(StripedFileProvider<K>(file), request,
-                               max_run_bytes);
-    };
-    dataset.exact_pass = [file](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-      return NodeExactPass<K>(StripedFileProvider<K>(file), request,
-                              bracket_bytes, max_run_bytes);
-    };
-    Export(name, std::move(dataset));
+    Export(name, MakeExport(Source<K>::FromFile(file)));
   }
 
-  /// Exports a compressed extent file, borrowed. Serves all four client
-  /// generations of the same logical dataset: v1 `kReadRange` decodes
-  /// node-side (`ExtentFile::ReadElements`), v2 compute runs over the
-  /// extent-decoding provider, and v4 `kReadExtents` ships the stored
-  /// extents verbatim so the wire carries packed bytes and the client
-  /// decodes on its own streaming thread.
+  /// Exports a compressed extent file of key type `K`, borrowed; it also
+  /// answers v4 `kReadExtents` with the stored extents.
   template <typename K>
   void Export(const std::string& name, const ExtentFile* file) {
-    OPAQ_CHECK(file != nullptr);
-    OPAQ_CHECK_EQ(static_cast<uint32_t>(KeyTraits<K>::kType),
-                  file->key_type());
-    ExportedDataset dataset;
-    dataset.key_type = file->key_type();
-    dataset.element_size = file->element_size();
-    dataset.element_count = file->size();
-    dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-      return file->ReadElements(first, count, out);
-    };
-    dataset.sample_runs = [file](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-      return NodeSampleRuns<K>(ExtentFileProvider<K>(file), request,
-                               max_run_bytes);
-    };
-    dataset.exact_pass = [file](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-      return NodeExactPass<K>(ExtentFileProvider<K>(file), request,
-                              bracket_bytes, max_run_bytes);
-    };
-    dataset.extent_elements = file->extent_elements();
-    dataset.num_extents = file->num_extents();
-    dataset.extent_codec = static_cast<uint16_t>(file->default_codec());
-    dataset.read_stored_extent = [file](uint64_t extent,
-                                        std::vector<uint8_t>* out) {
-      std::vector<uint8_t> stored;
-      OPAQ_RETURN_IF_ERROR(file->ReadStoredExtent(extent, &stored));
-      out->insert(out->end(), stored.begin(), stored.end());
-      return Status::OK();
-    };
-    Export(name, std::move(dataset));
+    auto source = Source<K>::FromFile(file);
+    OPAQ_CHECK(source.ok()) << source.status().ToString();
+    Export(name, MakeExport(std::move(source).value()));
   }
 
-  /// Exports an untyped data file, borrowed (what `opaq_noded` uses for
-  /// plain files: any key type without template dispatch).
+  /// Exports an untyped data file, borrowed: range reads only, no compute
+  /// hooks, so v2 clients fall back to streaming. Tests of that fallback
+  /// and `bench/remote_comparison` use it; `opaq_noded` exports typed
+  /// sources (`MakeExport`).
   void Export(const std::string& name, const DataFile* file);
 
  protected:

@@ -588,15 +588,16 @@ Result<std::vector<Source<Key>>> OpenDataSources(const CommandFlags& flags) {
     }
     return sources;
   }
-  auto paths = StripePaths(flags, path);
-  if (!paths.ok()) return paths.status();
-  auto source = paths->empty()
-                    ? (path.empty()
-                           ? Result<Source<Key>>(Status::InvalidArgument(
-                                 "need --data (a local dataset) or --remote "
-                                 "(data-node shards)"))
-                           : Source<Key>::Open(path))
-                    : Source<Key>::OpenStriped(*paths);
+  OPAQ_ASSIGN_OR_RETURN(std::vector<std::string> paths,
+                        StripePaths(flags, path));
+  if (paths.empty()) {
+    if (path.empty()) {
+      return Status::InvalidArgument(
+          "need --data (a local dataset) or --remote (data-node shards)");
+    }
+    paths.push_back(path);
+  }
+  auto source = Source<Key>::Open(paths);
   if (!source.ok()) return source.status();
   sources.push_back(std::move(source).value());
   return sources;

@@ -8,19 +8,24 @@
 // still stream raw ranges. Extent exports additionally answer the v4
 // `kReadExtents` op: the stored (packed) extents ship verbatim and the
 // client decodes, so compression cuts bytes-on-wire too. The on-disk
-// format is sniffed per export — point --export at any OPAQ file.
+// format is sniffed per export — point --export at any OPAQ file set: a
+// plain file, the stripes of a striped file, or an extent file of one or
+// more stripes. A live (appendable) dataset directory is served with
+// --live, which also accepts wire v5 appends; --export refuses a
+// directory and says so.
 //
 //   opaq_noded --export=sales=/data/sales.opaq --port=34601
 //   opaq_noded --export=logs=/d0/l.s0+/d1/l.s1+/d2/l.s2   # striped dataset
 //   opaq_noded --export=a=a.opaq,b=b.opaq --port=0        # 0 = ephemeral
+//   opaq_noded --live=events=/data/events                 # live directory
 //
-// Each --export entry is name=path (plain file) or name=p0+p1+... (the
-// stripes of one striped file, logical order); paths may contain '=' —
-// only the first '=' of an entry separates the name. Duplicate dataset
-// names are a startup error. The node prints one line per dataset plus its
-// bound address, then serves until SIGINT/SIGTERM (or for --duration
-// seconds, for scripted runs); shutdown is ordered — every connection
-// thread is joined and the final traffic counters print.
+// Each --export entry is name=path (one file) or name=p0+p1+... (the
+// stripes of one striped or extent file, logical order); paths may contain
+// '=' — only the first '=' of an entry separates the name. Duplicate
+// dataset names are a startup error. The node prints one line per dataset
+// plus its bound address, then serves until SIGINT/SIGTERM (or for
+// --duration seconds, for scripted runs); shutdown is ordered — every
+// connection thread is joined and the final traffic counters print.
 //
 // SECURITY: the protocol is unauthenticated — the default bind address
 // stays on 127.0.0.1; bind 0.0.0.0 only on networks where every peer is
@@ -29,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -41,6 +47,7 @@
 #include "opaq/ingest.h"
 #include "opaq/io.h"
 #include "opaq/net.h"
+#include "opaq/source.h"
 #include "opaq/status.h"
 #include "opaq/telemetry.h"
 #include "opaq/util.h"
@@ -54,219 +61,23 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Opens the plain data file as a typed export of key type `K`; the
-/// returned dataset owns device + file and carries the v2 compute hooks
-/// over the same `FileRunProvider` local mode uses.
-template <typename K>
-Result<ExportedDataset> OpenPlainExportTyped(
-    std::unique_ptr<FileBlockDevice> device) {
-  struct Bundle {
-    std::unique_ptr<FileBlockDevice> device;
-    std::unique_ptr<TypedDataFile<K>> file;
-  };
-  auto bundle = std::make_shared<Bundle>();
-  bundle->device = std::move(device);
-  auto file = TypedDataFile<K>::Open(bundle->device.get());
-  if (!file.ok()) return file.status();
-  bundle->file = std::make_unique<TypedDataFile<K>>(std::move(file).value());
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-  dataset.element_size = sizeof(K);
-  dataset.element_count = bundle->file->size();
-  const TypedDataFile<K>* fptr = bundle->file.get();
-  dataset.read = [fptr](uint64_t first, uint64_t count, void* out) {
-    return fptr->Read(first, count, static_cast<K*>(out));
-  };
-  dataset.sample_runs = [fptr](const WireSampleRunsRequest& request,
-                               uint64_t max_run_bytes) {
-    return NodeSampleRuns<K>(FileRunProvider<K>(fptr), request,
-                             max_run_bytes);
-  };
-  dataset.exact_pass = [fptr](const WireExactPassRequest& request,
-                              const uint8_t* bracket_bytes,
-                              uint64_t max_run_bytes) {
-    return NodeExactPass<K>(FileRunProvider<K>(fptr), request, bracket_bytes,
-                            max_run_bytes);
-  };
-  dataset.owner = std::move(bundle);
-  return dataset;
-}
-
-/// Opens a plain data file export, dispatching on the key type its header
-/// declares (a node serves any key type; clients type-check at handshake).
-Result<ExportedDataset> OpenPlainExport(const std::string& path) {
-  auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-  if (!device.ok()) return device.status();
-  DataFileHeader header;
-  OPAQ_RETURN_IF_ERROR((*device)->ReadAt(0, &header, sizeof(header)));
-  switch (static_cast<KeyType>(header.key_type)) {
-    case KeyType::kU32:
-      return OpenPlainExportTyped<uint32_t>(std::move(device).value());
-    case KeyType::kU64:
-      return OpenPlainExportTyped<uint64_t>(std::move(device).value());
-    case KeyType::kI64:
-      return OpenPlainExportTyped<int64_t>(std::move(device).value());
-    case KeyType::kF32:
-      return OpenPlainExportTyped<float>(std::move(device).value());
-    case KeyType::kF64:
-      return OpenPlainExportTyped<double>(std::move(device).value());
+/// Opens one --export entry's paths as a typed export: the key type comes
+/// from the probe, the layout (plain, striped, or extent files of one or
+/// more stripes) from `Source::Open`'s sniffing. A live directory belongs
+/// under --live, which also accepts appends.
+Result<ExportedDataset> OpenExport(const std::vector<std::string>& paths) {
+  std::error_code error;
+  if (paths.size() == 1 && std::filesystem::is_directory(paths[0], error)) {
+    return Status::InvalidArgument(
+        paths[0] + " is a directory; serve a live dataset with "
+                   "--live=NAME=DIR");
   }
-  return Status::InvalidArgument(
-      path + ": unknown key type tag " + std::to_string(header.key_type) +
-      " (not an OPAQ data file?)");
-}
-
-/// Opens the stripes as a typed striped file of key type `K`; the returned
-/// dataset owns every device and the file, and computes over the striped
-/// readers directly (kAsync = one thread per stripe).
-template <typename K>
-Result<ExportedDataset> OpenStripedExportTyped(
-    std::vector<std::unique_ptr<FileBlockDevice>> devices) {
-  struct Bundle {
-    std::vector<std::unique_ptr<FileBlockDevice>> devices;
-    std::unique_ptr<StripedDataFile<K>> file;
-  };
-  auto bundle = std::make_shared<Bundle>();
-  bundle->devices = std::move(devices);
-  std::vector<BlockDevice*> raw;
-  raw.reserve(bundle->devices.size());
-  for (auto& device : bundle->devices) raw.push_back(device.get());
-  auto file = StripedDataFile<K>::Open(std::move(raw));
-  if (!file.ok()) return file.status();
-  bundle->file =
-      std::make_unique<StripedDataFile<K>>(std::move(file).value());
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-  dataset.element_size = sizeof(K);
-  dataset.element_count = bundle->file->size();
-  const StripedDataFile<K>* fptr = bundle->file.get();
-  dataset.read = [fptr](uint64_t first, uint64_t count, void* out) {
-    return fptr->Read(first, count, static_cast<K*>(out));
-  };
-  dataset.sample_runs = [fptr](const WireSampleRunsRequest& request,
-                               uint64_t max_run_bytes) {
-    return NodeSampleRuns<K>(StripedFileProvider<K>(fptr), request,
-                             max_run_bytes);
-  };
-  dataset.exact_pass = [fptr](const WireExactPassRequest& request,
-                              const uint8_t* bracket_bytes,
-                              uint64_t max_run_bytes) {
-    return NodeExactPass<K>(StripedFileProvider<K>(fptr), request,
-                            bracket_bytes, max_run_bytes);
-  };
-  dataset.owner = std::move(bundle);
-  return dataset;
-}
-
-/// Devices + extent file an extent export keeps alive for the server's
-/// lifetime (the typed opener below borrows raw pointers out of it).
-struct ExtentBundle {
-  std::vector<std::unique_ptr<FileBlockDevice>> devices;
-  std::unique_ptr<ExtentFile> file;
-};
-
-/// Binds the compressed-extent file as a typed export of key type `K`.
-/// The dataset serves every client generation: v1 `kReadRange` decodes
-/// node-side, v2 compute runs over the extent-decoding provider, and v4
-/// `kReadExtents` ships the stored extents verbatim so the wire carries
-/// packed bytes and the remote engine decodes on its own streaming thread.
-template <typename K>
-Result<ExportedDataset> OpenExtentExportTyped(
-    std::shared_ptr<ExtentBundle> bundle) {
-  const ExtentFile* fptr = bundle->file.get();
-  ExportedDataset dataset;
-  dataset.key_type = fptr->key_type();
-  dataset.element_size = fptr->element_size();
-  dataset.element_count = fptr->size();
-  dataset.read = [fptr](uint64_t first, uint64_t count, void* out) {
-    return fptr->ReadElements(first, count, out);
-  };
-  dataset.sample_runs = [fptr](const WireSampleRunsRequest& request,
-                               uint64_t max_run_bytes) {
-    return NodeSampleRuns<K>(ExtentFileProvider<K>(fptr), request,
-                             max_run_bytes);
-  };
-  dataset.exact_pass = [fptr](const WireExactPassRequest& request,
-                              const uint8_t* bracket_bytes,
-                              uint64_t max_run_bytes) {
-    return NodeExactPass<K>(ExtentFileProvider<K>(fptr), request,
-                            bracket_bytes, max_run_bytes);
-  };
-  dataset.extent_elements = fptr->extent_elements();
-  dataset.num_extents = fptr->num_extents();
-  dataset.extent_codec = static_cast<uint16_t>(fptr->default_codec());
-  dataset.read_stored_extent = [fptr](uint64_t extent,
-                                      std::vector<uint8_t>* out) {
-    std::vector<uint8_t> stored;
-    OPAQ_RETURN_IF_ERROR(fptr->ReadStoredExtent(extent, &stored));
-    out->insert(out->end(), stored.begin(), stored.end());
-    return Status::OK();
-  };
-  dataset.owner = std::move(bundle);
-  return dataset;
-}
-
-/// Opens a compressed extent export (single file or the stripes of one
-/// extent file), dispatching on the key type its header declares.
-Result<ExportedDataset> OpenExtentExport(
-    const std::vector<std::string>& paths) {
-  auto bundle = std::make_shared<ExtentBundle>();
-  for (const std::string& path : paths) {
-    auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-    if (!device.ok()) return device.status();
-    bundle->devices.push_back(std::move(device).value());
-  }
-  std::vector<BlockDevice*> raw;
-  raw.reserve(bundle->devices.size());
-  for (auto& device : bundle->devices) raw.push_back(device.get());
-  auto file = ExtentFile::Open(std::move(raw));
-  if (!file.ok()) return file.status();
-  bundle->file = std::make_unique<ExtentFile>(std::move(file).value());
-  switch (static_cast<KeyType>(bundle->file->key_type())) {
-    case KeyType::kU32:
-      return OpenExtentExportTyped<uint32_t>(std::move(bundle));
-    case KeyType::kU64:
-      return OpenExtentExportTyped<uint64_t>(std::move(bundle));
-    case KeyType::kI64:
-      return OpenExtentExportTyped<int64_t>(std::move(bundle));
-    case KeyType::kF32:
-      return OpenExtentExportTyped<float>(std::move(bundle));
-    case KeyType::kF64:
-      return OpenExtentExportTyped<double>(std::move(bundle));
-  }
-  return Status::InvalidArgument(
-      paths[0] + ": unknown key type tag " +
-      std::to_string(bundle->file->key_type()) +
-      " (not an OPAQ extent file?)");
-}
-
-/// Opens a striped export, dispatching on the key type the stripe headers
-/// declare (a node serves any key type; clients type-check at handshake).
-Result<ExportedDataset> OpenStripedExport(
-    const std::vector<std::string>& paths) {
-  std::vector<std::unique_ptr<FileBlockDevice>> devices;
-  for (const std::string& path : paths) {
-    auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
-    if (!device.ok()) return device.status();
-    devices.push_back(std::move(device).value());
-  }
-  StripeFileHeader header;
-  OPAQ_RETURN_IF_ERROR(devices[0]->ReadAt(0, &header, sizeof(header)));
-  switch (static_cast<KeyType>(header.key_type)) {
-    case KeyType::kU32:
-      return OpenStripedExportTyped<uint32_t>(std::move(devices));
-    case KeyType::kU64:
-      return OpenStripedExportTyped<uint64_t>(std::move(devices));
-    case KeyType::kI64:
-      return OpenStripedExportTyped<int64_t>(std::move(devices));
-    case KeyType::kF32:
-      return OpenStripedExportTyped<float>(std::move(devices));
-    case KeyType::kF64:
-      return OpenStripedExportTyped<double>(std::move(devices));
-  }
-  return Status::InvalidArgument(
-      paths[0] + ": unknown key type tag " + std::to_string(header.key_type) +
-      " (not an OPAQ stripe file?)");
+  OPAQ_ASSIGN_OR_RETURN(KeyType key_type, ProbeKeyType(paths));
+  return VisitKeyType(key_type, [&](auto key) -> Result<ExportedDataset> {
+    using K = decltype(key);
+    OPAQ_ASSIGN_OR_RETURN(Source<K> source, Source<K>::Open(paths));
+    return MakeExport(std::move(source));
+  });
 }
 
 /// A live export's shared state. Appends serialize under `writer_mutex`
@@ -286,43 +97,32 @@ struct LiveBundle {
     std::lock_guard<std::mutex> lock(snapshot_mutex);
     return snapshot;
   }
+
+  /// Opens a read snapshot of `dir`'s durable segments and swaps it in.
+  Status Reopen(const std::string& dir) {
+    OPAQ_ASSIGN_OR_RETURN(LiveDatasetReader<K> reader,
+                          LiveDatasetReader<K>::Open(dir));
+    auto next = std::make_shared<const LiveDatasetReader<K>>(std::move(reader));
+    std::lock_guard<std::mutex> lock(snapshot_mutex);
+    snapshot = std::move(next);
+    return Status::OK();
+  }
 };
 
 /// Binds the live dataset directory as a typed appendable export: all the
 /// usual read/compute hooks over the current snapshot, plus the v5
 /// `append` hook and a `live_count` that tracks growth.
 template <typename K>
-Result<ExportedDataset> OpenLiveExportTyped(const std::string& dir) {
+Result<ExportedDataset> MakeLiveExport(const std::string& dir) {
   auto bundle = std::make_shared<LiveBundle<K>>();
   auto writer = LiveDataset<K>::Open(dir);
   if (!writer.ok()) return writer.status();
   bundle->writer =
       std::make_unique<LiveDataset<K>>(std::move(writer).value());
-  auto reader = LiveDatasetReader<K>::Open(dir);
-  if (!reader.ok()) return reader.status();
-  bundle->snapshot = std::make_shared<const LiveDatasetReader<K>>(
-      std::move(reader).value());
-
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(KeyTraits<K>::kType);
-  dataset.element_size = sizeof(K);
-  dataset.element_count = bundle->snapshot->size();
-  dataset.read = [bundle](uint64_t first, uint64_t count, void* out) {
-    return bundle->Snapshot()->Read(first, count, static_cast<K*>(out));
-  };
+  OPAQ_RETURN_IF_ERROR(bundle->Reopen(dir));
+  ExportedDataset dataset =
+      ProviderExport<K>([bundle] { return bundle->Snapshot(); });
   dataset.live_count = [bundle]() { return bundle->Snapshot()->size(); };
-  dataset.sample_runs = [bundle](const WireSampleRunsRequest& request,
-                                 uint64_t max_run_bytes) {
-    auto snapshot = bundle->Snapshot();
-    return NodeSampleRuns<K>(*snapshot, request, max_run_bytes);
-  };
-  dataset.exact_pass = [bundle](const WireExactPassRequest& request,
-                                const uint8_t* bracket_bytes,
-                                uint64_t max_run_bytes) {
-    auto snapshot = bundle->Snapshot();
-    return NodeExactPass<K>(*snapshot, request, bracket_bytes,
-                            max_run_bytes);
-  };
   dataset.append = [bundle, dir](const uint8_t* elements,
                                  uint64_t count) -> Result<WireAppendAck> {
     std::lock_guard<std::mutex> writer_lock(bundle->writer_mutex);
@@ -331,14 +131,7 @@ Result<ExportedDataset> OpenLiveExportTyped(const std::string& dir) {
     OPAQ_RETURN_IF_ERROR(bundle->writer->Append(values));
     // The segment is durable; fold it into the read snapshot before
     // acking so a reader that acts on the ack already sees its data.
-    auto reader = LiveDatasetReader<K>::Open(dir);
-    if (!reader.ok()) return reader.status();
-    auto snapshot = std::make_shared<const LiveDatasetReader<K>>(
-        std::move(reader).value());
-    {
-      std::lock_guard<std::mutex> snapshot_lock(bundle->snapshot_mutex);
-      bundle->snapshot = std::move(snapshot);
-    }
+    OPAQ_RETURN_IF_ERROR(bundle->Reopen(dir));
     WireAppendAck ack;
     ack.total_elements = bundle->writer->total_elements();
     ack.num_segments = bundle->writer->num_segments();
@@ -353,36 +146,10 @@ Result<ExportedDataset> OpenLiveExportTyped(const std::string& dir) {
 /// --live=DIR` or the writer API) so a typo'd path fails loudly instead of
 /// silently serving a fresh empty dataset.
 Result<ExportedDataset> OpenLiveExport(const std::string& dir) {
-  auto info = ReadLiveManifestInfo(dir);
-  if (!info.ok()) return info.status();
-  switch (info->key_type) {
-    case KeyType::kU32: return OpenLiveExportTyped<uint32_t>(dir);
-    case KeyType::kU64: return OpenLiveExportTyped<uint64_t>(dir);
-    case KeyType::kI64: return OpenLiveExportTyped<int64_t>(dir);
-    case KeyType::kF32: return OpenLiveExportTyped<float>(dir);
-    case KeyType::kF64: return OpenLiveExportTyped<double>(dir);
-  }
-  return Status::InvalidArgument(dir + ": unknown key type in live manifest");
-}
-
-/// Opens one --export entry's paths, sniffing the on-disk format from the
-/// first file's magic: compressed extent files (single or striped) get the
-/// extent export, everything else routes to the plain/striped openers
-/// (which still reject non-OPAQ files with a clear message).
-Result<ExportedDataset> OpenExport(const std::vector<std::string>& paths) {
-  uint64_t magic = 0;
-  {
-    auto probe = FileBlockDevice::Make(paths[0], FileBlockDevice::Mode::kOpen);
-    if (!probe.ok()) return probe.status();
-    auto size = (*probe)->Size();
-    if (!size.ok()) return size.status();
-    if (*size >= sizeof(magic)) {
-      OPAQ_RETURN_IF_ERROR((*probe)->ReadAt(0, &magic, sizeof(magic)));
-    }
-  }
-  if (magic == ExtentFileHeader::kMagic) return OpenExtentExport(paths);
-  return paths.size() == 1 ? OpenPlainExport(paths[0])
-                           : OpenStripedExport(paths);
+  OPAQ_ASSIGN_OR_RETURN(LiveManifestInfo info, ReadLiveManifestInfo(dir));
+  return VisitKeyType(info.key_type, [&](auto key) {
+    return MakeLiveExport<decltype(key)>(dir);
+  });
 }
 
 int Usage(std::ostream& os, int code) {
@@ -390,13 +157,12 @@ int Usage(std::ostream& os, int code) {
         "[flags]\n\n"
         "serves local OPAQ datasets to remote engines over TCP (wire "
         "protocol v1 range\nstreaming + v2 node-side compute).\n\nflags:\n"
-        "  --export=...        datasets to serve: name=path for a plain data "
-        "file,\n"
-        "                      name=p0+p1+... for the stripes of a striped "
-        "file\n"
-        "                      (first '=' separates the name; duplicate "
-        "names are\n"
-        "                      an error)\n"
+        "  --export=...        datasets to serve: name=path for one file,\n"
+        "                      name=p0+p1+... for the stripes of one file;\n"
+        "                      plain, striped and extent files (single or\n"
+        "                      striped) are sniffed. A directory is refused:\n"
+        "                      serve it with --live. (First '=' separates the\n"
+        "                      name; duplicate names are an error)\n"
         "  --live=NAME=DIR     live (appendable) dataset directories to "
         "serve; the\n"
         "                      node additionally accepts wire v5 APPEND "

@@ -1,6 +1,7 @@
 // opaq_queryd — the OPAQ query-serving daemon: sketch once, serve millions.
-// At startup it runs the paper's one pass over every --serve dataset (plain
-// or striped data files, any key type) and keeps the finished QuerySession
+// At startup it runs the paper's one pass over every --serve dataset (any
+// key type; plain, striped, or extent files of one or more stripes, all
+// sniffed, or a live directory) and keeps the finished QuerySession
 // in memory; from then on every batched phi-quantile / rank-bracket /
 // equi-depth request is answered off the sample list in O(1) per bracket —
 // no data I/O on the query path. Exact-flagged requests are admission-
@@ -12,11 +13,13 @@
 //   opaq_queryd --serve=logs=/d0/l.s0+/d1/l.s1      # striped dataset
 //   opaq_queryd --serve=a=a.opaq --refresh-interval=300   # epoch rebuilds
 //
-// Each --serve entry is name=path (plain file) or name=p0+p1+... (stripes,
-// logical order), exactly like opaq_noded --export. With
+// Each --serve entry is name=path (one file or a live directory) or
+// name=p0+p1+... (stripes, logical order), like opaq_noded --export. With
 // --refresh-interval=N the daemon re-sketches every session every N
 // seconds in the background and atomically swaps the new epoch in;
-// in-flight queries finish against the epoch they started with. The
+// in-flight queries finish against the epoch they started with. A live
+// directory under --serve is re-sketched in full on each refresh; under
+// --watch only its newly appended segments are sketched and absorbed. The
 // daemon serves until SIGINT/SIGTERM (or --duration seconds); shutdown is
 // ordered — every connection thread is joined and the final counters
 // print.
@@ -52,78 +55,18 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Registers one session of key type `K` with the server: the builder
-/// re-opens the file(s) and re-runs the one sketching pass on every call,
-/// so each Refresh sees the bytes currently on disk (that IS the epoch
-/// semantics — a rewritten dataset is picked up at the next refresh).
-template <typename K>
-Status ServeTyped(QueryServer* server, const std::string& name,
-                  std::vector<std::string> paths, OpaqConfig config) {
-  return server->Serve<K>(name, [paths = std::move(paths),
-                                 config = std::move(config)]()
-                                    -> Result<QuerySession<K>> {
-    auto source = paths.size() == 1 ? Source<K>::Open(paths[0])
-                                    : Source<K>::OpenStriped(paths);
-    if (!source.ok()) return source.status();
-    return Engine<K>(config, std::move(source).value()).Build();
-  });
-}
-
-/// Dispatches on the key type the file header declares (a daemon serves
-/// any key type; clients type-check when they open the session).
-Status ServeEntry(QueryServer* server, const ExportSpecEntry& entry,
-                  const OpaqConfig& config) {
-  auto device =
-      FileBlockDevice::Make(entry.paths[0], FileBlockDevice::Mode::kOpen);
-  if (!device.ok()) return device.status();
-  // Plain and stripe headers both lead with a magic and carry a key_type
-  // tag; which struct to read depends on how many paths the entry names.
-  uint32_t key_type = 0;
-  if (entry.paths.size() == 1) {
-    DataFileHeader header;
-    OPAQ_RETURN_IF_ERROR((*device)->ReadAt(0, &header, sizeof(header)));
-    key_type = header.key_type;
-  } else {
-    StripeFileHeader header;
-    OPAQ_RETURN_IF_ERROR((*device)->ReadAt(0, &header, sizeof(header)));
-    key_type = header.key_type;
-  }
-  switch (static_cast<KeyType>(key_type)) {
-    case KeyType::kU32:
-      return ServeTyped<uint32_t>(server, entry.name, entry.paths, config);
-    case KeyType::kU64:
-      return ServeTyped<uint64_t>(server, entry.name, entry.paths, config);
-    case KeyType::kI64:
-      return ServeTyped<int64_t>(server, entry.name, entry.paths, config);
-    case KeyType::kF32:
-      return ServeTyped<float>(server, entry.name, entry.paths, config);
-    case KeyType::kF64:
-      return ServeTyped<double>(server, entry.name, entry.paths, config);
-  }
-  return Status::InvalidArgument(
-      entry.paths[0] + ": unknown key type tag " + std::to_string(key_type) +
-      " (not an OPAQ data file?)");
-}
-
-/// Registers one LIVE session of key type `K`: the builder sketches the
-/// whole live dataset (epoch 1 and the full-rebuild fallback), and the
-/// refresher is INCREMENTAL — it sketches only the segments appended since
-/// the serving epoch and `Absorb`s their sample list into a copy of the
+/// The refresher of a --watch session over the live directory `dir`: it
+/// is INCREMENTAL — it sketches only the segments appended since the
+/// serving epoch and `Absorb`s their sample list into a copy of the
 /// session (associative merge, byte-identical to a full rebuild), so a
-/// refresh costs one pass over the DELTA, not the dataset. The refresher
-/// errors on anything it cannot absorb (dataset vanished or shrank —
-/// i.e. recreated), which `Refresh` answers with a full rebuild.
+/// refresh costs one pass over the DELTA, not the dataset. It errors on
+/// anything it cannot absorb (dataset vanished or shrank — i.e.
+/// recreated), which `Refresh` answers with a full rebuild.
 template <typename K>
-Status ServeLiveTyped(QueryServer* server, const std::string& name,
-                      const std::string& dir, OpaqConfig config) {
-  auto builder = [dir, config]() -> Result<QuerySession<K>> {
-    auto source = Source<K>::OpenLive(dir);
-    if (!source.ok()) return source.status();
-    return Engine<K>(config, std::move(source).value()).Build();
-  };
-  auto refresher =
-      [dir, config](const QuerySession<K>& current)
-      -> Result<QuerySession<K>> {
+std::function<Result<QuerySession<K>>(const QuerySession<K>&)> LiveRefresher(
+    const std::string& dir, const OpaqConfig& config) {
+  return [dir, config](const QuerySession<K>& current)
+             -> Result<QuerySession<K>> {
     auto info = ReadLiveManifestInfo(dir);
     if (!info.ok()) return info.status();
     const uint64_t have = current.total_elements();
@@ -147,33 +90,30 @@ Status ServeLiveTyped(QueryServer* server, const std::string& name,
         next.Absorb(delta->sample_list(), {std::move(tail).value()}));
     return next;
   };
-  return server->Serve<K>(name, std::move(builder), std::move(refresher));
 }
 
-/// Dispatches a --watch entry on the key type its live manifest declares.
-Status ServeLiveEntry(QueryServer* server, const ExportSpecEntry& entry,
-                      const OpaqConfig& config) {
-  auto info = ReadLiveManifestInfo(entry.paths[0]);
-  if (!info.ok()) return info.status();
-  switch (info->key_type) {
-    case KeyType::kU32:
-      return ServeLiveTyped<uint32_t>(server, entry.name, entry.paths[0],
-                                      config);
-    case KeyType::kU64:
-      return ServeLiveTyped<uint64_t>(server, entry.name, entry.paths[0],
-                                      config);
-    case KeyType::kI64:
-      return ServeLiveTyped<int64_t>(server, entry.name, entry.paths[0],
-                                     config);
-    case KeyType::kF32:
-      return ServeLiveTyped<float>(server, entry.name, entry.paths[0],
-                                   config);
-    case KeyType::kF64:
-      return ServeLiveTyped<double>(server, entry.name, entry.paths[0],
-                                    config);
+/// Registers one session, typed by the probed key type. The builder
+/// re-opens the dataset and re-runs the one sketching pass on every call,
+/// so each Refresh sees the bytes currently on disk (that IS the epoch
+/// semantics — a rewritten dataset, or a live directory's new segments, is
+/// picked up at the next refresh, by a full rebuild). A `watch` entry must
+/// be a live directory and refreshes incrementally (`LiveRefresher`).
+Status ServeEntry(QueryServer* server, const ExportSpecEntry& entry,
+                  const OpaqConfig& config, bool watch) {
+  if (watch) {
+    OPAQ_RETURN_IF_ERROR(ReadLiveManifestInfo(entry.paths[0]).status());
   }
-  return Status::InvalidArgument(entry.paths[0] +
-                                 ": unknown key type in live manifest");
+  OPAQ_ASSIGN_OR_RETURN(KeyType key_type, ProbeKeyType(entry.paths));
+  return VisitKeyType(key_type, [&](auto key) {
+    using K = decltype(key);
+    return server->Serve<K>(
+        entry.name,
+        [paths = entry.paths, config]() -> Result<QuerySession<K>> {
+          OPAQ_ASSIGN_OR_RETURN(Source<K> source, Source<K>::Open(paths));
+          return Engine<K>(config, std::move(source)).Build();
+        },
+        watch ? LiveRefresher<K>(entry.paths[0], config) : nullptr);
+  });
 }
 
 int Usage(std::ostream& os, int code) {
@@ -182,9 +122,12 @@ int Usage(std::ostream& os, int code) {
         "sketches local OPAQ datasets once at startup, then serves batched "
         "quantile /\nrank / equi-depth queries over TCP (wire protocol v3) "
         "off the in-memory\nsample lists.\n\nflags:\n"
-        "  --serve=...         sessions to build and serve: name=path for a "
-        "plain\n"
-        "                      data file, name=p0+p1+... for a striped one\n"
+        "  --serve=...         sessions to build and serve: name=path for one\n"
+        "                      file, name=p0+p1+... for the stripes of one "
+        "file;\n"
+        "                      plain, striped and extent files (single or\n"
+        "                      striped) are sniffed. A live directory is\n"
+        "                      re-sketched in full on each refresh\n"
         "  --watch=NAME=DIR    LIVE sessions over live dataset directories "
         "(see\n"
         "                      `opaq_cli append`): refreshes are "
@@ -329,35 +272,28 @@ int Main(int argc, char** argv) {
   if (!config_valid.ok()) return BadFlag(config_valid);
 
   QueryServer server(options);
-  for (const ExportSpecEntry& entry : static_entries) {
+  std::vector<ExportSpecEntry> all_entries = static_entries;
+  all_entries.insert(all_entries.end(), live_entries.begin(),
+                     live_entries.end());
+  for (size_t i = 0; i < all_entries.size(); ++i) {
+    const ExportSpecEntry& entry = all_entries[i];
+    const bool watch = i >= static_entries.size();
+    const std::string kind = watch ? "live session" : "session";
     WallTimer build_timer;
-    Status served = ServeEntry(&server, entry, config);
+    Status served = ServeEntry(&server, entry, config, watch);
     if (!served.ok()) {
-      return Fail(Status(served.code(), "session '" + entry.name + "': " +
+      return Fail(Status(served.code(), kind + " '" + entry.name + "': " +
                                             served.message()));
     }
     auto info = server.SessionInfo(entry.name);
     if (!info.ok()) return Fail(info.status());
-    std::cout << "session " << entry.name << ": " << info->total_elements
+    std::cout << kind << " " << entry.name << ": " << info->total_elements
               << " elements sketched to " << info->num_samples
               << " samples (max rank error " << info->max_rank_error
-              << ") in " << build_timer.ElapsedSeconds() << " s\n";
-  }
-  for (const ExportSpecEntry& entry : live_entries) {
-    WallTimer build_timer;
-    Status served = ServeLiveEntry(&server, entry, config);
-    if (!served.ok()) {
-      return Fail(Status(served.code(), "live session '" + entry.name +
-                                            "': " + served.message()));
-    }
-    auto info = server.SessionInfo(entry.name);
-    if (!info.ok()) return Fail(info.status());
-    std::cout << "live session " << entry.name << ": "
-              << info->total_elements << " elements sketched to "
-              << info->num_samples << " samples (max rank error "
-              << info->max_rank_error << ") in "
-              << build_timer.ElapsedSeconds()
-              << " s; refreshes absorb new segments incrementally\n";
+              << ") in " << build_timer.ElapsedSeconds() << " s"
+              << (watch ? "; refreshes absorb new segments incrementally"
+                        : "")
+              << "\n";
   }
 
   // Latch SIGINT/SIGTERM BEFORE Start so no window exists where a signal
@@ -375,9 +311,6 @@ int Main(int argc, char** argv) {
   // a build runs (--watch sessions refresh incrementally via Absorb).
   // Stopped via its own cv (the shutdown latch's pipe has exactly one
   // waiter: main).
-  std::vector<ExportSpecEntry> all_entries = static_entries;
-  all_entries.insert(all_entries.end(), live_entries.begin(),
-                     live_entries.end());
   std::mutex refresh_mutex;
   std::condition_variable refresh_cv;
   bool refresh_stop = false;

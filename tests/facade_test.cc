@@ -168,7 +168,7 @@ TEST(SourceTest, OpenOfADirectoryOpensTheLiveDataset) {
             Serialize(from_live->sample_list()));
 }
 
-TEST(SourceTest, OpenStripedOwnsRealFiles) {
+TEST(SourceTest, OpenOfStripePathsOwnsRealFiles) {
   auto dir = TempDir::Make("opaq-facade-striped");
   ASSERT_TRUE(dir.ok());
   const std::vector<Key> data = TestData(6000);
@@ -187,7 +187,7 @@ TEST(SourceTest, OpenStripedOwnsRealFiles) {
     ASSERT_TRUE(WriteStriped(data, raw, 512).ok());
     for (auto& device : devices) OPAQ_CHECK_OK(device->Sync());
   }
-  auto source = Source<Key>::OpenStriped(paths);
+  auto source = Source<Key>::Open(paths);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
   EXPECT_EQ(source->size(), data.size());
   EXPECT_EQ(source->stripes(), 2u);

@@ -1,16 +1,27 @@
-// Unit tests for src/io: block devices, throttling, data files, run readers.
+// Unit tests for src/io: block devices, throttling, data files, run readers,
+// the key-type dispatch and the one dataset opener (probe, Source::Open,
+// RunProvider::Read, read-only opens).
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "data/dataset.h"
+#include "ingest/live_dataset.h"
 #include "io/block_device.h"
 #include "io/data_file.h"
+#include "io/extent.h"
 #include "io/run_reader.h"
+#include "io/striped_data_file.h"
 #include "io/tempdir.h"
 #include "io/throttled_device.h"
+#include "opaq/source.h"
 #include "util/timer.h"
 
 namespace opaq {
@@ -86,6 +97,25 @@ TEST(FileBlockDeviceTest, OpenMissingFileFails) {
                                    FileBlockDevice::Mode::kOpen);
   ASSERT_FALSE(dev.ok());
   EXPECT_EQ(dev.status().code(), StatusCode::kIoError);
+}
+
+TEST(FileBlockDeviceTest, OpenIsReadOnly) {
+  auto dir = TempDir::Make();
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->FilePath("ro.bin");
+  {
+    auto dev = FileBlockDevice::Make(path, FileBlockDevice::Mode::kCreate);
+    ASSERT_TRUE(dev.ok());
+    ASSERT_TRUE((*dev)->WriteAt(0, "abcd", 4).ok());
+  }
+  auto reader = FileBlockDevice::Make(path, FileBlockDevice::Mode::kOpen);
+  ASSERT_TRUE(reader.ok());
+  char buf[4];
+  EXPECT_TRUE((*reader)->ReadAt(0, buf, 4).ok());
+  EXPECT_FALSE((*reader)->WriteAt(0, "x", 1).ok());
+  auto writer = FileBlockDevice::Make(path, FileBlockDevice::Mode::kReadWrite);
+  ASSERT_TRUE(writer.ok());
+  EXPECT_TRUE((*writer)->WriteAt(0, "x", 1).ok());
 }
 
 TEST(FileBlockDeviceTest, ReadPastEndFails) {
@@ -389,6 +419,234 @@ TEST(TempDirTest, MoveTransfersOwnership) {
   TempDir moved = std::move(*dir);
   EXPECT_EQ(moved.path(), path);
   EXPECT_TRUE(std::filesystem::exists(path));
+}
+
+// --------------------------------------------------------- VisitKeyType --
+
+TEST(VisitKeyTypeTest, MapsEveryTagToItsKeyType) {
+  const std::vector<std::pair<KeyType, std::string>> cases = {
+      {KeyType::kU32, "u32"}, {KeyType::kU64, "u64"}, {KeyType::kI64, "i64"},
+      {KeyType::kF32, "f32"}, {KeyType::kF64, "f64"}};
+  for (const auto& [type, name] : cases) {
+    auto visited = VisitKeyType(type, [&](auto key) -> Result<std::string> {
+      using K = decltype(key);
+      EXPECT_EQ(KeyTraits<K>::kType, type);
+      return std::string(KeyTraits<K>::kName);
+    });
+    ASSERT_TRUE(visited.ok()) << visited.status().ToString();
+    EXPECT_EQ(*visited, name);
+  }
+}
+
+TEST(VisitKeyTypeTest, RejectsUnknownTags) {
+  for (uint32_t tag : {0u, 6u}) {
+    bool called = false;
+    Status status = VisitKeyType(static_cast<KeyType>(tag), [&](auto) {
+      called = true;
+      return Status::OK();
+    });
+    EXPECT_FALSE(called);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(std::to_string(tag)), std::string::npos)
+        << status.message();
+  }
+}
+
+// ------------------------------------------------------ Dataset opener --
+
+std::vector<uint32_t> OpenerData() {
+  DatasetSpec spec;
+  spec.n = 5000;
+  spec.seed = 5;
+  return GenerateDataset<uint32_t>(spec);
+}
+
+/// Creates one device per path.
+std::vector<std::unique_ptr<FileBlockDevice>> CreateDevices(
+    const std::vector<std::string>& paths) {
+  std::vector<std::unique_ptr<FileBlockDevice>> devices;
+  for (const std::string& path : paths) {
+    auto device = FileBlockDevice::Make(path, FileBlockDevice::Mode::kCreate);
+    OPAQ_CHECK_OK(device.status());
+    devices.push_back(std::move(device).value());
+  }
+  return devices;
+}
+
+std::vector<BlockDevice*> Raw(
+    const std::vector<std::unique_ptr<FileBlockDevice>>& devices) {
+  std::vector<BlockDevice*> raw;
+  for (const auto& device : devices) raw.push_back(device.get());
+  return raw;
+}
+
+/// Every layout of the opener data under one directory.
+struct OpenerLayouts {
+  std::vector<std::string> plain;
+  std::vector<std::string> striped;
+  std::vector<std::string> extent;
+  std::vector<std::string> striped_extent;
+  std::vector<std::string> live;
+
+  std::vector<std::vector<std::string>> All() const {
+    return {plain, striped, extent, striped_extent, live};
+  }
+};
+
+OpenerLayouts WriteOpenerLayouts(const TempDir& dir,
+                                 const std::vector<uint32_t>& data) {
+  OpenerLayouts layouts;
+  layouts.plain = {dir.FilePath("plain.opaq")};
+  OPAQ_CHECK_OK(WriteDataset(data, CreateDevices(layouts.plain)[0].get()));
+  layouts.striped = {dir.FilePath("striped.s0"), dir.FilePath("striped.s1"),
+                     dir.FilePath("striped.s2")};
+  OPAQ_CHECK_OK(
+      WriteStriped(data, Raw(CreateDevices(layouts.striped)), 700).status());
+  ExtentWriterOptions options;
+  options.extent_elements = 1024;
+  options.codec = ExtentCodec::kDelta;
+  layouts.extent = {dir.FilePath("extent.opaq")};
+  OPAQ_CHECK_OK(
+      WriteExtents(data, Raw(CreateDevices(layouts.extent)), options)
+          .status());
+  layouts.striped_extent = {dir.FilePath("extent.s0"),
+                            dir.FilePath("extent.s1")};
+  OPAQ_CHECK_OK(WriteExtents(data, Raw(CreateDevices(layouts.striped_extent)),
+                             options)
+                    .status());
+  layouts.live = {dir.FilePath("live")};
+  auto plain_writer = LiveDataset<uint32_t>::Create(layouts.live[0]);
+  OPAQ_CHECK_OK(plain_writer.status());
+  OPAQ_CHECK_OK(plain_writer->Append({data.begin(), data.begin() + 2000}));
+  LiveDatasetOptions packed;
+  packed.pack = true;
+  packed.extent_elements = 512;
+  auto packed_writer = LiveDataset<uint32_t>::Open(layouts.live[0], packed);
+  OPAQ_CHECK_OK(packed_writer.status());
+  OPAQ_CHECK_OK(packed_writer->Append({data.begin() + 2000, data.end()}));
+  return layouts;
+}
+
+TEST(DatasetOpenerTest, ProbeNamesTheKeyTypeOfEveryLayout) {
+  auto dir = TempDir::Make("opaq-probe");
+  ASSERT_TRUE(dir.ok());
+  const OpenerLayouts layouts = WriteOpenerLayouts(*dir, OpenerData());
+  for (const std::vector<std::string>& paths : layouts.All()) {
+    auto type = ProbeKeyType(paths);
+    ASSERT_TRUE(type.ok()) << paths[0] << ": " << type.status().ToString();
+    EXPECT_EQ(*type, KeyType::kU32) << paths[0];
+  }
+  // A double-keyed file probes as f64: the tag comes from the header.
+  const std::string doubles = dir->FilePath("doubles.opaq");
+  OPAQ_CHECK_OK(WriteDataset(std::vector<double>{1.5, 2.5},
+                             CreateDevices({doubles})[0].get()));
+  auto type = ProbeKeyType({doubles});
+  ASSERT_TRUE(type.ok()) << type.status().ToString();
+  EXPECT_EQ(*type, KeyType::kF64);
+}
+
+TEST(DatasetOpenerTest, ProbeRejectsNoPathsAndForeignFiles) {
+  EXPECT_EQ(ProbeKeyType({}).status().code(), StatusCode::kInvalidArgument);
+  auto dir = TempDir::Make("opaq-probe-foreign");
+  ASSERT_TRUE(dir.ok());
+  const std::string foreign = dir->FilePath("notes.txt");
+  ASSERT_TRUE(CreateDevices({foreign})[0]->WriteAt(0, "plain text!", 11).ok());
+  auto type = ProbeKeyType({foreign});
+  EXPECT_EQ(type.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(type.status().message().find(foreign), std::string::npos)
+      << type.status().message();
+  EXPECT_FALSE(ProbeKeyType({dir->FilePath("missing.opaq")}).ok());
+}
+
+TEST(DatasetOpenerTest, OpenReadsEveryLayoutAndRejectsMismatches) {
+  auto dir = TempDir::Make("opaq-open");
+  ASSERT_TRUE(dir.ok());
+  const std::vector<uint32_t> data = OpenerData();
+  const OpenerLayouts layouts = WriteOpenerLayouts(*dir, data);
+  const std::vector<uint64_t> stripes = {1, 3, 1, 2, 1};
+  const std::vector<bool> extent = {false, false, true, true, false};
+  const auto all = layouts.All();
+  for (size_t i = 0; i < all.size(); ++i) {
+    SCOPED_TRACE(all[i][0]);
+    auto source = Source<uint32_t>::Open(all[i]);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    EXPECT_EQ(source->size(), data.size());
+    EXPECT_EQ(source->stripes(), stripes[i]);
+    EXPECT_EQ(source->extent_file() != nullptr, extent[i]);
+    // Random-access reads, across stripe, extent and segment boundaries.
+    std::vector<uint32_t> got(3000);
+    ASSERT_TRUE(source->provider().Read(1000, got.size(), got.data()).ok());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + 1000));
+    EXPECT_EQ(source->provider().Read(data.size() - 1, 2, got.data()).code(),
+              StatusCode::kOutOfRange);
+    // The wrong key type is a clean error, never an abort.
+    EXPECT_EQ(Source<double>::Open(all[i]).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A plain data file is exactly one path.
+  EXPECT_EQ(Source<uint32_t>::Open({layouts.plain[0], layouts.plain[0]})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(Source<uint32_t>::Open(std::vector<std::string>{}).ok());
+}
+
+TEST(DatasetOpenerTest, ProviderReadMatchesDataOnEveryLocalBackend) {
+  const std::vector<uint32_t> data = OpenerData();
+  Source<uint32_t> memory = Source<uint32_t>::FromVector(data);
+  std::vector<uint32_t> got(100);
+  ASSERT_TRUE(memory.provider().Read(4900, 100, got.data()).ok());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + 4900));
+  EXPECT_EQ(memory.provider().Read(4901, 100, got.data()).code(),
+            StatusCode::kOutOfRange);
+
+  auto dir = TempDir::Make("opaq-tail-read");
+  ASSERT_TRUE(dir.ok());
+  const OpenerLayouts layouts = WriteOpenerLayouts(*dir, data);
+  auto tail = Source<uint32_t>::OpenLive(layouts.live[0], 2000);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_TRUE(tail->provider().Read(0, 100, got.data()).ok());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + 2000));
+  EXPECT_EQ(tail->provider().Read(2950, 100, got.data()).code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(DatasetOpenerTest, ReadersNeedNoWritePermission) {
+  auto dir = TempDir::Make("opaq-readonly");
+  ASSERT_TRUE(dir.ok());
+  const std::vector<uint32_t> data = OpenerData();
+  const OpenerLayouts layouts = WriteOpenerLayouts(*dir, data);
+  namespace fs = std::filesystem;
+  const fs::perms read_only =
+      fs::perms::owner_read | fs::perms::group_read | fs::perms::others_read;
+  fs::permissions(layouts.plain[0], read_only);
+  if (geteuid() == 0 ||
+      FileBlockDevice::Make(layouts.plain[0],
+                            FileBlockDevice::Mode::kReadWrite)
+          .ok()) {
+    GTEST_SKIP() << "this process ignores file mode bits (root, or "
+                    "CAP_DAC_OVERRIDE), so a read-only dataset cannot be "
+                    "simulated";
+  }
+  const fs::perms read_exec = read_only | fs::perms::owner_exec |
+                              fs::perms::group_exec | fs::perms::others_exec;
+  // The live directory stays traversable (0555) with 0444 files inside.
+  for (const auto& entry : fs::directory_iterator(layouts.live[0])) {
+    fs::permissions(entry.path(), read_only);
+  }
+  fs::permissions(layouts.live[0], read_exec);
+  fs::permissions(layouts.extent[0], read_only);
+  for (const std::vector<std::string>& paths :
+       {layouts.plain, layouts.extent, layouts.live}) {
+    auto source = Source<uint32_t>::Open(paths);
+    EXPECT_TRUE(source.ok()) << paths[0] << ": "
+                             << source.status().ToString();
+    if (source.ok()) {
+      EXPECT_EQ(source->size(), data.size());
+    }
+  }
+  // Let the TempDir remove what it made.
+  fs::permissions(layouts.live[0], fs::perms::owner_all);
 }
 
 }  // namespace

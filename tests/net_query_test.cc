@@ -3,9 +3,10 @@
 // byte-identical to a single-process QuerySession, the error policy
 // (recoverable errors keep the connection; framing lies close it), exact
 // coalescing (N concurrent exact batches -> ONE shared §4 pass), epoch
-// refresh with atomic swap, and the daemons' SIGTERM handling (fork/exec
-// the real opaq_queryd / opaq_noded binaries, signal them mid-serve, and
-// assert a clean exit 0 with the final counter report).
+// refresh with atomic swap, the daemons' SIGTERM handling (fork/exec the
+// real opaq_queryd / opaq_noded binaries, signal them mid-serve, and assert
+// a clean exit 0 with the final counter report), and the daemons' dataset
+// opening across every layout and key type, hostile files included.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +20,15 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/sketch_io.h"
 #include "data/dataset.h"
+#include "ingest/live_dataset.h"
 #include "io/block_device.h"
+#include "io/extent.h"
+#include "io/striped_data_file.h"
 #include "io/tempdir.h"
 #include "net/client.h"
 #include "net/query_client.h"
@@ -432,7 +438,9 @@ struct DaemonRun {
 
 /// Forks/execs a daemon binary, waits for its "serving on HOST:PORT" line,
 /// runs `while_serving(address)`, SIGTERMs it, and collects exit status +
-/// full output. The real binaries, the real signal path.
+/// full output (stdout and stderr). The real binaries, the real signal
+/// path. A daemon that fails at startup never prints the line; the run
+/// then just collects its exit status and error message.
 DaemonRun RunDaemonUntilSigterm(
     const char* binary, const std::vector<std::string>& args,
     const std::function<void(const std::string&)>& while_serving) {
@@ -443,6 +451,7 @@ DaemonRun RunDaemonUntilSigterm(
   OPAQ_CHECK(pid >= 0);
   if (pid == 0) {
     dup2(fds[1], STDOUT_FILENO);
+    dup2(fds[1], STDERR_FILENO);
     close(fds[0]);
     close(fds[1]);
     std::vector<char*> argv;
@@ -554,6 +563,265 @@ TEST(DaemonSignalTest, NodedJoinsCleanlyOnSigterm) {
       << run.output;
   EXPECT_NE(run.output.find("node.exports"), std::string::npos)
       << run.output;
+}
+
+// ------------------------------------------- daemon opener matrix ----
+//
+// Every on-disk layout (plain, 3-stripe plain, extent, 2-stripe extent) for
+// a 32-bit integer and a double key type, plus a live directory, served by
+// both daemons: the remote sketch (opaq_noded) and the remote answers
+// (opaq_queryd) must equal a local Source over the same files.
+
+struct LayoutCase {
+  std::string name;
+  uint64_t stripes = 1;
+  bool extent = false;
+};
+
+const std::vector<LayoutCase>& Layouts() {
+  static const std::vector<LayoutCase> layouts = {
+      {"plain", 1, false},
+      {"striped", 3, false},
+      {"extent", 1, true},
+      {"striped_extent", 2, true},
+  };
+  return layouts;
+}
+
+template <typename K>
+std::vector<K> MatrixData() {
+  DatasetSpec spec;
+  spec.n = 30000;
+  spec.seed = 11;
+  spec.distribution = Distribution::kZipf;
+  return GenerateDataset<K>(spec);
+}
+
+/// Writes `data` in `layout` under `dir`; returns the paths in stripe order.
+template <typename K>
+std::vector<std::string> WriteLayout(const TempDir& dir,
+                                     const LayoutCase& layout,
+                                     const std::vector<K>& data) {
+  std::vector<std::string> paths;
+  std::vector<std::unique_ptr<FileBlockDevice>> devices;
+  std::vector<BlockDevice*> raw;
+  for (uint64_t s = 0; s < layout.stripes; ++s) {
+    paths.push_back(dir.FilePath(layout.name + "_" + KeyTraits<K>::kName +
+                                 ".s" + std::to_string(s)));
+    auto device =
+        FileBlockDevice::Make(paths.back(), FileBlockDevice::Mode::kCreate);
+    OPAQ_CHECK_OK(device.status());
+    devices.push_back(std::move(device).value());
+    raw.push_back(devices.back().get());
+  }
+  if (layout.extent) {
+    ExtentWriterOptions options;
+    options.extent_elements = 4096;
+    options.codec = ExtentCodec::kDelta;
+    OPAQ_CHECK_OK(WriteExtents(data, raw, options).status());
+  } else if (layout.stripes > 1) {
+    OPAQ_CHECK_OK(WriteStriped(data, raw, /*chunk_elements=*/1000).status());
+  } else {
+    OPAQ_CHECK_OK(WriteDataset(data, raw[0]));
+  }
+  for (auto& device : devices) OPAQ_CHECK_OK(device->Sync());
+  return paths;
+}
+
+/// A u32 live directory of three segments, the last one extent-packed.
+std::string WriteLiveDir(const TempDir& dir) {
+  const std::string path = dir.FilePath("live");
+  const std::vector<uint32_t> data = MatrixData<uint32_t>();
+  const size_t third = data.size() / 3;
+  auto writer = LiveDataset<uint32_t>::Create(path);
+  OPAQ_CHECK_OK(writer.status());
+  OPAQ_CHECK_OK(writer->Append({data.begin(), data.begin() + third}));
+  OPAQ_CHECK_OK(
+      writer->Append({data.begin() + third, data.begin() + 2 * third}));
+  LiveDatasetOptions packed;
+  packed.pack = true;
+  packed.extent_elements = 2048;
+  auto packer = LiveDataset<uint32_t>::Open(path, packed);
+  OPAQ_CHECK_OK(packer.status());
+  OPAQ_CHECK_OK(packer->Append({data.begin() + 2 * third, data.end()}));
+  return path;
+}
+
+std::string JoinPaths(const std::vector<std::string>& paths) {
+  std::string joined;
+  for (const std::string& path : paths) {
+    joined += (joined.empty() ? "" : "+") + path;
+  }
+  return joined;
+}
+
+template <typename K>
+Source<K> OpenLocal(const std::vector<std::string>& paths) {
+  auto source = Source<K>::Open(paths);
+  OPAQ_CHECK_OK(source.status());
+  return std::move(source).value();
+}
+
+template <typename K>
+std::vector<uint8_t> SketchBytesOf(const Source<K>& source) {
+  auto session = Engine<K>(SmallConfig(), source).Build();
+  OPAQ_CHECK_OK(session.status());
+  MemoryBlockDevice out;
+  OPAQ_CHECK_OK(SaveSampleList(session->sample_list(), &out));
+  auto size = out.Size();
+  OPAQ_CHECK_OK(size.status());
+  std::vector<uint8_t> bytes(*size);
+  OPAQ_CHECK_OK(out.ReadAt(0, bytes.data(), bytes.size()));
+  return bytes;
+}
+
+/// opaq_noded serving `paths` under `flag` (--export or --live): a remote
+/// sketch with node-side compute equals the local sketch of the same files,
+/// and one over streamed runs (compute off) equals `streamed`.
+template <typename K>
+void ExpectNodedMatchesLocal(const std::string& flag,
+                             const std::vector<std::string>& paths,
+                             const std::vector<uint8_t>& streamed) {
+  const std::vector<uint8_t> expected = SketchBytesOf(OpenLocal<K>(paths));
+  std::vector<std::vector<uint8_t>> remote;
+  DaemonRun run = RunDaemonUntilSigterm(
+      OPAQ_NODED_BIN, {flag + "=d=" + JoinPaths(paths), "--port=0"},
+      [&](const std::string& address) {
+        for (bool compute : {true, false}) {
+          NodeClientOptions options;
+          options.node_compute = compute;
+          auto source = Source<K>::OpenRemote(address + "/d", options);
+          OPAQ_CHECK_OK(source.status());
+          remote.push_back(SketchBytesOf(*source));
+        }
+      });
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  ASSERT_EQ(remote.size(), 2u) << run.output;
+  EXPECT_EQ(remote[0], expected) << "node-side compute diverges";
+  EXPECT_EQ(remote[1], streamed) << "streamed runs diverge";
+}
+
+/// opaq_queryd serving `paths` under `flag` (--serve or --watch): every
+/// answer payload equals the local session's over the same files.
+template <typename K>
+void ExpectQuerydMatchesLocal(const std::string& flag,
+                              const std::vector<std::string>& paths) {
+  using Req = QueryRequest<K>;
+  auto local = Engine<K>(SmallConfig(), OpenLocal<K>(paths)).Build();
+  OPAQ_CHECK_OK(local.status());
+  const std::vector<std::vector<Req>> batches = {
+      {Req::Quantile(0.5), Req::Quantile(0.99), Req::EquiQuantiles(10)},
+      {Req::Quantile(0.25, /*exact=*/true), Req::EquiQuantiles(4, true)},
+  };
+  std::vector<std::vector<uint8_t>> remote;
+  DaemonRun run = RunDaemonUntilSigterm(
+      OPAQ_QUERYD_BIN,
+      {flag + "=d=" + JoinPaths(paths), "--port=0", "--run-size=4096",
+       "--samples=64"},
+      [&](const std::string& address) {
+        auto client = QueryClient<K>::Connect("127.0.0.1", PortOf(address),
+                                              "d");
+        OPAQ_CHECK_OK(client.status());
+        for (const std::vector<Req>& batch : batches) {
+          auto payload = client->QueryPayload({batch.data(), batch.size()});
+          OPAQ_CHECK_OK(payload.status());
+          remote.push_back(std::move(payload).value());
+        }
+      });
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  ASSERT_EQ(remote.size(), batches.size()) << run.output;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    auto answers = local->Query({batches[i].data(), batches[i].size()});
+    OPAQ_CHECK_OK(answers.status());
+    auto expected = EncodeQueryResultsPayload(*answers);
+    OPAQ_CHECK_OK(expected.status());
+    EXPECT_EQ(remote[i], *expected) << "batch " << i;
+  }
+}
+
+template <typename K>
+void ExpectEveryLayoutServed() {
+  auto dir = TempDir::Make("daemon_matrix");
+  OPAQ_CHECK_OK(dir.status());
+  const std::vector<K> data = MatrixData<K>();
+  for (const LayoutCase& layout : Layouts()) {
+    SCOPED_TRACE(layout.name + " " + KeyTraits<K>::kName);
+    const std::vector<std::string> paths = WriteLayout(*dir, layout, data);
+    ExpectNodedMatchesLocal<K>("--export", paths,
+                               SketchBytesOf(OpenLocal<K>(paths)));
+    ExpectQuerydMatchesLocal<K>("--serve", paths);
+  }
+}
+
+TEST(DaemonOpenerMatrixTest, EveryLayoutU32) {
+  ExpectEveryLayoutServed<uint32_t>();
+}
+
+TEST(DaemonOpenerMatrixTest, EveryLayoutF64) {
+  ExpectEveryLayoutServed<double>();
+}
+
+TEST(DaemonOpenerMatrixTest, LiveDirectory) {
+  auto dir = TempDir::Make("daemon_live");
+  OPAQ_CHECK_OK(dir.status());
+  const std::string live = WriteLiveDir(*dir);
+  // A live dataset cuts runs per segment; a remote stream of it is one flat
+  // range, so streamed runs sketch like the same elements in memory.
+  ExpectNodedMatchesLocal<uint32_t>(
+      "--live", {live},
+      SketchBytesOf(Source<uint32_t>::FromVector(MatrixData<uint32_t>())));
+  ExpectQuerydMatchesLocal<uint32_t>("--watch", {live});
+  // --serve takes a live directory as well; its refreshes rebuild in full.
+  ExpectQuerydMatchesLocal<uint32_t>("--serve", {live});
+}
+
+TEST(DaemonOpenerMatrixTest, NodedExportOfADirectoryPointsAtLive) {
+  auto dir = TempDir::Make("daemon_live_export");
+  OPAQ_CHECK_OK(dir.status());
+  const std::string live = WriteLiveDir(*dir);
+  DaemonRun run = RunDaemonUntilSigterm(
+      OPAQ_NODED_BIN, {"--export=d=" + live, "--port=0"}, nullptr);
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("--live=NAME=DIR"), std::string::npos)
+      << run.output;
+}
+
+TEST(DaemonOpenerMatrixTest, HostileFilesFailWithStatus) {
+  auto dir = TempDir::Make("daemon_hostile");
+  OPAQ_CHECK_OK(dir.status());
+  const std::string bad_tag = dir->FilePath("tag99.opaq");
+  {
+    auto device =
+        FileBlockDevice::Make(bad_tag, FileBlockDevice::Mode::kCreate);
+    OPAQ_CHECK_OK(device.status());
+    DataFileHeader header;
+    header.key_type = 99;
+    header.element_size = 8;
+    OPAQ_CHECK_OK((*device)->WriteAt(0, &header, sizeof(header)));
+  }
+  const std::string tiny = dir->FilePath("tiny.opaq");
+  {
+    auto device = FileBlockDevice::Make(tiny, FileBlockDevice::Mode::kCreate);
+    OPAQ_CHECK_OK(device.status());
+    OPAQ_CHECK_OK((*device)->WriteAt(0, "abc", 3));
+  }
+  for (const std::string& path : {bad_tag, tiny}) {
+    for (const auto& daemon :
+         std::vector<std::pair<const char*, std::string>>{
+             {OPAQ_NODED_BIN, "--export"}, {OPAQ_QUERYD_BIN, "--serve"}}) {
+      SCOPED_TRACE(std::string(daemon.first) + " " + path);
+      DaemonRun run = RunDaemonUntilSigterm(
+          daemon.first, {daemon.second + "=d=" + path, "--port=0"}, nullptr);
+      EXPECT_EQ(run.exit_code, 1) << run.output;
+      EXPECT_NE(run.output.find(": error: "), std::string::npos)
+          << run.output;
+      EXPECT_EQ(run.output.find("serving on"), std::string::npos)
+          << run.output;
+      if (path == bad_tag) {
+        EXPECT_NE(run.output.find("99"), std::string::npos) << run.output;
+      }
+    }
+  }
 }
 
 }  // namespace
