@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for end-to-end estimator throughput:
 // OPAQ's sample phase vs the streaming baselines, elements/second; plus the
-// §4 exact pass over in-memory runs and the CRC-32 kernel.
+// §4 exact pass over in-memory runs, the CRC-32 kernel and the delta-codec
+// decoder.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "baselines/as95_histogram.h"
@@ -15,6 +17,7 @@
 #include "core/exact.h"
 #include "core/opaq.h"
 #include "data/dataset.h"
+#include "io/codec.h"
 #include "io/run_reader.h"
 #include "util/crc32.h"
 #include "util/random.h"
@@ -152,6 +155,44 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_Crc32);
+
+// Delta-codec decode of one 64Ki-element extent, the unpack step of every
+// delta-compressed read. Arg 0: sorted uniform keys, 1: zipf, 2: uniform.
+// Bytes processed are unpacked bytes.
+template <typename K>
+void BM_DeltaDecode(benchmark::State& state) {
+  static const char* const kNames[] = {"sorted", "zipf", "uniform"};
+  DatasetSpec spec;
+  spec.n = 64 << 10;
+  spec.seed = 11;
+  spec.distribution =
+      state.range(0) == 1 ? Distribution::kZipf : Distribution::kUniform;
+  std::vector<K> keys = GenerateDataset<K>(spec);
+  if (state.range(0) == 0) std::sort(keys.begin(), keys.end());
+  const Codec* codec = GetCodec(ExtentCodec::kDelta);
+  const auto* raw = reinterpret_cast<const uint8_t*>(keys.data());
+  const size_t raw_len = keys.size() * sizeof(K);
+  std::vector<uint8_t> packed;
+  OPAQ_CHECK_OK(codec->Compress(raw, raw_len, sizeof(K), &packed));
+  std::vector<uint8_t> out(raw_len);
+  for (auto _ : state) {
+    const Status s = codec->Decompress(packed.data(), packed.size(),
+                                       sizeof(K), out.data(), out.size());
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(kNames[state.range(0)]);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(raw_len));
+  state.counters["packed_bytes_per_key"] =
+      static_cast<double>(packed.size()) / static_cast<double>(keys.size());
+}
+BENCHMARK_TEMPLATE(BM_DeltaDecode, uint32_t)->DenseRange(0, 2);
+BENCHMARK_TEMPLATE(BM_DeltaDecode, uint64_t)->DenseRange(0, 2);
 
 }  // namespace
 }  // namespace opaq

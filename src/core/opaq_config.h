@@ -41,7 +41,8 @@ struct OpaqConfig {
 
   /// Read-ahead when io_mode == kAsync (ignored for kSync), in the
   /// backend's own unit — runs for a plain file, chunks per stripe for
-  /// striped and extent files, slices or extents for remote sources; see
+  /// striped files, extents in total (spread over the decode lanes) for
+  /// extent files, slices or extents for remote sources; see
   /// `ReadOptions::prefetch_depth`. Validate() requires it in
   /// [1, kMaxPrefetchDepth].
   uint64_t prefetch_depth = 2;

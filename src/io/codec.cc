@@ -79,39 +79,26 @@ class DeltaCodec : public Codec {
   Status Decompress(const uint8_t* data, size_t len, uint32_t element_size,
                     uint8_t* out, size_t out_len) const override {
     OPAQ_RETURN_IF_ERROR(CheckGeometry(out_len, element_size));
-    const uint64_t sign_shift = element_size * 8 - 1;
-    const uint64_t mask =
-        element_size == 8 ? ~uint64_t{0} : (uint64_t{1} << (element_size * 8)) - 1;
-    const size_t max_varint_bytes = (element_size * 8 + 6) / 7;
+    return element_size == 8 ? DecodeWords<uint64_t>(data, len, out, out_len)
+                             : DecodeWords<uint32_t>(data, len, out, out_len);
+  }
+
+ private:
+  /// Decodes the varints of `Word`-wide elements, then unfolds the zigzag
+  /// and undoes the delta (both wrap within the width).
+  template <typename Word>
+  static Status DecodeWords(const uint8_t* data, size_t len, uint8_t* out,
+                            size_t out_len) {
     size_t pos = 0;
-    uint64_t prev = 0;
-    for (size_t i = 0; i < out_len; i += element_size) {
+    Word prev = 0;
+    for (size_t i = 0; i < out_len; i += sizeof(Word)) {
       uint64_t folded = 0;
-      size_t shift = 0, n = 0;
-      while (true) {
-        if (pos >= len) {
-          return Status::IoError("delta extent truncated mid-varint");
-        }
-        const uint8_t byte = data[pos++];
-        folded |= static_cast<uint64_t>(byte & 0x7f) << shift;
-        ++n;
-        if ((byte & 0x80) == 0) break;
-        shift += 7;
-        if (n >= max_varint_bytes) {
-          return Status::IoError("delta extent varint overflows the element "
-                                 "width");
-        }
+      if (!FastVarint<Word>(data, len, &pos, &folded)) {
+        OPAQ_RETURN_IF_ERROR(ByteVarint<Word>(data, len, &pos, &folded));
       }
-      if ((folded & ~mask) != 0) {
-        return Status::IoError("delta extent varint overflows the element "
-                               "width");
-      }
-      // Unfold the zigzag, then undo the delta (both wrap within the width).
-      const uint64_t diff = ((folded >> 1) ^ (0 - (folded & 1))) & mask;
-      const uint64_t v = (prev + diff) & mask;
-      prev = v;
-      std::memcpy(out + i, &v, element_size);
-      (void)sign_shift;
+      const Word f = static_cast<Word>(folded);
+      prev = static_cast<Word>(prev + ((f >> 1) ^ (Word{0} - (f & 1))));
+      std::memcpy(out + i, &prev, sizeof(Word));
     }
     if (pos != len) {
       return Status::IoError("delta extent has " + std::to_string(len - pos) +
@@ -120,7 +107,73 @@ class DeltaCodec : public Codec {
     return Status::OK();
   }
 
- private:
+  /// The common case with no per-byte branch: loads 8 bytes, finds the
+  /// varint's last byte as the lowest clear continuation bit, and packs its
+  /// 7-bit groups together in three mask-and-shift steps. Returns false,
+  /// consuming nothing, for anything irregular — fewer than 8 bytes left,
+  /// no terminator among them, more bytes than the width allows, or bits
+  /// above the width — which `ByteVarint` then decodes or rejects.
+  template <typename Word>
+  static bool FastVarint(const uint8_t* data, size_t len, size_t* pos,
+                         uint64_t* folded) {
+    if (len - *pos < 8) return false;
+    const uint8_t* p = data + *pos;
+    const uint64_t word =
+        uint64_t{p[0]} | uint64_t{p[1]} << 8 | uint64_t{p[2]} << 16 |
+        uint64_t{p[3]} << 24 | uint64_t{p[4]} << 32 | uint64_t{p[5]} << 40 |
+        uint64_t{p[6]} << 48 | uint64_t{p[7]} << 56;
+    const uint64_t stops = ~word & 0x8080808080808080u;
+    if (stops == 0) return false;
+    const size_t bytes = static_cast<size_t>(__builtin_ctzll(stops) / 8 + 1);
+    if (bytes > MaxVarintBytes<Word>()) return false;
+    // The varint's bytes (up to the terminator's top bit); the masks below
+    // keep only their 7-bit groups.
+    uint64_t v = word & (stops ^ (stops - 1));
+    v = (v & 0x007f007f007f007fu) | ((v & 0x7f007f007f007f00u) >> 1);
+    v = (v & 0x00003fff00003fffu) | ((v & 0x3fff00003fff0000u) >> 2);
+    v = (v & 0x000000000fffffffu) | ((v & 0x0fffffff00000000u) >> 4);
+    if constexpr (sizeof(Word) < 8) {
+      if ((v >> (sizeof(Word) * 8)) != 0) return false;
+    }
+    *pos += bytes;
+    *folded = v;
+    return true;
+  }
+
+  /// Decodes one LEB128 varint a byte at a time: the fallback for whatever
+  /// `FastVarint` declines, and the only path that reports a malformed one.
+  template <typename Word>
+  static Status ByteVarint(const uint8_t* data, size_t len, size_t* pos,
+                           uint64_t* folded) {
+    constexpr uint32_t kBits = sizeof(Word) * 8;
+    uint64_t value = 0;
+    uint32_t shift = 0;
+    for (size_t n = 1;; ++n, shift += 7) {
+      if (*pos >= len) {
+        return Status::IoError("delta extent truncated mid-varint");
+      }
+      const uint8_t byte = data[(*pos)++];
+      const uint64_t group = byte & 0x7f;
+      const bool last = n == MaxVarintBytes<Word>();
+      // Only the last allowed byte can reach past the width.
+      if (last && (group >> (kBits - shift)) != 0) return Overflow();
+      value |= group << shift;
+      if ((byte & 0x80) == 0) break;
+      if (last) return Overflow();
+    }
+    *folded = value;
+    return Status::OK();
+  }
+
+  template <typename Word>
+  static constexpr size_t MaxVarintBytes() {
+    return (sizeof(Word) * 8 + 6) / 7;
+  }
+
+  static Status Overflow() {
+    return Status::IoError("delta extent varint overflows the element width");
+  }
+
   static Status CheckGeometry(size_t len, uint32_t element_size) {
     if (element_size != 4 && element_size != 8) {
       return Status::InvalidArgument(

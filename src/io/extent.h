@@ -15,6 +15,7 @@
 #include "io/extent_stats.h"
 #include "io/io_mode.h"
 #include "io/run_reader.h"
+#include "parallel/worker_pool.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -38,8 +39,10 @@ namespace opaq {
 /// every later read, so a corrupt directory cannot become an allocation
 /// bomb), and each extent header pins its own codec, lengths, logical index
 /// and payload CRC (validated on every read). Because extents compress
-/// independently, decode parallelizes per extent and rides the existing
-/// prefetch threads — the sampling thread only ever touches decoded runs.
+/// independently, any decode lane can read and decode any extent of any
+/// stripe, so decode spreads over as many lane threads as the read-ahead
+/// budget and the cores allow (`ExtentDecodeGrid`) — the sampling thread
+/// only ever touches decoded runs.
 
 /// Fixed 64-byte header at offset 0 of EVERY stripe of an extent file.
 struct ExtentFileHeader {
@@ -159,7 +162,7 @@ class ExtentWriter {
 /// per-stripe directories. Read-only; devices are borrowed and must outlive
 /// the file. Thread-safe after Open — readers only call const methods, and
 /// the unpack counters are atomics — which is what lets one `ExtentFile`
-/// feed a reader thread per stripe.
+/// feed several decode lane threads at once.
 class ExtentFile {
  public:
   /// Opens and fully validates: every stripe header (magic, version,
@@ -262,9 +265,10 @@ Status DecodeExtentSlice(uint64_t extent_start, uint64_t extent_len,
   return Status::OK();
 }
 
-/// The extent backend's lane: reads, validates and decodes extent `e`, so
-/// under `IoMode::kAsync` the payload CRC check and the codec work both run
-/// on the stripe's lane thread, off the sampling thread.
+/// The extent backend's lane: reads, validates and decodes extent `e`, from
+/// whichever stripe holds it, so under `IoMode::kAsync` the payload CRC
+/// check and the codec work both run on a lane thread, off the sampling
+/// thread.
 template <typename K>
 class ExtentDecodeLane : public ChunkLane<K> {
  public:
@@ -286,12 +290,32 @@ class ExtentDecodeLane : public ChunkLane<K> {
   std::vector<K> extent_buf_;     // a whole decoded extent, for clipped ones
 };
 
+/// The decode lanes of an extent read under `IoMode::kAsync`: the extent is
+/// the chunk, and extent e goes to lane e mod D with
+/// D = max(stripes, min(prefetch_depth + 1, cores)). The `prefetch_depth + 1`
+/// extents of read-ahead are spread over the lanes, not granted to each:
+/// every lane holds `max(1, (prefetch_depth + 1) / D)`, so at most
+/// `max(D, prefetch_depth + 1)` decoded extents wait for the consumer.
+/// At least one lane per stripe keeps every disk of an array busy; more
+/// lanes put the spare cores on a file with fewer stripes.
+inline ChunkGrid ExtentDecodeGrid(const ExtentFile& file,
+                                  const ReadOptions& options) {
+  const uint64_t budget = options.prefetch_depth + 1;
+  ChunkGrid grid;
+  grid.chunk = file.extent_elements();
+  grid.lanes = static_cast<uint32_t>(std::max<uint64_t>(
+      file.num_stripes(),
+      std::min<uint64_t>(budget, WorkerPool::HardwareWidth())));
+  grid.lane_depth = std::max<uint64_t>(1, budget / grid.lanes);
+  return grid;
+}
+
 /// The compressed storage backend as a `RunProvider`: a `ChunkPipeline`
-/// with the extent as the chunk and one lane per stripe — under
-/// `IoMode::kAsync` one read+decode thread per stripe, under `IoMode::kSync`
-/// inline decode. Like every other backend it delivers the exact logical
-/// run order, so sketches are byte-identical to the uncompressed backends —
-/// that is the conformance contract compression must not bend.
+/// over the lanes of `ExtentDecodeGrid` — under `IoMode::kAsync` one
+/// read+decode thread per lane, under `IoMode::kSync` inline decode. Like
+/// every other backend it delivers the exact logical run order, whatever
+/// the lane count, so sketches are byte-identical to the uncompressed
+/// backends — that is the conformance contract compression must not bend.
 template <typename K>
 class ExtentFileProvider : public RunProvider<K> {
  public:
@@ -309,12 +333,9 @@ class ExtentFileProvider : public RunProvider<K> {
   std::unique_ptr<RunSource<K>> OpenRuns(
       const ReadOptions& options, uint64_t first = 0,
       uint64_t count = UINT64_MAX) const override {
-    ChunkGrid grid;
-    grid.chunk = file_->extent_elements();
-    grid.lanes = file_->num_stripes();
-    grid.lane_depth = options.prefetch_depth + 1;
     return std::make_unique<ChunkPipeline<K>>(
-        file_->size(), first, count, grid, options,
+        file_->size(), first, count, ExtentDecodeGrid(*file_, options),
+        options,
         LanesOf<K, ExtentDecodeLane<K>>(file_, options.verify_checksums));
   }
 

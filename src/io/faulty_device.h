@@ -1,6 +1,7 @@
 #ifndef OPAQ_IO_FAULTY_DEVICE_H_
 #define OPAQ_IO_FAULTY_DEVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -9,10 +10,14 @@
 namespace opaq {
 
 /// Fault-injection wrapper for tests: fails the k-th read and/or write
-/// request with a configurable status. Lets the suites verify that I/O
-/// errors surface cleanly (as Status, never as crashes or silent
-/// truncation) through every layer — run readers, sketches, second passes,
-/// and the parallel pipeline.
+/// request, or the read that covers a chosen byte, with a configurable
+/// status. Lets the suites verify that I/O errors surface cleanly (as
+/// Status, never as crashes or silent truncation) through every layer —
+/// run readers, sketches, second passes, and the parallel pipeline.
+///
+/// Safe for concurrent `ReadAt` calls from several reader threads. Read
+/// ordinals then depend on thread timing, so a test that must kill one
+/// particular extent or chunk keys the fault to its byte offset instead.
 class FaultyDevice : public BlockDevice {
  public:
   struct Options {
@@ -35,8 +40,13 @@ class FaultyDevice : public BlockDevice {
       : inner_(std::move(inner)), options_(options) {}
 
   Status ReadAt(uint64_t offset, void* buffer, size_t length) override {
-    ++reads_;
-    if (options_.fail_read_at != 0 && reads_ == options_.fail_read_at) {
+    const uint64_t ordinal = ++reads_;
+    if (options_.fail_read_at != 0 && ordinal == options_.fail_read_at) {
+      return Status(options_.code, "injected read failure");
+    }
+    if (fail_read_covering_ != kNever && offset <= fail_read_covering_ &&
+        fail_read_covering_ - offset < length &&
+        !covering_fired_.exchange(true)) {
       return Status(options_.code, "injected read failure");
     }
     if (options_.truncate_after_bytes != 0 &&
@@ -50,8 +60,8 @@ class FaultyDevice : public BlockDevice {
 
   Status WriteAt(uint64_t offset, const void* buffer,
                  size_t length) override {
-    ++writes_;
-    if (options_.fail_write_at != 0 && writes_ == options_.fail_write_at) {
+    const uint64_t ordinal = ++writes_;
+    if (options_.fail_write_at != 0 && ordinal == options_.fail_write_at) {
       return Status(options_.code, "injected write failure");
     }
     Status s = inner_->WriteAt(offset, buffer, length);
@@ -76,15 +86,27 @@ class FaultyDevice : public BlockDevice {
     options_.truncate_after_bytes = bytes;
   }
 
+  /// Arms a one-shot fault: the first later read whose byte range covers
+  /// byte `victim` fails; reads after it succeed again. Call before any
+  /// reader thread starts.
+  void set_fail_read_covering(uint64_t victim) {
+    fail_read_covering_ = victim;
+    covering_fired_ = false;
+  }
+
   uint64_t reads_attempted() const { return reads_; }
   uint64_t writes_attempted() const { return writes_; }
   BlockDevice* inner() { return inner_.get(); }
 
  private:
+  static constexpr uint64_t kNever = UINT64_MAX;
+
   std::unique_ptr<BlockDevice> inner_;
   Options options_;
-  uint64_t reads_ = 0;
-  uint64_t writes_ = 0;
+  std::atomic<uint64_t> reads_{0};
+  std::atomic<uint64_t> writes_{0};
+  uint64_t fail_read_covering_ = kNever;
+  std::atomic<bool> covering_fired_{false};
 };
 
 }  // namespace opaq

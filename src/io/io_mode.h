@@ -51,16 +51,20 @@ struct ReadOptions {
   /// kSync produces every chunk inline on the consumer's thread; kAsync
   /// gives each reader lane of the backend's `ChunkPipeline` its own thread
   /// (one lane for a plain file or a remote source, one per stripe for
-  /// striped and extent files).
+  /// striped files, D decode lanes for extent files — see below).
   IoMode io_mode = IoMode::kSync;
   /// Read-ahead under kAsync, in [1, kMaxPrefetchDepth]; ignored under
   /// kSync. The unit is the backend's own chunk:
   ///  - plain file: runs. The lane and the consumer share a ring of
   ///    `prefetch_depth` run buffers, so peak reader memory is
   ///    `(prefetch_depth + 1) * run_size` elements with the consumer's own;
-  ///  - striped and extent files: chunks (stripe chunks or extents) per
-  ///    stripe. Each stripe's lane may queue `prefetch_depth` of them plus
-  ///    the one it is handing over;
+  ///  - striped files: stripe chunks per stripe. Each stripe's lane may
+  ///    queue `prefetch_depth` of them plus the one it is handing over;
+  ///  - extent files: extents, in total rather than per stripe.
+  ///    `prefetch_depth + 1` extents are spread over D = max(stripes,
+  ///    min(prefetch_depth + 1, cores)) decode lanes, at least one each, so
+  ///    at most max(D, prefetch_depth + 1) decoded extents wait
+  ///    (`ExtentDecodeGrid` in io/extent.h);
   ///  - remote sources: slices or extents. `prefetch_depth` requests stay in
   ///    flight on the wire, and as many received ones queue (plus the one
   ///    being handed over).

@@ -2,7 +2,9 @@
 #define OPAQ_IO_THROTTLED_DEVICE_H_
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>
 
 #include "io/block_device.h"
 
@@ -33,7 +35,10 @@ struct DiskModel {
 ///
 /// Two modes:
 ///  - kSleep: physically delays the calling thread until the modeled time has
-///    elapsed (wall-clock experiments, Tables 11–12 / Figures 4–6).
+///    elapsed (wall-clock experiments, Tables 11–12 / Figures 4–6). The
+///    device serves one request at a time, like one disk: a request that
+///    arrives while another is in service waits for it, so several reader
+///    threads on one device share its bandwidth instead of multiplying it.
 ///  - kAccount: no delay; modeled seconds accumulate in `modeled_seconds()`
 ///    (fast tests that still want the model's numbers).
 class ThrottledDevice : public BlockDevice {
@@ -58,12 +63,18 @@ class ThrottledDevice : public BlockDevice {
   const DiskModel& model() const { return model_; }
 
  private:
-  void Charge(size_t bytes, double already_spent_seconds);
+  using Clock = std::chrono::steady_clock;
+
+  /// Charges a request that arrived at `arrived`; under kSleep, returns once
+  /// the device has finished serving it.
+  void Charge(size_t bytes, Clock::time_point arrived);
 
   std::unique_ptr<BlockDevice> inner_;
   DiskModel model_;
   Mode mode_;
   std::atomic<uint64_t> modeled_micros_{0};
+  std::mutex mutex_;
+  Clock::time_point busy_until_;  // guarded by mutex_: end of the last service
 };
 
 }  // namespace opaq

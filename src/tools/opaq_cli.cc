@@ -153,8 +153,8 @@ std::vector<FlagSpec> IoFlags() {
        "sync = alternate read/compute; async = prefetch on background "
        "thread(s)"},
       {"prefetch-depth", "2", "OpaqConfig::prefetch_depth",
-       "prefetch buffers (runs, or chunks per stripe) in flight under "
-       "async",
+       "prefetch buffers (runs, chunks per stripe, or extents) in flight "
+       "under async",
        false, FlagType::kInt},
       {"run-size", "1048576", "OpaqConfig::run_size",
        "elements per run (m): how many keys are memory-resident at once",

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <fstream>
@@ -16,8 +17,13 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/exact.h"
+#include "core/opaq.h"
+#include "core/sketch_io.h"
+#include "data/dataset.h"
 #include "io/block_device.h"
 #include "io/codec.h"
 #include "io/extent.h"
@@ -26,6 +32,7 @@
 #include "io/tempdir.h"
 #include "opaq/source.h"
 #include "util/crc32.h"
+#include "util/random.h"
 
 namespace opaq {
 namespace {
@@ -727,8 +734,361 @@ TEST(ExtentHostileTest, AbandonedThreadedReaderJoinsCleanly) {
   std::vector<Key> run;
   auto more = source->NextRun(&run);
   ASSERT_TRUE(more.ok());
-  // Destructor must close channels and join all stripe threads without
+  // Destructor must close channels and join all lane threads without
   // draining the stream (no hang, no leak — TSan/ASan watch this).
+}
+
+// ------------------------------------------------- delta codec ----
+
+// `DeltaCodec::Decompress` decodes most varints from one 8-byte load and
+// falls back to a byte loop for anything irregular. These rows hold it to a
+// plain byte-at-a-time decoder on valid and hostile payloads alike.
+
+/// Byte-at-a-time reference for the delta codec's decode: LEB128 varints of
+/// zigzag-folded deltas, all within `width` bytes, with the codec's errors.
+Status ReferenceDeltaDecode(const std::vector<uint8_t>& packed,
+                            uint32_t width, std::vector<uint8_t>* out) {
+  const uint32_t bits = width * 8;
+  const uint64_t mask = width == 8 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+  const Status overflow =
+      Status::IoError("delta extent varint overflows the element width");
+  size_t pos = 0;
+  uint64_t prev = 0;
+  for (size_t i = 0; i < out->size(); i += width) {
+    uint64_t folded = 0;
+    for (uint32_t shift = 0;; shift += 7) {
+      if (shift >= bits) return overflow;  // a byte past the widest varint
+      if (pos == packed.size()) {
+        return Status::IoError("delta extent truncated mid-varint");
+      }
+      const uint8_t byte = packed[pos++];
+      const uint64_t group = byte & 0x7f;
+      if (shift + 7 > bits && (group >> (bits - shift)) != 0) return overflow;
+      folded |= group << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+    const uint64_t diff = ((folded >> 1) ^ (0 - (folded & 1))) & mask;
+    prev = (prev + diff) & mask;
+    std::memcpy(out->data() + i, &prev, width);
+  }
+  if (pos != packed.size()) {
+    return Status::IoError("delta extent has " +
+                           std::to_string(packed.size() - pos) +
+                           " trailing bytes after the last element");
+  }
+  return Status::OK();
+}
+
+/// LEB128 bytes of `value`.
+std::vector<uint8_t> Varint(uint64_t value) {
+  std::vector<uint8_t> out;
+  do {
+    const uint8_t byte = value & 0x7f;
+    value >>= 7;
+    out.push_back(value != 0 ? byte | 0x80 : byte);
+  } while (value != 0);
+  return out;
+}
+
+/// Decodes `packed` as `elements` words of `width` bytes with the codec and
+/// with the reference: same status code and message, same output bytes
+/// (on failure too: both stop after the same elements).
+void ExpectDecodeMatchesReference(const std::vector<uint8_t>& packed,
+                                  uint32_t width, size_t elements,
+                                  const std::string& what) {
+  SCOPED_TRACE(what + " width=" + std::to_string(width) + " packed=" +
+               std::to_string(packed.size()) + " elements=" +
+               std::to_string(elements));
+  std::vector<uint8_t> expected(elements * width, 0xa5);
+  std::vector<uint8_t> actual = expected;
+  const Status want = ReferenceDeltaDecode(packed, width, &expected);
+  const Status got = GetCodec(ExtentCodec::kDelta)
+                         ->Decompress(packed.data(), packed.size(), width,
+                                      actual.data(), actual.size());
+  EXPECT_EQ(got.code(), want.code());
+  EXPECT_EQ(got.message(), want.message());
+  EXPECT_EQ(actual, expected);
+}
+
+/// Folded deltas of every varint length the width allows, in random order:
+/// `per_length` of each, random within its length's value range.
+std::vector<uint64_t> FoldedOfEveryLength(uint32_t width, int per_length,
+                                          uint64_t seed) {
+  const uint32_t bits = width * 8;
+  Xoshiro256 rng(seed);
+  std::vector<uint64_t> folded;
+  for (uint32_t len = 1; 7 * (len - 1) < bits; ++len) {
+    const uint32_t lo_bit = 7 * (len - 1);
+    const uint32_t hi_bit = std::min(7 * len, bits);  // exclusive
+    for (int k = 0; k < per_length; ++k) {
+      uint64_t v = rng.Next();
+      if (hi_bit < 64) v &= (uint64_t{1} << hi_bit) - 1;
+      if (len > 1) v |= uint64_t{1} << lo_bit;
+      folded.push_back(v);
+    }
+  }
+  for (size_t i = folded.size(); i > 1; --i) {
+    std::swap(folded[i - 1], folded[rng.NextBounded(i)]);
+  }
+  return folded;
+}
+
+std::vector<uint8_t> Concat(const std::vector<uint64_t>& folded) {
+  std::vector<uint8_t> out;
+  for (uint64_t v : folded) {
+    const std::vector<uint8_t> bytes = Varint(v);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
+TEST(DeltaCodecTest, RandomStreamsOfEveryVarintLengthMatchTheReference) {
+  for (uint32_t width : {4u, 8u}) {
+    const size_t max_len = (width * 8 + 6) / 7;
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::vector<uint64_t> folded =
+          FoldedOfEveryLength(width, 50, seed);
+      const std::vector<uint8_t> packed = Concat(folded);
+      std::vector<size_t> lengths(max_len + 1, 0);
+      for (uint64_t v : folded) ++lengths[Varint(v).size()];
+      for (size_t len = 1; len <= max_len; ++len) {
+        ASSERT_EQ(lengths[len], 50u) << "length " << len;
+      }
+      ExpectDecodeMatchesReference(packed, width, folded.size(),
+                                   "seed " + std::to_string(seed));
+      std::vector<uint8_t> out(folded.size() * width);
+      EXPECT_TRUE(GetCodec(ExtentCodec::kDelta)
+                      ->Decompress(packed.data(), packed.size(), width,
+                                   out.data(), out.size())
+                      .ok());
+    }
+  }
+}
+
+TEST(DeltaCodecTest, CompressRoundTripsEveryWidthAndDistribution) {
+  const Codec* codec = GetCodec(ExtentCodec::kDelta);
+  for (Distribution dist : {Distribution::kUniform, Distribution::kZipf}) {
+    DatasetSpec spec;
+    spec.n = 5000;
+    spec.distribution = dist;
+    std::vector<uint64_t> wide = GenerateDataset<uint64_t>(spec);
+    std::vector<uint32_t> narrow = GenerateDataset<uint32_t>(spec);
+    for (bool sorted : {false, true}) {
+      if (sorted) {
+        std::sort(wide.begin(), wide.end());
+        std::sort(narrow.begin(), narrow.end());
+      }
+      const auto check = [&](const uint8_t* raw, size_t len, uint32_t width) {
+        std::vector<uint8_t> packed;
+        ASSERT_TRUE(codec->Compress(raw, len, width, &packed).ok());
+        std::vector<uint8_t> out(len);
+        ASSERT_TRUE(
+            codec->Decompress(packed.data(), packed.size(), width, out.data(),
+                              out.size())
+                .ok());
+        EXPECT_EQ(0, std::memcmp(out.data(), raw, len));
+        ExpectDecodeMatchesReference(packed, width, len / width,
+                                     sorted ? "sorted" : "shuffled");
+      };
+      check(reinterpret_cast<const uint8_t*>(wide.data()),
+            wide.size() * sizeof(uint64_t), 8);
+      check(reinterpret_cast<const uint8_t*>(narrow.data()),
+            narrow.size() * sizeof(uint32_t), 4);
+    }
+  }
+}
+
+TEST(DeltaCodecTest, EveryLengthAtEveryOffsetNearTheEnd) {
+  // One varint of each length, after `before` and followed by `after`
+  // one-byte varints: with the payload's last 8 bytes in view, it starts
+  // at every offset where it still fits.
+  for (uint32_t width : {4u, 8u}) {
+    const std::vector<uint64_t> folded = FoldedOfEveryLength(width, 1, 7);
+    for (uint64_t v : folded) {
+      for (size_t before = 0; before <= 9; ++before) {
+        for (size_t after = 0; after <= 9; ++after) {
+          std::vector<uint64_t> stream(before, 3);
+          stream.push_back(v);
+          stream.insert(stream.end(), after, 0x7f);
+          ExpectDecodeMatchesReference(
+              Concat(stream), width, stream.size(),
+              "length " + std::to_string(Varint(v).size()) + " before " +
+                  std::to_string(before) + " after " + std::to_string(after));
+        }
+      }
+    }
+  }
+}
+
+TEST(DeltaCodecTest, TruncationAtEveryByte) {
+  for (uint32_t width : {4u, 8u}) {
+    const std::vector<uint64_t> folded = FoldedOfEveryLength(width, 3, 11);
+    const std::vector<uint8_t> packed = Concat(folded);
+    for (size_t cut = 0; cut < packed.size(); ++cut) {
+      ExpectDecodeMatchesReference(
+          std::vector<uint8_t>(packed.begin(), packed.begin() + cut), width,
+          folded.size(), "cut at " + std::to_string(cut));
+    }
+  }
+}
+
+TEST(DeltaCodecTest, HostileVarints) {
+  for (uint32_t width : {4u, 8u}) {
+    const size_t max_len = (width * 8 + 6) / 7;
+    // Runs of continuation bytes only, short and long.
+    for (size_t n = 1; n <= 24; ++n) {
+      const std::vector<uint8_t> run(n, 0x80);
+      ExpectDecodeMatchesReference(run, width, 1, "0x80 x" + std::to_string(n));
+      ExpectDecodeMatchesReference(run, width, 4, "0x80 x" + std::to_string(n));
+    }
+    // Every value of the widest varint's last byte: bits above the width
+    // (>= 0x10 at width 4, >= 0x02 at width 8) overflow. First with room
+    // for a whole 8-byte load behind it, then as the payload's last bytes.
+    for (uint32_t last = 0; last < 0x100; ++last) {
+      std::vector<uint8_t> widest(max_len - 1, 0x80);
+      widest.push_back(static_cast<uint8_t>(last));
+      std::vector<uint8_t> padded = widest;
+      padded.insert(padded.end(), 8, 0x01);
+      const std::string what = "last byte " + std::to_string(last);
+      ExpectDecodeMatchesReference(widest, width, 1, what);
+      ExpectDecodeMatchesReference(padded, width, 9, what + " padded");
+    }
+    // Over-long varints: one to four bytes past the widest, each ending in
+    // a terminator, alone and ahead of more elements.
+    for (size_t extra = 1; extra <= 4; ++extra) {
+      std::vector<uint8_t> longer(max_len - 1 + extra, 0x81);
+      longer.push_back(0x00);
+      std::vector<uint8_t> padded = longer;
+      padded.insert(padded.end(), 8, 0x02);
+      const std::string what = "over-long by " + std::to_string(extra);
+      ExpectDecodeMatchesReference(longer, width, 1, what);
+      ExpectDecodeMatchesReference(padded, width, 9, what + " padded");
+    }
+    // Trailing bytes after the last element.
+    const std::vector<uint64_t> folded = FoldedOfEveryLength(width, 2, 13);
+    for (size_t extra = 1; extra <= 10; ++extra) {
+      std::vector<uint8_t> packed = Concat(folded);
+      packed.insert(packed.end(), extra, 0x05);
+      ExpectDecodeMatchesReference(packed, width, folded.size(),
+                                   std::to_string(extra) + " trailing");
+    }
+  }
+}
+
+// -------------------------------------------------- lane geometry ----
+
+/// A delta extent file of zipf keys over `stripes` memory devices.
+struct ZipfExtents {
+  std::vector<Key> data;
+  std::unique_ptr<MemoryExtents> stripes;
+  Result<ExtentFile> file = Status::Internal("unset");
+
+  ZipfExtents(uint64_t n, int stripe_count, uint64_t extent_elements) {
+    DatasetSpec spec;
+    spec.n = n;
+    spec.distribution = Distribution::kZipf;
+    spec.seed = 17;
+    data = GenerateDataset<Key>(spec);
+    ExtentWriterOptions options;
+    options.extent_elements = extent_elements;
+    options.codec = ExtentCodec::kDelta;
+    stripes = std::make_unique<MemoryExtents>(data, stripe_count, options);
+    OPAQ_CHECK_OK(stripes->write_stats.status());
+    file = ExtentFile::Open(stripes->raw());
+    OPAQ_CHECK_OK(file.status());
+  }
+};
+
+std::vector<uint8_t> SketchBytes(const ExtentFile& file, uint64_t run_size,
+                                 IoMode mode, uint64_t depth) {
+  OpaqConfig config;
+  config.run_size = run_size;
+  config.samples_per_run = 50;
+  config.io_mode = mode;
+  config.prefetch_depth = depth;
+  OpaqSketch<Key> sketch(config);
+  OPAQ_CHECK_OK(sketch.Consume(ExtentFileProvider<Key>(&file)));
+  MemoryBlockDevice out;
+  OPAQ_CHECK_OK(SaveSampleList(sketch.FinalizeSampleList(), &out));
+  return DeviceBytes(&out);
+}
+
+TEST(ExtentLaneGeometryTest, EveryLaneCountGivesTheSyncSketchAndTrueAnswers) {
+  // Decode lanes D = max(stripes, min(depth + 1, cores)): with 1 and 2
+  // stripes D exceeds the stripe count (on any machine with 2+ cores), with
+  // 5 it equals it, and it is never below it. Runs (700) straddle extents
+  // (500), so chunks are spliced across lanes.
+  constexpr uint64_t kRun = 700;
+  for (int stripes : {1, 2, 5}) {
+    ZipfExtents extents(20000, stripes, 500);
+    const ExtentFile& file = *extents.file;
+    std::vector<Key> sorted = extents.data;
+    std::sort(sorted.begin(), sorted.end());
+    const std::vector<uint8_t> sync_bytes =
+        SketchBytes(file, kRun, IoMode::kSync, 2);
+    OpaqConfig config;
+    config.run_size = kRun;
+    config.samples_per_run = 50;
+    OpaqSketch<Key> sketch(config);
+    ASSERT_TRUE(sketch.Consume(ExtentFileProvider<Key>(&file)).ok());
+    const auto estimates = sketch.Finalize().EquiQuantiles(10);
+    for (uint64_t depth : {1u, 2u, 8u}) {
+      SCOPED_TRACE("stripes " + std::to_string(stripes) + " depth " +
+                   std::to_string(depth));
+      const ReadOptions options{kRun, IoMode::kAsync, depth, true};
+      const ChunkGrid grid = ExtentDecodeGrid(file, options);
+      EXPECT_GE(grid.lanes, static_cast<uint32_t>(stripes));
+      EXPECT_LE(grid.lanes * grid.lane_depth,
+                std::max<uint64_t>(grid.lanes, depth + 1));
+      EXPECT_EQ(SketchBytes(file, kRun, IoMode::kAsync, depth), sync_bytes);
+      auto exact = ExactQuantilesSecondPass(ExtentFileProvider<Key>(&file),
+                                            estimates, options);
+      ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+      ASSERT_EQ(exact->size(), estimates.size());
+      for (size_t i = 0; i < estimates.size(); ++i) {
+        EXPECT_EQ((*exact)[i], sorted[estimates[i].target_rank - 1])
+            << "quantile " << i;
+      }
+    }
+  }
+}
+
+TEST(ExtentLaneGeometryTest, ReadAheadStaysWithinTheBudget) {
+  // Extents decoded but not yet consumed never exceed max(D, depth + 1):
+  // the budget is spread over the lanes, not granted to each. With no
+  // consumer the lanes fill exactly their share and stop; after each
+  // consumed run they top it up by one.
+  for (int stripes : {1, 2, 5}) {
+    for (uint64_t depth : {1u, 2u, 8u}) {
+      SCOPED_TRACE("stripes " + std::to_string(stripes) + " depth " +
+                   std::to_string(depth));
+      ZipfExtents extents(40 * 100, stripes, 100);
+      const ExtentFile& file = *extents.file;
+      const ReadOptions options{100, IoMode::kAsync, depth, true};
+      const ChunkGrid grid = ExtentDecodeGrid(file, options);
+      const uint64_t ahead = grid.lanes * grid.lane_depth;
+      ASSERT_LE(ahead, std::max<uint64_t>(grid.lanes, depth + 1));
+      const uint64_t before = file.stats().Snapshot().extents;
+      const auto decoded = [&] {
+        return file.stats().Snapshot().extents - before;
+      };
+      auto source = ExtentFileProvider<Key>(&file).OpenRuns(options);
+      std::vector<Key> run;
+      for (uint64_t consumed = 0; consumed < 6; ++consumed) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (decoded() < consumed + ahead &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        EXPECT_EQ(decoded(), consumed + ahead) << "after " << consumed;
+        auto more = source->NextRun(&run);
+        ASSERT_TRUE(more.ok()) << more.status().ToString();
+        ASSERT_TRUE(*more);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ facade ----

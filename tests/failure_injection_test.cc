@@ -500,12 +500,25 @@ TEST(FailureInjectionTest, ParallelRunFailsCleanlyWhenOneStripeDies) {
 
 // ---------------------------------------------- Compressed extents --
 
+// Byte offset of extent `e`'s stored header on its stripe: the stripe's
+// file header, then the stripe's earlier extents in ascending order. Only
+// the read of extent `e` itself covers it, so a fault keyed to it kills that
+// extent whichever decode lane reads it and whenever.
+uint64_t StoredExtentOffset(const ExtentFile& file, uint64_t e) {
+  uint64_t offset = sizeof(ExtentFileHeader);
+  for (uint64_t k = e % file.num_stripes(); k < e; k += file.num_stripes()) {
+    offset += file.StoredExtentBytes(k);
+  }
+  return offset;
+}
+
 // A compressed extent file striped over 3 devices with stripe 1 wrapped in
 // a FaultyDevice — one disk of a compressed array dying while the others
 // stay healthy. extent_elements == run_size, so logical extent e IS run e
 // and lives on stripe e % 3. Open costs each stripe exactly 3 reads
-// (header, directory, directory CRC) and every extent exactly 1, so
-// failing stripe 1's read #k kills extent (run) 1 + 3*(k - 4).
+// (header, directory, directory CRC), so failing read #k <= 3 fails Open.
+// Extent reads run on several decode lanes, so their order on a device is
+// not fixed: `FailExtent` keys the fault to the extent's stored offset.
 struct FaultyExtentFixture {
   static constexpr uint64_t kRunSize = 500;
   static constexpr int kStripes = 3;
@@ -544,6 +557,12 @@ struct FaultyExtentFixture {
     for (auto& device : devices) opened.push_back(device.get());
     file = ExtentFile::Open(opened);
   }
+
+  // Arms stripe 1 to fail the read of extent `e` (e % 3 == 1).
+  void FailExtent(uint64_t e) {
+    OPAQ_CHECK_EQ(e % kStripes, 1u);
+    faulty->set_fail_read_covering(StoredExtentOffset(*file, e));
+  }
 };
 
 TEST(FailureInjectionTest, ExtentOpenFailsWhenStripeHeaderDies) {
@@ -564,14 +583,15 @@ TEST(FailureInjectionTest, ExtentOpenFailsWhenDirectoryReadDies) {
 }
 
 TEST(FailureInjectionTest, ExtentConsumeSurfacesStripeDeath) {
-  // Kill stripe 1 on its second data extent (read #5 = extent 4): exactly
-  // runs 0-3 must be consumed, the error surfaces as a clean Status from
-  // Consume, and every decode thread is joined by then (asan/tsan gate
-  // leaks) — at every prefetch depth, threaded and inline.
+  // Kill stripe 1 on its second data extent (extent 4): exactly runs 0-3
+  // must be consumed, the error surfaces as a clean Status from Consume,
+  // and every decode thread is joined by then (asan/tsan gate leaks) — at
+  // every prefetch depth, threaded and inline.
   for (IoMode io_mode : {IoMode::kSync, IoMode::kAsync}) {
     for (uint64_t depth : {1u, 2u, 8u}) {
-      FaultyExtentFixture f(6000, FailReadAt(5));
+      FaultyExtentFixture f(6000, {});
       ASSERT_TRUE(f.file.ok()) << f.file.status().ToString();
+      f.FailExtent(4);
       OpaqConfig config;
       config.run_size = FaultyExtentFixture::kRunSize;
       config.samples_per_run = 100;
@@ -596,8 +616,9 @@ TEST(FailureInjectionTest, ExtentReaderKeepsReportingErrorAfterFailure) {
   // Both decoding modes must latch a mid-extent device error: a retried
   // NextRun must not silently resume the packed stream.
   for (IoMode mode : {IoMode::kAsync, IoMode::kSync}) {
-    FaultyExtentFixture f(6000, FailReadAt(4));  // stripe 1's 1st extent
+    FaultyExtentFixture f(6000, {});
     ASSERT_TRUE(f.file.ok()) << f.file.status().ToString();
+    f.FailExtent(1);  // stripe 1's 1st extent
     auto source = OpenRuns(ExtentFileProvider<uint64_t>(&*f.file),
                            FaultyExtentFixture::kRunSize, mode, 2);
     std::vector<uint64_t> buffer;
@@ -619,8 +640,9 @@ TEST(FailureInjectionTest, ExtentReaderKeepsReportingErrorAfterFailure) {
 TEST(FailureInjectionTest, ExtentReaderAbandonedAfterErrorDoesNotHang) {
   // Let a decode thread fail, never consume, destroy: the destructor must
   // close every channel and join every thread.
-  FaultyExtentFixture f(6000, FailReadAt(4));
+  FaultyExtentFixture f(6000, {});
   ASSERT_TRUE(f.file.ok()) << f.file.status().ToString();
+  f.FailExtent(1);
   auto source = OpenRuns(ExtentFileProvider<uint64_t>(&*f.file), 250,
                          IoMode::kAsync, 8);
   // No NextRun at all.
@@ -659,8 +681,9 @@ TEST(FailureInjectionTest, ExtentExactSecondPassSurfacesError) {
       sketch.Consume(ExtentFileProvider<uint64_t>(&*healthy.file)).ok());
   auto estimate = sketch.Finalize().Quantile(0.5);
 
-  FaultyExtentFixture faulty(6000, FailReadAt(5));
+  FaultyExtentFixture faulty(6000, {});
   ASSERT_TRUE(faulty.file.ok());
+  faulty.FailExtent(4);
   ExtentFileProvider<uint64_t> provider(&*faulty.file);
   ReadOptions options;
   options.run_size = FaultyExtentFixture::kRunSize;
@@ -671,8 +694,9 @@ TEST(FailureInjectionTest, ExtentExactSecondPassSurfacesError) {
 }
 
 TEST(FailureInjectionTest, SingleStripeExtentAsyncSurfacesError) {
-  // The 1-stripe compressed path (one decode thread) must behave exactly
-  // like the striped one: intact prefix, clean sticky error, joined thread.
+  // The 1-stripe compressed path (decoded on several lanes) must behave
+  // exactly like the striped one: intact prefix, clean sticky error, joined
+  // threads.
   auto memory = std::make_unique<MemoryBlockDevice>();
   DatasetSpec spec;
   spec.n = 4000;
@@ -683,10 +707,10 @@ TEST(FailureInjectionTest, SingleStripeExtentAsyncSurfacesError) {
   OPAQ_CHECK_OK(WriteExtents(GenerateDataset<uint64_t>(spec),
                              {memory.get()}, writer_options)
                     .status());
-  // Reads 1-3 open the file; read #6 is extent 2.
-  FaultyDevice faulty(std::move(memory), FailReadAt(6));
+  FaultyDevice faulty(std::move(memory), {});
   auto file = ExtentFile::Open({&faulty});
   ASSERT_TRUE(file.ok()) << file.status().ToString();
+  faulty.set_fail_read_covering(StoredExtentOffset(*file, 2));
   OpaqConfig config;
   config.run_size = 500;
   config.samples_per_run = 100;

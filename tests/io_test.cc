@@ -6,10 +6,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/dataset.h"
@@ -156,6 +158,31 @@ TEST(ThrottledDeviceTest, SleepModeActuallyDelays) {
   ASSERT_TRUE(dev.WriteAt(0, buf.data(), buf.size()).ok());
   // 1MB at 10MB/s = 100ms.
   EXPECT_GE(t.ElapsedSeconds(), 0.08);
+}
+
+TEST(ThrottledDeviceTest, ConcurrentRequestsShareOneDisk) {
+  // Four threads each read 1 MB at 20 MB/s (50 ms): one disk serves them
+  // one after another, so the last finishes after about 200 ms, not 50.
+  DiskModel model;
+  model.bandwidth_bytes_per_second = 20.0 * 1024 * 1024;
+  model.latency_seconds = 0;
+  auto memory = std::make_unique<MemoryBlockDevice>();
+  std::vector<uint8_t> buf(1024 * 1024, 1);
+  ASSERT_TRUE(memory->WriteAt(0, buf.data(), buf.size()).ok());
+  ThrottledDevice dev(std::move(memory), model,
+                      ThrottledDevice::Mode::kSleep);
+  WallTimer t;
+  std::vector<std::thread> readers;
+  std::atomic<int> failures{0};
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&] {
+      std::vector<uint8_t> out(1024 * 1024);
+      if (!dev.ReadAt(0, out.data(), out.size()).ok()) ++failures;
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(t.ElapsedSeconds(), 0.19);
 }
 
 TEST(ThrottledDeviceTest, ForwardsErrors) {
