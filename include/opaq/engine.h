@@ -1,7 +1,6 @@
 #ifndef OPAQ_INCLUDE_OPAQ_ENGINE_H_
 #define OPAQ_INCLUDE_OPAQ_ENGINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -116,16 +115,9 @@ class Engine {
     auto build_shard = [&](size_t rank) {
       // Independent pivot seeds per shard, matching RunParallelOpaq; the
       // samples themselves are order statistics, so seeds never change the
-      // result — only selection speed. Each shard's stripe count comes from
-      // its source, so Validate charges the real reader-buffer footprint —
-      // unless the caller's config claims more (a custom FromProvider
-      // backend reports stripes() == 1; its user knows the true fan-out).
+      // result — only selection speed.
       OpaqConfig shard_config = config_;
       shard_config.seed += static_cast<uint64_t>(rank);
-      shard_config.stripes =
-          std::max<uint64_t>(config_.stripes, shards_[rank].stripes());
-      statuses[rank] = shard_config.Validate();
-      if (!statuses[rank].ok()) return;
       // A v2 remote shard samples NODE-SIDE: one RPC ships the config, the
       // node runs the identical sketch over its own disks, and only the
       // O(s) sample list comes back. The RPC wall time is this shard's I/O
@@ -155,16 +147,15 @@ class Engine {
       lists[rank] = sketch.FinalizeSampleList();
     };
 
-    if (shards_.size() == 1) {
-      build_shard(0);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(shards_.size());
-      for (size_t rank = 0; rank < shards_.size(); ++rank) {
-        threads.emplace_back(build_shard, rank);
-      }
-      for (std::thread& thread : threads) thread.join();
+    // Shard 0 on the calling thread and the others on their own threads:
+    // the same layout as the session's exact pass, so each shard's run
+    // buffers come from the same malloc arena in both phases.
+    std::vector<std::thread> threads;
+    for (size_t rank = 1; rank < shards_.size(); ++rank) {
+      threads.emplace_back(build_shard, rank);
     }
+    build_shard(0);
+    for (std::thread& thread : threads) thread.join();
     for (size_t rank = 0; rank < shards_.size(); ++rank) {
       if (!statuses[rank].ok()) {
         return Status(statuses[rank].code(),
@@ -196,14 +187,7 @@ class Engine {
           "the sources hold too little data for even one sample (n < m/s); "
           "the quantile phase needs a non-empty sample list");
     }
-    // The session's config reports the widest shard layout so its memory
-    // accounting stays conservative for the exact pass.
-    OpaqConfig session_config = config_;
-    for (const Source<K>& shard : shards_) {
-      session_config.stripes =
-          std::max<uint64_t>(session_config.stripes, shard.stripes());
-    }
-    return QuerySession<K>(std::move(merged), shards_, session_config);
+    return QuerySession<K>(std::move(merged), shards_, config_);
   }
 
  private:

@@ -14,6 +14,7 @@
 #include "core/opaq_config.h"
 #include "opaq/source.h"
 #include "opaq/span.h"
+#include "telemetry/trace.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -277,9 +278,12 @@ class QuerySession {
 
  private:
   /// The shared second pass: ONE filter scan per attached shard (each shard
-  /// scanned once for ALL brackets, shards scanned concurrently — the same
-  /// one-thread-per-shard overlap as Engine::Build), then in-memory
-  /// selection over the merged accumulators.
+  /// scanned once for ALL brackets; shard 0 on the calling thread, the
+  /// others concurrently on their own threads, the same overlap as
+  /// Engine::Build), then the per-shard accumulators are appended in shard
+  /// order and each answer is selected from its kept set. Every shard
+  /// charges one shared counter, so the memory budget bounds the total
+  /// held across all shards while they run.
   Result<std::vector<K>> ExactValues(
       const std::vector<QuantileEstimate<K>>& estimates) const {
     if (sources_.empty()) {
@@ -288,94 +292,53 @@ class QuerySession {
           "build the session through Engine or attach sources");
     }
     OPAQ_RETURN_IF_ERROR(internal_exact::ValidateBrackets(estimates));
+    TraceSpan pass_span(TraceStage::kExactPass);
     const uint64_t budget = exact_memory_budget_ != 0
                                 ? exact_memory_budget_
                                 : internal_exact::DefaultExactBudget(estimates);
+    std::vector<internal_exact::BracketAccumulator<K>> accs(
+        sources_.size(),
+        internal_exact::BracketAccumulator<K>(estimates.size()));
+    std::vector<Status> statuses(sources_.size());
+    std::atomic<uint64_t> shared_held{0};
     // One shard's scan, compute-first: a v2 remote shard runs the filter
-    // pass NODE-SIDE (one RPC, only counts + candidates come back) and the
-    // result folds into the accumulator exactly as a local scan's would;
-    // Unimplemented (untyped export) falls back to streaming the shard's
-    // runs. Node-side the budget bounds each node's own kept sets; the
-    // shared counter keeps bounding the cross-shard total here.
-    auto scan_shard = [&](const Source<K>& source,
-                          internal_exact::BracketAccumulator<K>* acc,
-                          std::atomic<uint64_t>* shared_held) -> Status {
+    // pass NODE-SIDE (one RPC, only counts + candidates come back; the
+    // node's own budget bounds its kept sets) and the result is charged and
+    // appended here like a local scan's; Unimplemented (untyped export)
+    // falls back to streaming the shard's runs.
+    auto scan_shard = [&](size_t shard) {
+      const Source<K>& source = sources_[shard];
+      internal_exact::BracketAccumulator<K>& acc = accs[shard];
       if (const RemoteComputeClient<K>* compute = source.remote_compute()) {
         auto scan =
             compute->ExactPass(estimates, config_.read_options(), budget);
         if (scan.ok()) {
           uint64_t added = 0;
-          for (size_t q = 0; q < estimates.size(); ++q) {
-            acc->below[q] += scan->below[q];
-            added += scan->kept[q].size();
-            if (acc->kept[q].empty()) {
-              acc->kept[q] = std::move(scan->kept[q]);
-            } else {
-              acc->kept[q].insert(acc->kept[q].end(), scan->kept[q].begin(),
-                                  scan->kept[q].end());
-            }
-          }
-          acc->held += added;
-          const uint64_t held_now =
-              shared_held != nullptr
-                  ? shared_held->fetch_add(added,
-                                           std::memory_order_relaxed) +
-                        added
-                  : acc->held;
-          if (held_now > budget) {
-            return Status::ResourceExhausted(
-                "brackets hold more elements than the memory budget; "
-                "increase samples_per_run or the budget");
-          }
-          return Status::OK();
+          for (const std::vector<K>& kept : scan->kept) added += kept.size();
+          acc.Append(std::move(scan).value());
+          statuses[shard] = acc.Charge(added, budget, &shared_held);
+          return;
         }
         if (scan.status().code() != StatusCode::kUnimplemented) {
-          return scan.status();
+          statuses[shard] = scan.status();
+          return;
         }
       }
-      return internal_exact::AccumulateBrackets(source.provider(), estimates,
-                                                config_.read_options(),
-                                                budget, acc, shared_held);
+      statuses[shard] = internal_exact::AccumulateBrackets(
+          source.provider(), estimates, config_.read_options(), budget, &acc,
+          &shared_held);
     };
-    if (sources_.size() == 1) {
-      internal_exact::BracketAccumulator<K> acc(estimates.size());
-      OPAQ_RETURN_IF_ERROR(scan_shard(sources_[0], &acc, nullptr));
-      return internal_exact::SelectWithinBrackets(estimates, &acc);
-    }
-    // Each shard filters into its own accumulator, but the memory budget
-    // is enforced across ALL shards while they run (one shared counter);
-    // below-counts add and kept sets concatenate, and SelectKth is
-    // order-insensitive, so the merged answer equals the sequential scan's.
-    std::vector<internal_exact::BracketAccumulator<K>> accs(
-        sources_.size(), internal_exact::BracketAccumulator<K>(
-                             estimates.size()));
-    std::vector<Status> statuses(sources_.size());
-    std::atomic<uint64_t> shared_held{0};
     std::vector<std::thread> threads;
-    threads.reserve(sources_.size());
-    for (size_t shard = 0; shard < sources_.size(); ++shard) {
-      threads.emplace_back([&, shard] {
-        statuses[shard] =
-            scan_shard(sources_[shard], &accs[shard], &shared_held);
-      });
+    for (size_t shard = 1; shard < sources_.size(); ++shard) {
+      threads.emplace_back(scan_shard, shard);
     }
+    scan_shard(0);
     for (std::thread& thread : threads) thread.join();
     for (const Status& status : statuses) OPAQ_RETURN_IF_ERROR(status);
-    // Merge by moving shard 0 wholesale and releasing each further shard's
-    // buffers right after appending, so peak memory stays near the budget
-    // (plus one shard) instead of doubling it.
-    internal_exact::BracketAccumulator<K> merged = std::move(accs[0]);
-    merged.held = shared_held.load(std::memory_order_relaxed);
     for (size_t shard = 1; shard < accs.size(); ++shard) {
-      for (size_t q = 0; q < estimates.size(); ++q) {
-        merged.below[q] += accs[shard].below[q];
-        merged.kept[q].insert(merged.kept[q].end(),
-                              accs[shard].kept[q].begin(),
-                              accs[shard].kept[q].end());
-      }
-      std::vector<std::vector<K>>().swap(accs[shard].kept);
+      accs[0].Append(std::move(accs[shard]));
     }
-    return internal_exact::SelectWithinBrackets(estimates, &merged);
+    return internal_exact::SelectWithinBrackets(estimates, &accs[0]);
   }
 
   OpaqEstimator<K> estimator_;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.h"
@@ -18,17 +19,54 @@ namespace opaq {
 
 namespace internal_exact {
 
-/// Running state of a (possibly multi-source) exact second pass: one
-/// below-count and one kept set per bracket, plus the total held across all
-/// brackets for budget accounting.
+/// The result of a §4 filter scan, wherever it ran (a local shard, a data
+/// node, a cluster rank): one below-count and one kept set per bracket,
+/// plus the kept elements this accumulator has charged to the budget.
 template <typename K>
 struct BracketAccumulator {
   std::vector<uint64_t> below;
   std::vector<std::vector<K>> kept;
   uint64_t held = 0;
 
-  explicit BracketAccumulator(size_t num_estimates)
+  explicit BracketAccumulator(size_t num_estimates = 0)
       : below(num_estimates, 0), kept(num_estimates) {}
+
+  /// Charges `added` newly kept elements against `budget`. When several
+  /// scans run concurrently (one accumulator each), pass the same
+  /// `shared_held` to all of them so the budget bounds their TOTAL while
+  /// they run, not just each one's share.
+  Status Charge(uint64_t added, uint64_t budget,
+                std::atomic<uint64_t>* shared_held) {
+    held += added;
+    const uint64_t held_now =
+        shared_held != nullptr
+            ? shared_held->fetch_add(added, std::memory_order_relaxed) + added
+            : held;
+    if (held_now > budget) {
+      return Status::ResourceExhausted(
+          "brackets hold more elements than the memory budget; "
+          "increase samples_per_run or the budget");
+    }
+    return Status::OK();
+  }
+
+  /// Folds in the next shard's scan: below-counts add and kept sets
+  /// concatenate in shard order (selection is order-insensitive, so the
+  /// result equals one scan over both shards). Frees `other`'s buffers as
+  /// it goes, so merging holds at most one extra kept set at a time.
+  void Append(BracketAccumulator&& other) {
+    for (size_t q = 0; q < below.size(); ++q) {
+      below[q] += other.below[q];
+      if (kept[q].empty()) {
+        kept[q] = std::move(other.kept[q]);
+      } else {
+        kept[q].insert(kept[q].end(), other.kept[q].begin(),
+                       other.kept[q].end());
+        std::vector<K>().swap(other.kept[q]);
+      }
+    }
+    held += other.held;
+  }
 };
 
 /// Rejects estimates whose bracket is not a certificate.
@@ -48,11 +86,9 @@ Status ValidateBrackets(const std::vector<QuantileEstimate<K>>& estimates) {
 inline constexpr size_t kExactScanBlock = 256;
 
 /// One filter scan over `provider`: counts the elements below each bracket
-/// and collects the elements inside it, accumulating into `acc` so several
-/// providers (shards of one logical dataset) can share one accumulator.
-/// When several scans run concurrently (one accumulator each), pass the
-/// same `shared_held` to every call so the memory budget bounds the TOTAL
-/// held across all of them while they run, not just each shard's share.
+/// and collects the elements inside it, accumulating into `acc` and
+/// charging it through `BracketAccumulator::Charge` (with `shared_held`,
+/// when concurrent scans share one budget).
 ///
 /// Each element is classified once, not tested against every bracket. The
 /// D distinct bracket endpoints b_0 < ... < b_{D-1} cut the key space into
@@ -174,17 +210,9 @@ Status AccumulateBrackets(const RunProvider<K>& provider,
         }
         added += end - begin;
       }
-      if (added == 0) continue;
-      acc->held += added;
-      const uint64_t held_now =
-          shared_held != nullptr
-              ? shared_held->fetch_add(added, std::memory_order_relaxed) +
-                    added
-              : acc->held;
-      if (held_now > memory_budget_elements) {
-        return Status::ResourceExhausted(
-            "brackets hold more elements than the memory budget; "
-            "increase samples_per_run or the budget");
+      if (added != 0) {
+        OPAQ_RETURN_IF_ERROR(
+            acc->Charge(added, memory_budget_elements, shared_held));
       }
     }
   }

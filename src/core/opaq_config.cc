@@ -34,24 +34,6 @@ Status OpaqConfig::Validate(uint64_t n, uint64_t memory_budget_elements) const {
     os << "stripes must be in [1, " << kMaxStripes << "], got " << stripes;
     return Status::InvalidArgument(os.str());
   }
-  if (GetCodec(codec) == nullptr) {
-    return Status::InvalidArgument(
-        "unknown extent codec tag " +
-        std::to_string(static_cast<uint16_t>(codec)));
-  }
-  if (!CodecAvailable(codec)) {
-    return Status::Unimplemented(std::string("codec '") +
-                                 ExtentCodecName(codec) +
-                                 "' not available in this build");
-  }
-  // Bound against the smallest key type (4 bytes), so a config valid here
-  // stays valid for every key; ExtentWriter::Create re-checks exactly.
-  if (extent_elements == 0 || extent_elements > kMaxExtentBytes / 4) {
-    std::ostringstream os;
-    os << "extent_elements must be in [1, " << kMaxExtentBytes / 4
-       << "], got " << extent_elements;
-    return Status::InvalidArgument(os.str());
-  }
   if (n > 0 && memory_budget_elements > 0) {
     const uint64_t runs = DivCeil(n, run_size);
     // Async prefetching holds prefetch_depth extra run buffers beyond the
@@ -82,10 +64,6 @@ std::string OpaqConfig::ToString() const {
      << ", seed=" << seed << ", io=" << IoModeName(io_mode);
   if (io_mode == IoMode::kAsync) os << "/depth=" << prefetch_depth;
   if (stripes > 1) os << ", stripes=" << stripes;
-  if (codec != ExtentCodec::kRaw) {
-    os << ", codec=" << ExtentCodecName(codec)
-       << ", extent=" << extent_elements;
-  }
   if (!verify_checksums) os << ", nocrc";
   os << ")";
   return os.str();

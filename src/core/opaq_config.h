@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "io/codec.h"
 #include "io/io_mode.h"
 #include "select/select.h"
 #include "util/status.h"
@@ -53,17 +52,6 @@ struct OpaqConfig {
   /// but it lives here so one config names the full storage setup;
   /// Validate() requires it in [1, kMaxStripes].
   uint64_t stripes = 1;
-
-  /// Codec for compressed-extent output (io/extent.h). Like `stripes`, only
-  /// the writer paths (CLI generate, benches) consume it — extent files are
-  /// self-describing, so reading never needs it. Validate() requires the
-  /// codec to be available in this build.
-  ExtentCodec codec = ExtentCodec::kRaw;
-
-  /// Logical elements per extent for compressed-extent output (the CLI's
-  /// `--extent-size`). The extent is the unit of compression, prefetch and
-  /// wire streaming. Validate() bounds it against `kMaxExtentBytes`.
-  uint64_t extent_elements = 64u << 10;
 
   /// Verify per-extent payload CRCs when reading compressed extents;
   /// uncompressed backends ignore it (see ReadOptions::verify_checksums).

@@ -113,10 +113,7 @@ Result<std::vector<uint8_t>> NodeExactPass(const RunProvider<K>& provider,
   internal_exact::BracketAccumulator<K> acc(estimates.size());
   OPAQ_RETURN_IF_ERROR(internal_exact::AccumulateBrackets(
       provider, estimates, options, request.memory_budget, &acc));
-  WireExactScan<K> scan;
-  scan.below = std::move(acc.below);
-  scan.kept = std::move(acc.kept);
-  return EncodeExactScanPayload(scan);
+  return EncodeExactScanPayload(acc);
 }
 
 }  // namespace opaq

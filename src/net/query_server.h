@@ -20,7 +20,6 @@
 #include "net/frame_server.h"
 #include "net/wire_query.h"
 #include "opaq/query.h"
-#include "telemetry/trace.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -282,7 +281,6 @@ class QueryServer : public FrameServer {
       std::vector<Result<QueryResults<K>>> answers;
       answers.reserve(round.size());
       exact_passes->fetch_add(1, std::memory_order_relaxed);
-      TraceSpan pass_span(TraceStage::kExactPass);
       auto batch = snapshot->Query({combined.data(), combined.size()});
       if (batch.ok()) {
         size_t offset = 0;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/exact.h"
 #include "core/opaq_config.h"
 #include "core/sample_list.h"
 #include "net/client.h"
@@ -71,10 +72,10 @@ class RemoteComputeClient {
 
   /// Runs the §4 bracket filter scan node-side: per bracket, how many of
   /// the node's elements fall below it and which fall inside it, under
-  /// `memory_budget` kept elements node-side. The coordinator merges the
-  /// per-node scans exactly as the multi-shard local path merges its
-  /// per-shard accumulators.
-  Result<WireExactScan<K>> ExactPass(
+  /// `memory_budget` kept elements node-side. The scan comes back
+  /// uncharged; the coordinator charges and appends it exactly like a local
+  /// shard's.
+  Result<internal_exact::BracketAccumulator<K>> ExactPass(
       const std::vector<QuantileEstimate<K>>& estimates,
       const ReadOptions& options, uint64_t memory_budget) const {
     WireExactPassRequest request;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/exact.h"
 #include "core/sample_list.h"
 #include "net/wire.h"
 #include "util/status.h"
@@ -21,15 +22,6 @@ namespace opaq {
 /// invariants, sortedness) and fails with a `Status` — a corrupt or hostile
 /// payload must surface as an error frame / sticky stream error, never as a
 /// CHECK-abort in either process.
-
-/// The decoded result of one node-side §4 filter scan: per bracket, the
-/// count of elements strictly below the bracket and the elements kept
-/// inside it.
-template <typename K>
-struct WireExactScan {
-  std::vector<uint64_t> below;
-  std::vector<std::vector<K>> kept;
-};
 
 /// `kSampleRuns` request payload: fixed prefix + dataset name.
 inline std::vector<uint8_t> EncodeSampleRunsPayload(
@@ -159,13 +151,13 @@ Result<std::vector<QuantileEstimate<K>>> DecodeExactBrackets(
   return estimates;
 }
 
-/// `kExactPassData` response payload: header + below-counts + kept-counts +
-/// concatenated kept elements. Fails with ResourceExhausted when the kept
-/// sets cannot fit one frame (the coordinator's budget normally keeps them
-/// far below the cap).
+/// `kExactPassData` response payload: one node-side §4 filter scan as
+/// header + below-counts + kept-counts + concatenated kept elements. Fails
+/// with ResourceExhausted when the kept sets cannot fit one frame (the
+/// coordinator's budget normally keeps them far below the cap).
 template <typename K>
 Result<std::vector<uint8_t>> EncodeExactScanPayload(
-    const WireExactScan<K>& scan) {
+    const internal_exact::BracketAccumulator<K>& scan) {
   OPAQ_CHECK_EQ(scan.below.size(), scan.kept.size());
   WireExactPassHeader header;
   header.num_brackets = static_cast<uint32_t>(scan.below.size());
@@ -202,11 +194,12 @@ Result<std::vector<uint8_t>> EncodeExactScanPayload(
   return payload;
 }
 
-/// Decodes and validates a `kExactPassData` payload (client side).
+/// Decodes and validates a `kExactPassData` payload (client side). The
+/// result is uncharged (`held` is 0): whoever folds it in charges its kept
+/// sets against the coordinator's budget.
 template <typename K>
-Result<WireExactScan<K>> DecodeExactScanPayload(const uint8_t* payload,
-                                                size_t len,
-                                                uint32_t expected_brackets) {
+Result<internal_exact::BracketAccumulator<K>> DecodeExactScanPayload(
+    const uint8_t* payload, size_t len, uint32_t expected_brackets) {
   WireExactPassHeader header;
   if (len < sizeof(header)) {
     return Status::IoError("EXACT_PASS_DATA payload shorter than its header");
@@ -226,8 +219,7 @@ Result<WireExactScan<K>> DecodeExactScanPayload(const uint8_t* payload,
     return Status::IoError(
         "EXACT_PASS_DATA payload length disagrees with its header");
   }
-  WireExactScan<K> scan;
-  scan.below.resize(header.num_brackets);
+  internal_exact::BracketAccumulator<K> scan(header.num_brackets);
   const uint8_t* in = payload + sizeof(header);
   std::memcpy(scan.below.data(), in,
               scan.below.size() * sizeof(uint64_t));
@@ -242,7 +234,6 @@ Result<WireExactScan<K>> DecodeExactScanPayload(const uint8_t* payload,
     return Status::IoError(
         "EXACT_PASS_DATA kept counts do not sum to the header total");
   }
-  scan.kept.resize(header.num_brackets);
   for (uint32_t q = 0; q < header.num_brackets; ++q) {
     scan.kept[q].resize(static_cast<size_t>(kept_counts[q]));
     if (!scan.kept[q].empty()) {

@@ -2,32 +2,33 @@
 #define OPAQ_PARALLEL_PARALLEL_EXACT_H_
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/exact.h"
 #include "io/run_reader.h"
 #include "parallel/collectives.h"
-#include "select/select.h"
-#include "util/random.h"
 #include "util/status.h"
 
 namespace opaq {
 
-/// Distributed version of the paper's §4 exact-quantile extension: after a
-/// parallel OPAQ run produced certified brackets, one extra parallel pass
-/// recovers the exact values.
+/// The paper's §4 exact pass on a §3 cluster: after a parallel OPAQ run
+/// produced certified brackets, one extra parallel pass recovers the exact
+/// values, using the same pieces as the local pass (core/exact.h).
 ///
-/// Each processor scans its local shard once, counting elements below each
-/// bracket and keeping the (at most ~2n/s per quantile, globally) elements
-/// inside it. Below-counts are all-reduced; the kept elements are gathered
-/// at rank 0, which selects the element of rank `psi - below_total` within
-/// each bracket. Communication is O(q * n/s) — tiny next to the data.
+/// Each rank runs `internal_exact::AccumulateBrackets` over its own shard:
+/// one O(n log q) filter scan that counts the elements below each bracket
+/// and keeps the ones inside it, under `local_memory_budget` kept elements
+/// (0 = `DefaultExactBudget`; a bracket set whose cover table alone would
+/// exceed it fails before the shard is read). The ranks then exchange
+/// health, so all of them fail together if any scan failed. Below-counts
+/// are all-reduced and the kept sets gathered at rank 0 in rank order,
+/// where `SelectWithinBrackets` picks each answer. Communication is
+/// O(q * n/s), tiny next to the data.
 ///
-/// The local scan streams through `RunProvider::OpenRuns(options)`, so each
-/// processor's shard may live on any storage backend, and with
-/// `options.io_mode == kAsync` the bracket filtering overlaps with the next
-/// run's read(s).
+/// Each shard may live on any storage backend; with
+/// `options.io_mode == kAsync` the filtering overlaps the next run's reads.
 ///
 /// Returns the exact values at rank 0 (empty vector on other ranks). Must be
 /// called from within a Cluster::Run body with the same SPMD discipline as
@@ -37,47 +38,13 @@ Result<std::vector<K>> ParallelExactQuantiles(
     ProcessorContext& ctx, const RunProvider<K>& local_data,
     const std::vector<QuantileEstimate<K>>& estimates,
     const ReadOptions& options, uint64_t local_memory_budget = 0) {
-  for (const auto& e : estimates) {
-    if (e.lower_clamped || e.upper_clamped) {
-      return Status::FailedPrecondition(
-          "an estimate's bounds were clamped; its bracket is not certified");
-    }
+  OPAQ_RETURN_IF_ERROR(internal_exact::ValidateBrackets(estimates));
+  if (local_memory_budget == 0) {
+    local_memory_budget = internal_exact::DefaultExactBudget(estimates);
   }
-  if (local_memory_budget == 0 && !estimates.empty()) {
-    local_memory_budget =
-        4 * estimates.size() * estimates.front().max_rank_error;
-  }
-
-  // Local pass: below-counts and kept elements per bracket.
-  std::vector<uint64_t> below(estimates.size(), 0);
-  std::vector<std::vector<K>> kept(estimates.size());
-  uint64_t held = 0;
-  Status local_status;
-  {
-    std::vector<K> buffer;
-    std::unique_ptr<RunSource<K>> reader = local_data.OpenRuns(options);
-    while (local_status.ok()) {
-      auto more = reader->NextRun(&buffer);
-      if (!more.ok()) {
-        local_status = more.status();
-        break;
-      }
-      if (!*more) break;
-      for (const K& v : buffer) {
-        for (size_t q = 0; q < estimates.size(); ++q) {
-          if (v < estimates[q].lower) {
-            ++below[q];
-          } else if (!(estimates[q].upper < v)) {
-            kept[q].push_back(v);
-            if (++held > local_memory_budget) {
-              local_status = Status::ResourceExhausted(
-                  "brackets exceed the local memory budget");
-            }
-          }
-        }
-      }
-    }
-  }
+  internal_exact::BracketAccumulator<K> local(estimates.size());
+  const Status local_status = internal_exact::AccumulateBrackets(
+      local_data, estimates, options, local_memory_budget, &local);
 
   // Health check before any blocking exchange (same pattern as
   // RunParallelOpaq): all ranks abort together if any local pass failed.
@@ -93,31 +60,17 @@ Result<std::vector<K>> ParallelExactQuantiles(
     }
   }
 
-  // Combine: total below-counts everywhere, kept elements at root.
-  std::vector<uint64_t> below_total =
-      collectives::AllReduceSumU64(ctx, below);
-  std::vector<K> out;
+  // Combine: total below-counts everywhere, kept sets at rank 0.
+  internal_exact::BracketAccumulator<K> all(estimates.size());
+  all.below = collectives::AllReduceSumU64(ctx, local.below);
   for (size_t q = 0; q < estimates.size(); ++q) {
-    std::vector<std::vector<K>> shards =
-        collectives::GatherVectors(ctx, 0, kept[q]);
-    if (ctx.rank() != 0) continue;
-    std::vector<K> all;
-    for (auto& shard : shards) {
-      all.insert(all.end(), shard.begin(), shard.end());
+    for (const std::vector<K>& kept :
+         collectives::GatherVectors(ctx, 0, local.kept[q])) {
+      all.kept[q].insert(all.kept[q].end(), kept.begin(), kept.end());
     }
-    const QuantileEstimate<K>& e = estimates[q];
-    if (e.target_rank <= below_total[q] ||
-        e.target_rank > below_total[q] + all.size()) {
-      return Status::Internal(
-          "target rank falls outside its bracket; estimates must come from "
-          "these exact shards");
-    }
-    Xoshiro256 rng(e.target_rank);
-    out.push_back(SelectKth(all.data(), all.size(),
-                            e.target_rank - below_total[q] - 1,
-                            SelectAlgorithm::kIntroSelect, rng));
   }
-  return out;
+  if (ctx.rank() != 0) return std::vector<K>{};
+  return internal_exact::SelectWithinBrackets(estimates, &all);
 }
 
 }  // namespace opaq

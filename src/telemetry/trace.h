@@ -23,7 +23,7 @@ enum class TraceStage : uint8_t {
   kExtentDecode = 1, ///< one packed extent unpacked
   kSample = 2,       ///< one run regular-sampled (MultiSelect)
   kMerge = 3,        ///< one sample-list k-way merge / finalize
-  kExactPass = 4,    ///< one §4 second pass (server round or local)
+  kExactPass = 4,    ///< one shared §4 pass (QuerySession::ExactValues)
   kWireSend = 5,     ///< one frame written to a socket
   kWireRecv = 6,     ///< one frame read off a socket
 };

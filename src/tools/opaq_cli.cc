@@ -130,16 +130,15 @@ std::vector<FlagSpec> RemoteFlags() {
   };
 }
 
-/// Compressed-extent flags. On `generate` they switch the output to the
-/// compressed extent format; on the scanning commands they only feed
-/// `OpaqConfig` validation — extent files are self-describing, so reads
-/// always take the codec and geometry from the file itself.
+/// Compressed-extent flags of `generate`: they switch the output to the
+/// compressed extent format. Extent files are self-describing, so the
+/// scanning commands take codec and geometry from the file itself.
 std::vector<FlagSpec> ExtentFlags() {
   return {
-      {"compress", "", "OpaqConfig::codec",
+      {"compress", "", "ExtentWriterOptions::codec",
        "write the dataset as compressed extents: raw | delta | zlib "
        "(reading auto-detects the format; omit for uncompressed output)"},
-      {"extent-size", "65536", "OpaqConfig::extent_elements",
+      {"extent-size", "65536", "ExtentWriterOptions::extent_elements",
        "elements per extent (the unit of compression and prefetch) when "
        "writing compressed extents",
        false, FlagType::kInt},
@@ -247,9 +246,7 @@ const std::vector<CommandSpec>& Commands() {
                 "intro | fr | mom | std (selection algorithm)"},
            },
            Concat(RemoteFlags(),
-                  Concat(IoFlags(),
-                         Concat(ExtentFlags(),
-                                Concat(StripeFlags(), TraceFlags()))))),
+                  Concat(IoFlags(), Concat(StripeFlags(), TraceFlags())))),
        [](const CommandFlags& flags) { return RunTraced(flags, CmdSketch); }},
       {"quantile",
        "certified quantile brackets from a sketch (no data access)",
@@ -282,9 +279,7 @@ const std::vector<CommandSpec>& Commands() {
                 false, FlagType::kInt},
            },
            Concat(RemoteFlags(),
-                  Concat(IoFlags(),
-                         Concat(ExtentFlags(),
-                                Concat(StripeFlags(), TraceFlags()))))),
+                  Concat(IoFlags(), Concat(StripeFlags(), TraceFlags())))),
        [](const CommandFlags& flags) { return RunTraced(flags, CmdExact); }},
       {"rank",
        "certified rank bracket of an arbitrary value (no data access)",
@@ -803,14 +798,6 @@ Result<OpaqConfig> ScanConfig(const CommandFlags& flags,
   config.io_mode = *parsed_mode;
   config.prefetch_depth =
       static_cast<uint64_t>(flags.GetInt("prefetch-depth"));
-  // The extent flags only seed OpaqConfig (validated below by the caller's
-  // Validate()); reads take codec and geometry from the file itself.
-  if (flags.Has("compress")) {
-    auto codec = ParseExtentCodec(flags.GetString("compress"));
-    if (!codec.ok()) return codec.status();
-    config.codec = *codec;
-  }
-  config.extent_elements = static_cast<uint64_t>(flags.GetInt("extent-size"));
   for (const Source<Key>& source : sources) {
     config.stripes = std::max<uint64_t>(config.stripes, source.stripes());
   }
@@ -929,10 +916,7 @@ int CmdExact(const CommandFlags& flags) {
   for (double phi : *phis) {
     requests.push_back(Request::Quantile(phi, /*exact=*/true));
   }
-  auto results = [&] {
-    TraceSpan pass_span(TraceStage::kExactPass);
-    return session.Query(requests);
-  }();
+  auto results = session.Query(requests);
   if (!results.ok()) return Fail(results.status());
   std::cout << "phi\texact\n";
   for (size_t i = 0; i < phis->size(); ++i) {

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/exact.h"
@@ -36,6 +37,14 @@ namespace {
 
 using Key = uint64_t;
 
+std::vector<Key> ZipfKeys(uint64_t n) {
+  DatasetSpec spec;
+  spec.n = n;
+  spec.seed = 91;
+  spec.distribution = Distribution::kZipf;
+  return GenerateDataset<Key>(spec);
+}
+
 /// One loopback compute node: typed plain export "data" (plus a striped
 /// export "striped" when `stripes` > 1, and the same file re-exported
 /// untyped as "raw" — the node that can only serve bytes for it).
@@ -49,12 +58,11 @@ struct ComputeNode {
 
   explicit ComputeNode(uint64_t n, NodeServerOptions options = {},
                        int stripes = 1)
-      : server(options) {
-    DatasetSpec spec;
-    spec.n = n;
-    spec.seed = 91;
-    spec.distribution = Distribution::kZipf;
-    data = GenerateDataset<Key>(spec);
+      : ComputeNode(ZipfKeys(n), options, stripes) {}
+
+  explicit ComputeNode(std::vector<Key> keys, NodeServerOptions options = {},
+                       int stripes = 1)
+      : data(std::move(keys)), server(options) {
     devices.push_back(std::make_unique<MemoryBlockDevice>());
     OPAQ_CHECK_OK(WriteDataset(data, devices.back().get()));
     auto opened = TypedDataFile<Key>::Open(devices.back().get());
@@ -399,6 +407,43 @@ TEST(EngineComputeTest, DistributedAnswersMatchLocalAndSaveWireBytes) {
   }
   EXPECT_EQ(remote_batch.results[1].exact, local_batch.results[1].exact);
   EXPECT_EQ(remote_batch.results[2].exact, local_batch.results[2].exact);
+}
+
+TEST(EngineComputeTest, ExactBudgetBoundsTheTotalAcrossNodeComputedShards) {
+  // Two duplicate-heavy shards, each scanned NODE-SIDE: a budget that
+  // either node's kept set fits alone, but not both together, must fail
+  // when the coordinator folds the node scans.
+  std::vector<Key> data(10000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = i % 10;
+  const std::vector<Key> a(data.begin(), data.begin() + 4000);
+  const std::vector<Key> b(data.begin() + 4000, data.end());
+  ComputeNode node_a(a), node_b(b);
+  auto source_a = Source<Key>::OpenRemote(node_a.spec().ToString());
+  auto source_b = Source<Key>::OpenRemote(node_b.spec().ToString());
+  ASSERT_TRUE(source_a.ok()) << source_a.status().ToString();
+  ASSERT_TRUE(source_b.ok()) << source_b.status().ToString();
+  ASSERT_NE(source_a->remote_compute(), nullptr);
+  ASSERT_NE(source_b->remote_compute(), nullptr);
+  auto session = Engine<Key>(SmallConfig(), {*source_a, *source_b}).Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto estimate = session->Query({QueryRequest<Key>::Quantile(0.5)});
+  ASSERT_TRUE(estimate.ok());
+  const QuantileEstimate<Key>& bracket = estimate->results[0].estimates[0];
+  auto kept_by = [&](const std::vector<Key>& shard) {
+    return static_cast<uint64_t>(
+        std::count_if(shard.begin(), shard.end(), [&](Key v) {
+          return !(v < bracket.lower) && !(bracket.upper < v);
+        }));
+  };
+  session->set_exact_memory_budget(std::max(kept_by(a), kept_by(b)));
+  auto starved = session->ExactQuantile(0.5);
+  EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
+  session->set_exact_memory_budget(kept_by(a) + kept_by(b));
+  auto fed = session->ExactQuantile(0.5);
+  ASSERT_TRUE(fed.ok()) << fed.status().ToString();
+  std::vector<Key> sorted = data;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(*fed, sorted[data.size() / 2 - 1]);
 }
 
 // ------------------------------------------------ hostile peers/faults ----

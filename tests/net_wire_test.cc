@@ -421,7 +421,7 @@ std::vector<uint8_t> MakeGoldenV2Stream() {
   append(EncodeFrame(WireOp::kExactPass,
                      EncodeExactPassPayload(exact, brackets, name)));
   // 6. EXACT_PASS_DATA: 3 below, kept {11, 22}.
-  WireExactScan<uint64_t> scan;
+  internal_exact::BracketAccumulator<uint64_t> scan;
   scan.below = {3};
   scan.kept = {{11, 22}};
   auto scan_payload = EncodeExactScanPayload(scan);
