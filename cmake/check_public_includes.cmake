@@ -10,6 +10,11 @@
 # file format directly fails the build, so per-layout openers cannot grow
 # back.
 #
+# Part 4: every wire codec reads and writes payloads through the one
+# bounds-checked cursor in src/net/wire.h (PayloadReader / PayloadWriter).
+# A memcpy anywhere else in src/net/ fails the build, so hand-rolled
+# offset arithmetic cannot grow back.
+#
 # Run as:  cmake -DREPO_ROOT=<repo> -P cmake/check_public_includes.cmake
 
 if(NOT DEFINED REPO_ROOT)
@@ -59,4 +64,22 @@ if(violations)
           "tool binaries open datasets by hand:\n${violations}"
           "Open data with ProbeKeyType, VisitKeyType and Source<K>::Open "
           "(opaq/source.h) instead.")
+endif()
+
+file(GLOB net_sources ${REPO_ROOT}/src/net/*.h ${REPO_ROOT}/src/net/*.cc)
+list(REMOVE_ITEM net_sources ${REPO_ROOT}/src/net/wire.h)
+foreach(source IN LISTS net_sources)
+  file(STRINGS ${source} hits REGEX "memcpy")
+  foreach(line IN LISTS hits)
+    file(RELATIVE_PATH rel ${REPO_ROOT} ${source})
+    string(STRIP "${line}" line)
+    string(APPEND violations "  ${rel}: ${line}\n")
+  endforeach()
+endforeach()
+
+if(violations)
+  message(FATAL_ERROR
+          "wire code copies payload bytes by hand:\n${violations}"
+          "Read and write payloads with PayloadReader / PayloadWriter "
+          "(src/net/wire.h) instead.")
 endif()

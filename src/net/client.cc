@@ -1,12 +1,24 @@
 #include "net/client.h"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "io/io_mode.h"
 
 namespace opaq {
+namespace {
+
+/// A request payload: `prefix`, then the dataset name.
+template <typename Prefix>
+std::vector<uint8_t> NamedPayload(const Prefix& prefix,
+                                  const std::string& name) {
+  PayloadWriter out(sizeof(prefix) + name.size());
+  out.Put(prefix);
+  out.PutString(name);
+  return out.Take();
+}
+
+}  // namespace
 
 Result<RemoteSpec> ParseRemoteSpec(const std::string& spec) {
   // The dataset starts at the first '/' (names may contain further '/');
@@ -73,11 +85,9 @@ Result<uint16_t> NodeClient::Hello(uint16_t my_max_version) {
       SendFrame(conn_, WireOp::kHello, &hello, sizeof(hello)));
   OPAQ_ASSIGN_OR_RETURN(WireFrame frame,
                         ReceiveExpected(conn_, WireOp::kHelloAck));
-  if (frame.payload.size() < sizeof(WireHello)) {
-    return Status::IoError("HELLO_ACK payload shorter than its header");
-  }
+  PayloadReader in(frame);
   WireHello ack;
-  std::memcpy(&ack, frame.payload.data(), sizeof(ack));
+  OPAQ_RETURN_IF_ERROR(in.Read(&ack));
   if (ack.max_version < kWireVersion) {
     return Status::IoError("node announced nonsensical wire version " +
                            std::to_string(ack.max_version));
@@ -105,11 +115,8 @@ Result<WireDatasetInfo> NodeClient::OpenDataset(const std::string& name) {
       SendFrame(conn_, WireOp::kOpenDataset, name.data(), name.size()));
   OPAQ_ASSIGN_OR_RETURN(WireFrame frame,
                         ReceiveExpected(conn_, WireOp::kDatasetInfo));
-  if (frame.payload.size() != sizeof(WireDatasetInfo)) {
-    return Status::IoError("DATASET_INFO payload has the wrong size");
-  }
-  WireDatasetInfo info;
-  std::memcpy(&info, frame.payload.data(), sizeof(info));
+  OPAQ_ASSIGN_OR_RETURN(auto info,
+                        DecodeRecordPayload<WireDatasetInfo>(frame));
   if (info.element_size == 0 || info.max_read_elements == 0) {
     return Status::IoError("node sent a nonsensical dataset geometry");
   }
@@ -118,12 +125,10 @@ Result<WireDatasetInfo> NodeClient::OpenDataset(const std::string& name) {
 
 Status NodeClient::SendReadRange(const std::string& name, uint64_t first,
                                  uint64_t count) {
-  std::vector<uint8_t> payload(sizeof(WireReadRange) + name.size());
   WireReadRange range;
   range.first = first;
   range.count = count;
-  std::memcpy(payload.data(), &range, sizeof(range));
-  std::memcpy(payload.data() + sizeof(range), name.data(), name.size());
+  const std::vector<uint8_t> payload = NamedPayload(range, name);
   return SendFrame(conn_, WireOp::kReadRange, payload.data(), payload.size());
 }
 
@@ -142,11 +147,8 @@ Result<WireExtentInfo> NodeClient::OpenExtents(const std::string& name) {
       SendFrame(conn_, WireOp::kOpenExtents, name.data(), name.size()));
   OPAQ_ASSIGN_OR_RETURN(WireFrame frame,
                         ReceiveExpected(conn_, WireOp::kExtentInfo));
-  if (frame.payload.size() != sizeof(WireExtentInfo)) {
-    return Status::IoError("EXTENT_INFO payload has the wrong size");
-  }
-  WireExtentInfo info;
-  std::memcpy(&info, frame.payload.data(), sizeof(info));
+  OPAQ_ASSIGN_OR_RETURN(auto info,
+                        DecodeRecordPayload<WireExtentInfo>(frame));
   if (info.element_size == 0 || info.extent_elements == 0 ||
       info.max_extents_per_read == 0 ||
       info.extent_elements > kMaxExtentBytes / info.element_size) {
@@ -157,12 +159,10 @@ Result<WireExtentInfo> NodeClient::OpenExtents(const std::string& name) {
 
 Status NodeClient::SendReadExtents(const std::string& name,
                                    uint64_t first_extent, uint64_t count) {
-  std::vector<uint8_t> payload(sizeof(WireReadExtents) + name.size());
   WireReadExtents range;
   range.first_extent = first_extent;
   range.count = count;
-  std::memcpy(payload.data(), &range, sizeof(range));
-  std::memcpy(payload.data() + sizeof(range), name.data(), name.size());
+  const std::vector<uint8_t> payload = NamedPayload(range, name);
   return SendFrame(conn_, WireOp::kReadExtents, payload.data(),
                    payload.size());
 }
@@ -181,24 +181,19 @@ Result<WireAppendAck> NodeClient::Append(const std::string& name,
     return Status::InvalidArgument(
         "append batch exceeds the wire payload cap; split it");
   }
-  std::vector<uint8_t> payload(total);
   WireAppendRequest request;
   request.count = count;
   request.name_len = static_cast<uint32_t>(name.size());
-  std::memcpy(payload.data(), &request, sizeof(request));
-  std::memcpy(payload.data() + sizeof(request), name.data(), name.size());
-  std::memcpy(payload.data() + sizeof(request) + name.size(), elements,
-              data_bytes);
+  PayloadWriter out(total);
+  out.Put(request);
+  out.PutString(name);
+  out.PutBytes(elements, data_bytes);
+  const std::vector<uint8_t> payload = out.Take();
   OPAQ_RETURN_IF_ERROR(
       SendFrame(conn_, WireOp::kAppend, payload.data(), payload.size()));
   OPAQ_ASSIGN_OR_RETURN(WireFrame frame,
                         ReceiveExpected(conn_, WireOp::kAppendAck));
-  if (frame.payload.size() != sizeof(WireAppendAck)) {
-    return Status::IoError("APPEND_ACK payload has the wrong size");
-  }
-  WireAppendAck ack;
-  std::memcpy(&ack, frame.payload.data(), sizeof(ack));
-  return ack;
+  return DecodeRecordPayload<WireAppendAck>(frame);
 }
 
 Result<std::vector<uint8_t>> NodeClient::ReceiveExtents() {

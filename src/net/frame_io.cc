@@ -1,7 +1,7 @@
 #include "net/frame_io.h"
 
-#include <cstring>
 #include <string>
+#include <vector>
 
 #include "telemetry/trace.h"
 
@@ -30,22 +30,26 @@ Status SendFrame(TcpConnection& conn, WireOp op, const void* payload,
   return conn.WriteFull(frame.data(), frame.size());
 }
 
+Status ReceivePayload(TcpConnection& conn, const WireFrameHeader& header,
+                      void* out) {
+  if (header.payload_len != 0) {
+    TraceSpan span(TraceStage::kWireRecv);
+    OPAQ_RETURN_IF_ERROR(conn.ReadFull(out, header.payload_len));
+  }
+  if (Crc32(out, header.payload_len) != header.payload_crc) {
+    return Status::IoError(std::string("payload CRC mismatch on a ") +
+                           WireOpName(header.op) + " frame from " +
+                           conn.peer());
+  }
+  return Status::OK();
+}
+
 Result<WireFrame> ReceiveFrame(TcpConnection& conn) {
   OPAQ_ASSIGN_OR_RETURN(WireFrameHeader header, ReceiveHeader(conn));
   WireFrame frame;
   frame.op = header.op;
   frame.payload.resize(header.payload_len);
-  if (header.payload_len != 0) {
-    TraceSpan span(TraceStage::kWireRecv);
-    OPAQ_RETURN_IF_ERROR(
-        conn.ReadFull(frame.payload.data(), frame.payload.size()));
-  }
-  if (Crc32(frame.payload.data(), frame.payload.size()) !=
-      header.payload_crc) {
-    return Status::IoError(std::string("payload CRC mismatch on a ") +
-                           WireOpName(header.op) + " frame from " +
-                           conn.peer());
-  }
+  OPAQ_RETURN_IF_ERROR(ReceivePayload(conn, header, frame.payload.data()));
   return frame;
 }
 
@@ -67,13 +71,7 @@ Status ReceiveRangeData(TcpConnection& conn, void* out,
   OPAQ_ASSIGN_OR_RETURN(WireFrameHeader header, ReceiveHeader(conn));
   if (header.op == static_cast<uint16_t>(WireOp::kError)) {
     std::vector<uint8_t> payload(header.payload_len);
-    if (!payload.empty()) {
-      OPAQ_RETURN_IF_ERROR(conn.ReadFull(payload.data(), payload.size()));
-    }
-    if (Crc32(payload.data(), payload.size()) != header.payload_crc) {
-      return Status::IoError("payload CRC mismatch on an ERROR frame from " +
-                             conn.peer());
-    }
+    OPAQ_RETURN_IF_ERROR(ReceivePayload(conn, header, payload.data()));
     return DecodeErrorPayload(payload.data(), payload.size());
   }
   if (header.op != static_cast<uint16_t>(WireOp::kRangeData)) {
@@ -85,14 +83,7 @@ Status ReceiveRangeData(TcpConnection& conn, void* out,
         std::to_string(expected_bytes) + " bytes, node sent " +
         std::to_string(header.payload_len));
   }
-  if (expected_bytes != 0) {
-    OPAQ_RETURN_IF_ERROR(conn.ReadFull(out, expected_bytes));
-  }
-  if (Crc32(out, expected_bytes) != header.payload_crc) {
-    return Status::IoError("payload CRC mismatch on a RANGE_DATA frame from " +
-                           conn.peer());
-  }
-  return Status::OK();
+  return ReceivePayload(conn, header, out);
 }
 
 }  // namespace opaq

@@ -18,6 +18,13 @@ namespace opaq {
 Status SendFrame(TcpConnection& conn, WireOp op, const void* payload,
                  size_t len);
 
+/// Reads the `header.payload_len` payload bytes that follow `header` into
+/// `out` under one `kWireRecv` span, then checks them against the header's
+/// CRC. Every receive path (client and server, copying and zero-copy) reads
+/// payloads through this one call.
+Status ReceivePayload(TcpConnection& conn, const WireFrameHeader& header,
+                      void* out);
+
 /// Receives the next frame, whatever its op (bounded by `kMaxWirePayload`).
 Result<WireFrame> ReceiveFrame(TcpConnection& conn);
 

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <utility>
 
+#include "net/frame_io.h"
 #include "net/wire_stats.h"
 #include "telemetry/stats_format.h"
 #include "telemetry/trace.h"
@@ -185,21 +186,15 @@ void FrameServer::Serve(TcpConnection* conn) {
     WireFrame frame;
     frame.op = header.op;
     frame.payload.resize(header.payload_len);
-    if (header.payload_len != 0) {
-      TraceSpan span(TraceStage::kWireRecv);
-      if (!conn->ReadFull(frame.payload.data(), frame.payload.size()).ok()) {
-        return;  // truncated mid-frame: nothing sane left to answer
-      }
-    }
-    bytes_received_.fetch_add(header.payload_len, std::memory_order_relaxed);
-    if (Crc32(frame.payload.data(), frame.payload.size()) !=
-        header.payload_crc) {
-      SendErrorCounted(conn, Status::IoError(
-                                 std::string("payload CRC mismatch on a ") +
-                                 WireOpName(header.op) + " request"));
+    Status received = ReceivePayload(*conn, header, frame.payload.data());
+    if (!received.ok()) {
+      // Corrupt, or truncated mid-frame (then the answer goes nowhere):
+      // either way nothing after it on this stream can be trusted.
+      SendErrorCounted(conn, received);
       conn->ShutdownNow();
       return;
     }
+    bytes_received_.fetch_add(header.payload_len, std::memory_order_relaxed);
     requests_served_.fetch_add(1, std::memory_order_relaxed);
     if (options_.response_delay_seconds > 0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(

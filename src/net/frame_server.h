@@ -131,7 +131,6 @@ class FrameServer {
   bool SendErrorCounted(TcpConnection* conn, const Status& status);
 
   bool started() const { return started_; }
-  const FrameServerOptions& frame_options() const { return options_; }
 
  private:
   struct Connection {

@@ -78,12 +78,16 @@ Result<std::vector<uint8_t>> NodeSampleRuns(
 /// `kExactPass`: one §4 filter scan over the dataset's runs — the same
 /// `internal_exact::AccumulateBrackets` the local second pass uses — and
 /// returns per-bracket below-counts plus kept candidates for the
-/// coordinator to merge.
+/// coordinator to merge. `brackets` is positioned at the request's bracket
+/// bounds, which are decoded (and their region's length checked) first.
 template <typename K>
 Result<std::vector<uint8_t>> NodeExactPass(const RunProvider<K>& provider,
                                            const WireExactPassRequest& request,
-                                           const uint8_t* bracket_bytes,
+                                           PayloadReader& brackets,
                                            uint64_t max_run_bytes) {
+  OPAQ_ASSIGN_OR_RETURN(
+      std::vector<QuantileEstimate<K>> estimates,
+      DecodeExactBrackets<K>(brackets, request.num_brackets));
   if (request.memory_budget == 0) {
     return Status::InvalidArgument(
         "EXACT_PASS memory_budget of 0 would keep nothing");
@@ -97,9 +101,6 @@ Result<std::vector<uint8_t>> NodeExactPass(const RunProvider<K>& provider,
         "EXACT_PASS run_size of " + std::to_string(request.run_size) +
         " elements exceeds this node's per-run memory bound");
   }
-  OPAQ_ASSIGN_OR_RETURN(
-      std::vector<QuantileEstimate<K>> estimates,
-      DecodeExactBrackets<K>(bracket_bytes, request.num_brackets));
   ReadOptions options;
   options.run_size = request.run_size;
   options.io_mode = static_cast<IoMode>(request.io_mode);

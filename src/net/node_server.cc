@@ -1,24 +1,11 @@
 #include "net/node_server.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace opaq {
 
-namespace {
-FrameServerOptions ToFrameOptions(const NodeServerOptions& options) {
-  FrameServerOptions frame_options;
-  frame_options.bind_address = options.bind_address;
-  frame_options.port = options.port;
-  frame_options.response_delay_seconds = options.response_delay_seconds;
-  frame_options.max_wire_version = options.max_wire_version;
-  frame_options.metrics = options.metrics;
-  return frame_options;
-}
-}  // namespace
-
 NodeServer::NodeServer(NodeServerOptions options)
-    : FrameServer(ToFrameOptions(options)), options_(std::move(options)) {}
+    : FrameServer(options), options_(std::move(options)) {}
 
 NodeServer::~NodeServer() {
   // Joined here, not in ~FrameServer: connection threads virtual-call
@@ -83,357 +70,248 @@ uint64_t NodeServer::MaxExtentsPerRead(const ExportedDataset& dataset) const {
   return std::max<uint64_t>(1, cap / worst);
 }
 
+Result<const ExportedDataset*> NodeServer::Find(
+    const std::string& name) const {
+  auto it = exports_.find(name);
+  if (it == exports_.end()) {
+    return Status::NotFound("node exports no dataset named '" + name + "'");
+  }
+  return &it->second;
+}
+
 bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
-  switch (static_cast<WireOp>(frame.op)) {
+  bool close = false;
+  Result<WireFrame> response = Answer(frame, &close);
+  if (!response.ok()) {
+    return SendErrorCounted(conn, response.status()) && !close;
+  }
+  return SendCounted(conn, static_cast<WireOp>(response->op),
+                     response->payload.data(), response->payload.size());
+}
+
+namespace {
+
+WireFrame Response(WireOp op, std::vector<uint8_t> payload) {
+  WireFrame frame;
+  frame.op = static_cast<uint16_t>(op);
+  frame.payload = std::move(payload);
+  return frame;
+}
+
+Status UntypedExport(const std::string& name) {
+  // Recoverable: the client falls back to v1 range streaming.
+  return Status::Unimplemented(
+      "dataset '" + name +
+      "' is exported untyped; this node can only serve its raw ranges, not "
+      "compute over it");
+}
+
+Status NotExtentExport(const std::string& name) {
+  // Recoverable: the v4 client falls back to kReadRange streaming.
+  return Status::Unimplemented("dataset '" + name +
+                               "' is not stored as compressed extents; "
+                               "stream its ranges instead");
+}
+
+}  // namespace
+
+Result<WireFrame> NodeServer::Answer(const WireFrame& request,
+                                     bool* close) const {
+  PayloadReader in(request);
+  // Until a case has read its fixed prefix and dataset name, a short
+  // payload means the framing is off: answer, then close.
+  *close = true;
+  switch (static_cast<WireOp>(request.op)) {
     case WireOp::kPing:
-      return SendCounted(conn, WireOp::kPong, nullptr, 0);
+      *close = false;
+      return Response(WireOp::kPong, {});
+
+    case WireOp::kHello: {
+      // The peer's announced version needs no inspection: each side simply
+      // discloses its own newest, and both use the minimum.
+      OPAQ_RETURN_IF_ERROR(in.Skip(sizeof(WireHello)));
+      *close = false;
+      WireHello ack;
+      ack.max_version = options_.max_wire_version;
+      return Response(WireOp::kHelloAck, EncodeRecordPayload(ack));
+    }
 
     case WireOp::kOpenDataset: {
-      const std::string name(frame.payload.begin(), frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        // Recoverable: a client probing names keeps its connection.
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
+      *close = false;
+      OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset,
+                            Find(in.RestAsString()));
       WireDatasetInfo info;
-      info.key_type = dataset.key_type;
-      info.element_size = dataset.element_size;
+      info.key_type = dataset->key_type;
+      info.element_size = dataset->element_size;
       // A live export grows; disclose its current count, not the Export-
       // time snapshot.
-      info.element_count = dataset.live_count ? dataset.live_count()
-                                              : dataset.element_count;
-      info.max_read_elements =
-          std::max<uint64_t>(1, options_.max_read_bytes / dataset.element_size);
-      return SendCounted(conn, WireOp::kDatasetInfo, &info, sizeof(info));
+      info.element_count = dataset->live_count ? dataset->live_count()
+                                               : dataset->element_count;
+      info.max_read_elements = std::max<uint64_t>(
+          1, options_.max_read_bytes / dataset->element_size);
+      return Response(WireOp::kDatasetInfo, EncodeRecordPayload(info));
     }
 
     case WireOp::kReadRange: {
-      if (frame.payload.size() < sizeof(WireReadRange)) {
-        SendErrorCounted(conn,
-                         Status::IoError("READ_RANGE payload shorter than its "
-                                         "fixed prefix"));
-        return false;  // framing is off; close
-      }
       WireReadRange range;
-      std::memcpy(&range, frame.payload.data(), sizeof(range));
-      const std::string name(frame.payload.begin() + sizeof(range),
-                             frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
+      OPAQ_RETURN_IF_ERROR(in.Read(&range));
+      *close = false;
+      OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset,
+                            Find(in.RestAsString()));
       if (range.count == 0) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument("READ_RANGE of zero elements"));
+        return Status::InvalidArgument("READ_RANGE of zero elements");
       }
       // Enforce exactly the bound OpenDataset advertised (so a client
       // slicing at max_read_elements is never rejected), plus the frame
       // cap for exotic element sizes.
       const uint64_t max_elements = std::max<uint64_t>(
-          1, options_.max_read_bytes / dataset.element_size);
+          1, options_.max_read_bytes / dataset->element_size);
       if (range.count > max_elements ||
-          range.count > kMaxWirePayload / dataset.element_size) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument(
-                      "READ_RANGE of " + std::to_string(range.count) +
-                      " elements exceeds this node's per-request bound of " +
-                      std::to_string(max_elements) + " elements"));
+          range.count > kMaxWirePayload / dataset->element_size) {
+        return Status::InvalidArgument(
+            "READ_RANGE of " + std::to_string(range.count) +
+            " elements exceeds this node's per-request bound of " +
+            std::to_string(max_elements) + " elements");
       }
-      const uint64_t element_count = dataset.live_count
-                                         ? dataset.live_count()
-                                         : dataset.element_count;
+      const uint64_t element_count = dataset->live_count
+                                         ? dataset->live_count()
+                                         : dataset->element_count;
       if (range.first > element_count ||
           range.count > element_count - range.first) {
-        return SendErrorCounted(
-            conn, Status::OutOfRange(
-                      "READ_RANGE [" + std::to_string(range.first) + ", +" +
-                      std::to_string(range.count) + ") passes the end (" +
-                      std::to_string(element_count) + " elements)"));
+        return Status::OutOfRange(
+            "READ_RANGE [" + std::to_string(range.first) + ", +" +
+            std::to_string(range.count) + ") passes the end (" +
+            std::to_string(element_count) + " elements)");
       }
-      std::vector<uint8_t> data(range.count * dataset.element_size);
-      Status read = dataset.read(range.first, range.count, data.data());
-      if (!read.ok()) {
-        // The disk under the dataset failed; the connection itself is fine.
-        return SendErrorCounted(conn, read);
-      }
-      return SendCounted(conn, WireOp::kRangeData, data.data(), data.size());
-    }
-
-    case WireOp::kHello: {
-      if (frame.payload.size() < sizeof(WireHello)) {
-        SendErrorCounted(conn, Status::IoError(
-                                   "HELLO payload shorter than its header"));
-        return false;  // framing is off; close
-      }
-      // The peer's announced version needs no inspection: each side simply
-      // discloses its own newest, and both use the minimum.
-      WireHello ack;
-      ack.max_version = options_.max_wire_version;
-      return SendCounted(conn, WireOp::kHelloAck, &ack, sizeof(ack));
+      std::vector<uint8_t> data(range.count * dataset->element_size);
+      // A failing disk under the dataset leaves the connection fine.
+      OPAQ_RETURN_IF_ERROR(
+          dataset->read(range.first, range.count, data.data()));
+      return Response(WireOp::kRangeData, std::move(data));
     }
 
     case WireOp::kSampleRuns: {
-      if (frame.payload.size() < sizeof(WireSampleRunsRequest)) {
-        SendErrorCounted(
-            conn, Status::IoError(
-                      "SAMPLE_RUNS payload shorter than its fixed prefix"));
-        return false;  // framing is off; close
-      }
-      WireSampleRunsRequest request;
-      std::memcpy(&request, frame.payload.data(), sizeof(request));
-      const std::string name(frame.payload.begin() + sizeof(request),
-                             frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
-      if (!dataset.sample_runs) {
-        // Untyped export: the node cannot sample what it cannot interpret.
-        // Recoverable — the client falls back to v1 range streaming.
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is exported untyped; this node can only serve its "
-                      "raw ranges, not compute over it"));
-      }
-      auto payload =
-          dataset.sample_runs(request, options_.max_compute_run_bytes);
-      if (!payload.ok()) {
-        // A bad request or a failing disk; the connection itself is fine.
-        return SendErrorCounted(conn, payload.status());
-      }
-      return SendCounted(conn, WireOp::kSampleListData, payload->data(),
-                         payload->size());
+      WireSampleRunsRequest sample;
+      OPAQ_RETURN_IF_ERROR(in.Read(&sample));
+      *close = false;
+      const std::string name = in.RestAsString();
+      OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset, Find(name));
+      if (!dataset->sample_runs) return UntypedExport(name);
+      // A bad request or a failing disk; the connection itself is fine.
+      OPAQ_ASSIGN_OR_RETURN(
+          std::vector<uint8_t> payload,
+          dataset->sample_runs(sample, options_.max_compute_run_bytes));
+      return Response(WireOp::kSampleListData, std::move(payload));
     }
 
     case WireOp::kExactPass: {
-      if (frame.payload.size() < sizeof(WireExactPassRequest)) {
-        SendErrorCounted(
-            conn, Status::IoError(
-                      "EXACT_PASS payload shorter than its fixed prefix"));
-        return false;  // framing is off; close
-      }
-      WireExactPassRequest request;
-      std::memcpy(&request, frame.payload.data(), sizeof(request));
-      if (frame.payload.size() - sizeof(request) < request.name_len) {
-        SendErrorCounted(
-            conn, Status::IoError("EXACT_PASS name_len passes the end of "
-                                  "the payload"));
-        return false;  // framing is off; close
-      }
-      const std::string name(frame.payload.begin() + sizeof(request),
-                             frame.payload.begin() + sizeof(request) +
-                                 request.name_len);
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
-      if (!dataset.exact_pass) {
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is exported untyped; this node can only serve its "
-                      "raw ranges, not compute over it"));
-      }
-      const uint64_t bracket_bytes =
-          frame.payload.size() - sizeof(request) - request.name_len;
-      if (bracket_bytes !=
-          uint64_t{request.num_brackets} * 2 * dataset.element_size) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument(
-                      "EXACT_PASS carries " + std::to_string(bracket_bytes) +
-                      " bracket bytes where " +
-                      std::to_string(request.num_brackets) + " brackets of " +
-                      std::to_string(dataset.element_size) +
-                      "-byte elements need " +
-                      std::to_string(uint64_t{request.num_brackets} * 2 *
-                                     dataset.element_size)));
-      }
-      auto payload = dataset.exact_pass(
-          request,
-          frame.payload.data() + sizeof(request) + request.name_len,
-          options_.max_compute_run_bytes);
-      if (!payload.ok()) {
-        return SendErrorCounted(conn, payload.status());
-      }
-      return SendCounted(conn, WireOp::kExactPassData, payload->data(),
-                         payload->size());
+      WireExactPassRequest exact;
+      OPAQ_RETURN_IF_ERROR(in.Read(&exact));
+      std::string name;
+      OPAQ_RETURN_IF_ERROR(in.ReadString(exact.name_len, &name));
+      *close = false;
+      OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset, Find(name));
+      if (!dataset->exact_pass) return UntypedExport(name);
+      OPAQ_ASSIGN_OR_RETURN(
+          std::vector<uint8_t> payload,
+          dataset->exact_pass(exact, in, options_.max_compute_run_bytes));
+      return Response(WireOp::kExactPassData, std::move(payload));
     }
 
     case WireOp::kOpenExtents: {
-      const std::string name(frame.payload.begin(), frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
-      if (dataset.extent_elements == 0) {
-        // Recoverable: the v4 client falls back to kReadRange streaming.
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is not stored as compressed extents; stream its "
-                      "ranges instead"));
-      }
+      *close = false;
+      const std::string name = in.RestAsString();
+      OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset, Find(name));
+      if (dataset->extent_elements == 0) return NotExtentExport(name);
       WireExtentInfo info;
-      info.key_type = dataset.key_type;
-      info.element_size = dataset.element_size;
-      info.element_count = dataset.element_count;
-      info.extent_elements = dataset.extent_elements;
-      info.num_extents = dataset.num_extents;
-      info.max_extents_per_read = MaxExtentsPerRead(dataset);
-      info.default_codec = dataset.extent_codec;
-      return SendCounted(conn, WireOp::kExtentInfo, &info, sizeof(info));
+      info.key_type = dataset->key_type;
+      info.element_size = dataset->element_size;
+      info.element_count = dataset->element_count;
+      info.extent_elements = dataset->extent_elements;
+      info.num_extents = dataset->num_extents;
+      info.max_extents_per_read = MaxExtentsPerRead(*dataset);
+      info.default_codec = dataset->extent_codec;
+      return Response(WireOp::kExtentInfo, EncodeRecordPayload(info));
     }
 
     case WireOp::kReadExtents: {
-      if (frame.payload.size() < sizeof(WireReadExtents)) {
-        SendErrorCounted(conn, Status::IoError(
-                                   "READ_EXTENTS payload shorter than its "
-                                   "fixed prefix"));
-        return false;  // framing is off; close
-      }
       WireReadExtents range;
-      std::memcpy(&range, frame.payload.data(), sizeof(range));
-      const std::string name(frame.payload.begin() + sizeof(range),
-                             frame.payload.end());
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
-      if (dataset.extent_elements == 0) {
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is not stored as compressed extents; stream its "
-                      "ranges instead"));
-      }
+      OPAQ_RETURN_IF_ERROR(in.Read(&range));
+      *close = false;
+      const std::string name = in.RestAsString();
+      OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset, Find(name));
+      if (dataset->extent_elements == 0) return NotExtentExport(name);
       if (range.count == 0) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument("READ_EXTENTS of zero extents"));
+        return Status::InvalidArgument("READ_EXTENTS of zero extents");
       }
       // Enforce exactly the bound kOpenExtents advertised, so a client
       // slicing at max_extents_per_read is never rejected.
-      if (range.count > MaxExtentsPerRead(dataset)) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument(
-                      "READ_EXTENTS of " + std::to_string(range.count) +
-                      " extents exceeds this node's per-request bound of " +
-                      std::to_string(MaxExtentsPerRead(dataset)) +
-                      " extents"));
+      if (range.count > MaxExtentsPerRead(*dataset)) {
+        return Status::InvalidArgument(
+            "READ_EXTENTS of " + std::to_string(range.count) +
+            " extents exceeds this node's per-request bound of " +
+            std::to_string(MaxExtentsPerRead(*dataset)) + " extents");
       }
-      if (range.first_extent > dataset.num_extents ||
-          range.count > dataset.num_extents - range.first_extent) {
-        return SendErrorCounted(
-            conn, Status::OutOfRange(
-                      "READ_EXTENTS [" + std::to_string(range.first_extent) +
-                      ", +" + std::to_string(range.count) +
-                      ") passes the end (" +
-                      std::to_string(dataset.num_extents) + " extents)"));
+      if (range.first_extent > dataset->num_extents ||
+          range.count > dataset->num_extents - range.first_extent) {
+        return Status::OutOfRange(
+            "READ_EXTENTS [" + std::to_string(range.first_extent) + ", +" +
+            std::to_string(range.count) + ") passes the end (" +
+            std::to_string(dataset->num_extents) + " extents)");
       }
       std::vector<uint8_t> data;
       for (uint64_t e = 0; e < range.count; ++e) {
-        Status read =
-            dataset.read_stored_extent(range.first_extent + e, &data);
-        if (!read.ok()) {
-          // The disk under the dataset failed; the connection itself is
-          // fine.
-          return SendErrorCounted(conn, read);
-        }
+        OPAQ_RETURN_IF_ERROR(
+            dataset->read_stored_extent(range.first_extent + e, &data));
       }
-      return SendCounted(conn, WireOp::kExtentData, data.data(), data.size());
+      return Response(WireOp::kExtentData, std::move(data));
     }
 
     case WireOp::kAppend: {
-      if (frame.payload.size() < sizeof(WireAppendRequest)) {
-        SendErrorCounted(conn,
-                         Status::IoError("APPEND payload shorter than its "
-                                         "fixed prefix"));
-        return false;  // framing is off; close
+      WireAppendRequest append;
+      OPAQ_RETURN_IF_ERROR(in.Read(&append));
+      std::string name;
+      OPAQ_RETURN_IF_ERROR(in.ReadString(append.name_len, &name));
+      *close = false;
+      if (append.flags != 0) {
+        return Status::InvalidArgument(
+            "APPEND carries reserved flags this node does not understand");
       }
-      WireAppendRequest request;
-      std::memcpy(&request, frame.payload.data(), sizeof(request));
-      if (frame.payload.size() - sizeof(request) < request.name_len) {
-        SendErrorCounted(conn, Status::IoError(
-                                   "APPEND name_len passes the end of the "
-                                   "payload"));
-        return false;  // framing is off; close
+      if (append.count == 0) {
+        return Status::InvalidArgument("APPEND of zero elements");
       }
-      if (request.flags != 0) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument(
-                      "APPEND carries reserved flags this node does not "
-                      "understand"));
-      }
-      if (request.count == 0) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument("APPEND of zero elements"));
-      }
-      const std::string name(frame.payload.begin() + sizeof(request),
-                             frame.payload.begin() + sizeof(request) +
-                                 request.name_len);
-      auto it = exports_.find(name);
-      if (it == exports_.end()) {
-        return SendErrorCounted(
-            conn,
-            Status::NotFound("node exports no dataset named '" + name + "'"));
-      }
-      const ExportedDataset& dataset = it->second;
-      if (!dataset.append) {
+      OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset, Find(name));
+      if (!dataset->append) {
         // Recoverable: static exports stay queryable on this connection.
-        return SendErrorCounted(
-            conn, Status::Unimplemented(
-                      "dataset '" + name +
-                      "' is a static export; only live datasets "
-                      "(--live) accept appends"));
+        return Status::Unimplemented(
+            "dataset '" + name +
+            "' is a static export; only live datasets (--live) accept "
+            "appends");
       }
-      const uint64_t data_bytes =
-          frame.payload.size() - sizeof(request) - request.name_len;
       // Divide, don't multiply: a huge count must not wrap into a product
       // that happens to match the payload.
-      if (request.count > kMaxWirePayload / dataset.element_size ||
-          data_bytes != request.count * dataset.element_size) {
-        return SendErrorCounted(
-            conn, Status::InvalidArgument(
-                      "APPEND carries " + std::to_string(data_bytes) +
-                      " element bytes where " + std::to_string(request.count) +
-                      " elements of " + std::to_string(dataset.element_size) +
-                      " bytes need " +
-                      std::to_string(request.count * dataset.element_size)));
+      const uint64_t element_size = dataset->element_size;
+      if (append.count > kMaxWirePayload / element_size ||
+          in.remaining() != append.count * element_size) {
+        return Status::InvalidArgument(
+            "APPEND carries " + std::to_string(in.remaining()) +
+            " element bytes where " + std::to_string(append.count) +
+            " elements of " + std::to_string(element_size) + " bytes need " +
+            std::to_string(append.count * element_size));
       }
-      auto ack = dataset.append(
-          frame.payload.data() + sizeof(request) + request.name_len,
-          request.count);
-      if (!ack.ok()) {
-        // The disk under the dataset failed; the connection itself is fine.
-        return SendErrorCounted(conn, ack.status());
-      }
-      return SendCounted(conn, WireOp::kAppendAck, &*ack, sizeof(*ack));
+      const uint8_t* elements = nullptr;
+      OPAQ_RETURN_IF_ERROR(in.ReadBytes(in.remaining(), &elements));
+      // A failing disk under the dataset leaves the connection fine.
+      OPAQ_ASSIGN_OR_RETURN(WireAppendAck ack,
+                            dataset->append(elements, append.count));
+      return Response(WireOp::kAppendAck, EncodeRecordPayload(ack));
     }
 
     default:
-      SendErrorCounted(conn, Status::Unimplemented(
-                                 std::string("node does not speak op ") +
-                                 WireOpName(frame.op) + " (" +
-                                 std::to_string(frame.op) + ")"));
-      return false;  // unknown op: assume version skew and close
+      // Unknown op: assume version skew and close.
+      return Status::Unimplemented(std::string("node does not speak op ") +
+                                   WireOpName(request.op) + " (" +
+                                   std::to_string(request.op) + ")");
   }
 }
 

@@ -42,8 +42,9 @@ struct ExportedDataset {
   std::function<Result<std::vector<uint8_t>>(
       const WireSampleRunsRequest& request, uint64_t max_run_bytes)>
       sample_runs;
+  /// `brackets` is positioned at the request's bracket bounds.
   std::function<Result<std::vector<uint8_t>>(
-      const WireExactPassRequest& request, const uint8_t* bracket_bytes,
+      const WireExactPassRequest& request, PayloadReader& brackets,
       uint64_t max_run_bytes)>
       exact_pass;
   /// Optional v4 extent hooks, bound when the export is stored as
@@ -98,10 +99,9 @@ ExportedDataset ProviderExport(Current current) {
     return NodeSampleRuns<K>(*current(), request, max_run_bytes);
   };
   dataset.exact_pass = [current](const WireExactPassRequest& request,
-                                 const uint8_t* bracket_bytes,
+                                 PayloadReader& brackets,
                                  uint64_t max_run_bytes) {
-    return NodeExactPass<K>(*current(), request, bracket_bytes,
-                            max_run_bytes);
+    return NodeExactPass<K>(*current(), request, brackets, max_run_bytes);
   };
   return dataset;
 }
@@ -131,12 +131,9 @@ ExportedDataset MakeExport(Source<K> source) {
   return dataset;
 }
 
-struct NodeServerOptions {
-  /// IPv4 literal to bind. The protocol is unauthenticated, so the default
-  /// stays on loopback; bind 0.0.0.0 only on trusted networks.
-  std::string bind_address = "127.0.0.1";
-  /// 0 = pick an ephemeral port (see `port()` after `Start`).
-  uint16_t port = 0;
+/// The transport options (bind address, port, response delay, wire
+/// version cap, metrics registry) come from `FrameServerOptions`.
+struct NodeServerOptions : FrameServerOptions {
   /// Per-request read bound: a `kReadRange` may ask for at most this many
   /// bytes of elements (at least one element is always readable, so tiny
   /// bounds degrade throughput, never availability). Bounds both the
@@ -145,22 +142,11 @@ struct NodeServerOptions {
   /// `kMaxWirePayload` — `Start` rejects configs whose responses could
   /// not be framed.
   uint64_t max_read_bytes = 4u << 20;
-  /// Artificial delay before every response frame — the latency-injectable
-  /// loopback transport the remote-vs-local benches are built on. 0 = off.
-  double response_delay_seconds = 0;
-  /// Newest protocol version this node answers. Frames announcing a newer
-  /// version are rejected with an error frame mentioning "version" — the
-  /// signal a v2 client's `kHello` probe reads as "speak v1". Lower to 1 to
-  /// emulate a pre-compute node (tests and the bench's v1 rows do). Must be
-  /// in [1, kMaxWireVersion]; `Start` rejects anything else.
-  uint16_t max_wire_version = kMaxWireVersion;
   /// Per-request bound on the node-side run buffer a `kSampleRuns` /
   /// `kExactPass` may ask for (`run_size * element_size`). Compute runs
   /// node-side, so this is a memory bound, not a frame bound — hence far
   /// above `max_read_bytes`.
   uint64_t max_compute_run_bytes = 256u << 20;
-  /// Registry this server publishes into; see FrameServerOptions::metrics.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// `opaq_noded`'s engine: serves exported datasets over the wire protocol
@@ -219,8 +205,8 @@ class NodeServer : public FrameServer {
 
  protected:
   Status ValidateStart() override;
-  /// Handles one request frame; returns false when the connection must
-  /// close (protocol violation or transport failure).
+  /// Sends `Answer`'s response or error frame; returns false when the
+  /// connection must close (protocol violation or transport failure).
   bool HandleFrame(TcpConnection* conn, const WireFrame& frame) override;
   /// Base `net.*` counters plus `node.exports`.
   void PublishMetrics(MetricsRegistry* registry) override;
@@ -233,6 +219,15 @@ class NodeServer : public FrameServer {
   /// throughput, never availability (one extent always fits a frame:
   /// kMaxExtentBytes < kMaxWirePayload).
   uint64_t MaxExtentsPerRead(const ExportedDataset& dataset) const;
+
+  /// The export named `name`, or NotFound.
+  Result<const ExportedDataset*> Find(const std::string& name) const;
+
+  /// The one per-op dispatch: the response frame to `request`, or the
+  /// error to answer it with. `*close` is set when the request's framing
+  /// (its fixed prefix or dataset name) does not fit the payload, or the op
+  /// is unknown: the byte stream can no longer be trusted.
+  Result<WireFrame> Answer(const WireFrame& request, bool* close) const;
 
   NodeServerOptions options_;
   std::map<std::string, ExportedDataset> exports_;

@@ -2,7 +2,6 @@
 #define OPAQ_NET_QUERY_CLIENT_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,13 +46,10 @@ class QueryClient {
   Result<WireSessionInfo> OpenSession() {
     OPAQ_RETURN_IF_ERROR(client_.SendRequest(
         WireOp::kOpenSession, session_.data(), session_.size()));
-    auto response = client_.ReceiveResponse(WireOp::kSessionInfo);
-    if (!response.ok()) return response.status();
-    if (response->payload.size() != sizeof(WireSessionInfo)) {
-      return Status::IoError("SESSION_INFO payload has the wrong size");
-    }
-    WireSessionInfo info;
-    std::memcpy(&info, response->payload.data(), sizeof(info));
+    OPAQ_ASSIGN_OR_RETURN(WireFrame response,
+                          client_.ReceiveResponse(WireOp::kSessionInfo));
+    OPAQ_ASSIGN_OR_RETURN(auto info,
+                          DecodeRecordPayload<WireSessionInfo>(response));
     if (info.key_type != static_cast<uint32_t>(KeyTraits<K>::kType) ||
         info.element_size != sizeof(K)) {
       return Status::FailedPrecondition(

@@ -4,20 +4,8 @@
 
 namespace opaq {
 
-namespace {
-FrameServerOptions ToFrameOptions(const QueryServerOptions& options) {
-  FrameServerOptions frame_options;
-  frame_options.bind_address = options.bind_address;
-  frame_options.port = options.port;
-  frame_options.response_delay_seconds = options.response_delay_seconds;
-  frame_options.max_wire_version = options.max_wire_version;
-  frame_options.metrics = options.metrics;
-  return frame_options;
-}
-}  // namespace
-
 QueryServer::QueryServer(QueryServerOptions options)
-    : FrameServer(ToFrameOptions(options)), options_(std::move(options)) {}
+    : FrameServer(options), options_(std::move(options)) {}
 
 QueryServer::~QueryServer() {
   // Joined here, not in ~FrameServer: connection threads virtual-call
@@ -77,13 +65,13 @@ bool QueryServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
       return SendCounted(conn, WireOp::kPong, nullptr, 0);
 
     case WireOp::kHello: {
-      if (frame.payload.size() < sizeof(WireHello)) {
-        SendErrorCounted(conn, Status::IoError(
-                                   "HELLO payload shorter than its header"));
+      Status framed = PayloadReader(frame).Skip(sizeof(WireHello));
+      if (!framed.ok()) {
+        SendErrorCounted(conn, framed);
         return false;  // framing is off; close
       }
       WireHello ack;
-      ack.max_version = frame_options().max_wire_version;
+      ack.max_version = options_.max_wire_version;
       return SendCounted(conn, WireOp::kHelloAck, &ack, sizeof(ack));
     }
 

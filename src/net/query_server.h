@@ -24,25 +24,15 @@
 
 namespace opaq {
 
-struct QueryServerOptions {
-  /// IPv4 literal to bind. The protocol is unauthenticated, so the default
-  /// stays on loopback; bind 0.0.0.0 only on trusted networks.
-  std::string bind_address = "127.0.0.1";
-  /// 0 = pick an ephemeral port (see `port()` after `Start`).
-  uint16_t port = 0;
-  /// Artificial delay before every response frame (latency injection for
-  /// benches). 0 = off.
-  double response_delay_seconds = 0;
-  /// Newest protocol version this server answers; see FrameServerOptions.
-  uint16_t max_wire_version = kMaxWireVersion;
+/// The transport options (bind address, port, response delay, wire
+/// version cap, metrics registry) come from `FrameServerOptions`.
+struct QueryServerOptions : FrameServerOptions {
   /// Batching window for exact-flagged requests: how long the pass leader
   /// waits for stragglers before snapshotting the admission queue and
   /// running the shared §4 second pass. 0 (default) = run immediately;
   /// queued concurrent arrivals still coalesce into one pass. Tests raise
   /// it to make the coalescing deterministic.
   double exact_admission_delay_seconds = 0;
-  /// Registry this server publishes into; see FrameServerOptions::metrics.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// `opaq_queryd`'s engine: sketch once, serve millions. Each named session

@@ -1,9 +1,5 @@
 #include "net/wire.h"
 
-#include <cstring>
-
-#include "util/crc32.h"
-
 namespace opaq {
 
 const char* WireOpName(uint16_t op) {
@@ -85,10 +81,10 @@ std::vector<uint8_t> EncodeFrame(WireOp op, const void* payload, size_t len) {
   header.op = static_cast<uint16_t>(op);
   header.payload_len = static_cast<uint32_t>(len);
   header.payload_crc = Crc32(payload, len);
-  std::vector<uint8_t> out(sizeof(header) + len);
-  std::memcpy(out.data(), &header, sizeof(header));
-  if (len != 0) std::memcpy(out.data() + sizeof(header), payload, len);
-  return out;
+  PayloadWriter out(sizeof(header) + len);
+  out.Put(header);
+  out.PutBytes(payload, len);
+  return out.Take();
 }
 
 std::vector<uint8_t> EncodeFrame(WireOp op,
@@ -97,28 +93,35 @@ std::vector<uint8_t> EncodeFrame(WireOp op,
 }
 
 std::vector<uint8_t> EncodeErrorFrame(const Status& status) {
-  std::vector<uint8_t> payload(sizeof(uint32_t) + status.message().size());
-  const uint32_t code = static_cast<uint32_t>(status.code());
-  std::memcpy(payload.data(), &code, sizeof(code));
-  std::memcpy(payload.data() + sizeof(code), status.message().data(),
-              status.message().size());
-  return EncodeFrame(WireOp::kError, payload);
+  PayloadWriter out(sizeof(uint32_t) + status.message().size());
+  out.Put(static_cast<uint32_t>(status.code()));
+  out.PutString(status.message());
+  return EncodeFrame(WireOp::kError, out.Take());
 }
 
 Status DecodeErrorPayload(const uint8_t* payload, size_t len) {
-  if (len < sizeof(uint32_t)) {
-    return Status::IoError("error frame payload shorter than a status code");
-  }
+  PayloadReader in(payload, len, "ERROR");
   uint32_t code = 0;
-  std::memcpy(&code, payload, sizeof(code));
+  OPAQ_RETURN_IF_ERROR(in.Read(&code));
   if (code == static_cast<uint32_t>(StatusCode::kOk) ||
       code > static_cast<uint32_t>(StatusCode::kUnimplemented)) {
     return Status::IoError("error frame carries an invalid status code " +
                            std::to_string(code));
   }
-  std::string message(reinterpret_cast<const char*>(payload) + sizeof(code),
-                      len - sizeof(code));
-  return Status(static_cast<StatusCode>(code), std::move(message));
+  return Status(static_cast<StatusCode>(code), in.RestAsString());
+}
+
+Status PayloadReader::Truncated(uint64_t count, size_t size) const {
+  return Status::IoError(std::string(op_) + " payload truncated: " +
+                         (count == 1 ? "" : std::to_string(count) + " x ") +
+                         std::to_string(size) + " bytes wanted at byte " +
+                         std::to_string(pos_) + ", " +
+                         std::to_string(remaining()) + " left");
+}
+
+Status PayloadReader::Trailing() const {
+  return Status::IoError(std::string(op_) + " carries " +
+                         std::to_string(remaining()) + " trailing bytes");
 }
 
 Status ValidateFrameHeader(const WireFrameHeader& header) {
@@ -142,20 +145,12 @@ Status ValidateFrameHeader(const WireFrameHeader& header) {
 
 Result<WireFrame> DecodeFrame(const uint8_t* data, size_t size,
                               size_t* consumed) {
-  if (size < sizeof(WireFrameHeader)) {
-    return Status::IoError("truncated frame: " + std::to_string(size) +
-                           " bytes is shorter than a frame header");
-  }
+  PayloadReader in(data, size, "frame");
   WireFrameHeader header;
-  std::memcpy(&header, data, sizeof(header));
+  OPAQ_RETURN_IF_ERROR(in.Read(&header));
   OPAQ_RETURN_IF_ERROR(ValidateFrameHeader(header));
-  if (size - sizeof(header) < header.payload_len) {
-    return Status::IoError(
-        "truncated frame: header promises " +
-        std::to_string(header.payload_len) + " payload bytes, only " +
-        std::to_string(size - sizeof(header)) + " present");
-  }
-  const uint8_t* payload = data + sizeof(header);
+  const uint8_t* payload = nullptr;
+  OPAQ_RETURN_IF_ERROR(in.ReadBytes(header.payload_len, &payload));
   if (Crc32(payload, header.payload_len) != header.payload_crc) {
     return Status::IoError(std::string("payload CRC mismatch on a ") +
                            WireOpName(header.op) + " frame");
@@ -163,9 +158,7 @@ Result<WireFrame> DecodeFrame(const uint8_t* data, size_t size,
   WireFrame frame;
   frame.op = header.op;
   frame.payload.assign(payload, payload + header.payload_len);
-  if (consumed != nullptr) {
-    *consumed = sizeof(header) + header.payload_len;
-  }
+  if (consumed != nullptr) *consumed = in.position();
   return frame;
 }
 

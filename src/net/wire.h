@@ -1,12 +1,16 @@
 #ifndef OPAQ_NET_WIRE_H_
 #define OPAQ_NET_WIRE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/status.h"
 
 namespace opaq {
@@ -60,6 +64,18 @@ namespace opaq {
 /// arrival order on each connection, which is what makes pipelining safe
 /// and what the remote run streams exploit to overlap network latency with
 /// compute.
+///
+/// Every payload codec, in this file and in wire_compute.h, wire_query.h,
+/// wire_stats.h, the clients and the servers, encodes through one
+/// `PayloadWriter` and decodes through one `PayloadReader` (below). The
+/// reader's contract: every read checks the bytes left before it touches
+/// one and fails with IoError naming the op; an array read bounds a
+/// peer-chosen count by the bytes actually present before it allocates;
+/// reads copy out (no alignment assumption, no pointer into a struct). So a
+/// decoder is safe against any byte string by construction, and what it
+/// still checks by hand is meaning: caps, sortedness, reserved bits, counts
+/// that must agree. This header is the only place in src/net that copies
+/// raw bytes (the header-hygiene lint enforces it).
 ///
 /// Security caveat: the protocol is UNAUTHENTICATED and unencrypted — a
 /// data node trusts every peer that can reach its port. Deploy on
@@ -454,15 +470,151 @@ struct WireQuantileEstimate {
 static_assert(sizeof(WireQuantileEstimate) == 40);
 static_assert(std::is_trivially_copyable_v<WireQuantileEstimate>);
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `len` bytes.
-/// The classic check value: Crc32("123456789", 9) == 0xCBF43926.
-uint32_t Crc32(const void* data, size_t len);
-
 /// One decoded frame.
 struct WireFrame {
   uint16_t op = 0;
   std::vector<uint8_t> payload;
 };
+
+/// Appends fixed-layout records, strings and arrays to one payload, front
+/// to back, in wire order.
+class PayloadWriter {
+ public:
+  /// Codecs that know their payload size pass it, so the payload is one
+  /// allocation and every `Put` is a plain copy.
+  explicit PayloadWriter(size_t capacity_hint = 0) : bytes_(capacity_hint) {}
+
+  template <typename T>
+  void Put(const T& record) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    PutBytes(&record, sizeof(T));
+  }
+  void PutBytes(const void* data, size_t len) {
+    if (len > bytes_.size() - size_) {
+      bytes_.resize(std::max(2 * bytes_.size(), size_ + len));
+    }
+    if (len != 0) std::memcpy(bytes_.data() + size_, data, len);
+    size_ += len;
+  }
+  void PutString(const std::string& text) {
+    PutBytes(text.data(), text.size());
+  }
+  template <typename T>
+  void PutArray(const std::vector<T>& values) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    PutBytes(values.data(), values.size() * sizeof(T));
+  }
+
+  std::vector<uint8_t> Take() {
+    bytes_.resize(size_);
+    size_ = 0;
+    return std::move(bytes_);
+  }
+
+ private:
+  std::vector<uint8_t> bytes_;  // [0, size_) written
+  size_t size_ = 0;
+};
+
+/// Reads one payload front to back. Every read checks the bytes left first
+/// and fails with IoError naming `op`; nothing is read past `len`.
+class PayloadReader {
+ public:
+  /// `op` is a string literal naming the payload ("QUERY_RESULT", ...).
+  PayloadReader(const uint8_t* data, size_t len, const char* op)
+      : data_(data), len_(len), op_(op) {}
+  explicit PayloadReader(const WireFrame& frame)
+      : PayloadReader(frame.payload.data(), frame.payload.size(),
+                      WireOpName(frame.op)) {}
+
+  size_t remaining() const { return len_ - pos_; }
+  size_t position() const { return pos_; }
+
+  template <typename T>
+  Status Read(T* out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (sizeof(T) > remaining()) return Truncated(1, sizeof(T));
+    std::memcpy(out, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return Status::OK();
+  }
+
+  /// Points `*out` at the next `n` bytes, in place, and steps past them.
+  Status ReadBytes(size_t n, const uint8_t** out) {
+    if (n > remaining()) return Truncated(1, n);
+    *out = data_ + pos_;
+    pos_ += n;
+    return Status::OK();
+  }
+  Status Skip(size_t n) {
+    const uint8_t* skipped = nullptr;
+    return ReadBytes(n, &skipped);
+  }
+
+  Status ReadString(size_t n, std::string* out) {
+    if (n > remaining()) return Truncated(1, n);
+    out->assign(reinterpret_cast<const char*>(data_ + pos_), n);
+    pos_ += n;
+    return Status::OK();
+  }
+
+  /// `count` records; a count the bytes left cannot hold fails before any
+  /// allocation.
+  template <typename T>
+  Status ReadArray(uint64_t count, std::vector<T>* out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (count > remaining() / sizeof(T)) return Truncated(count, sizeof(T));
+    out->resize(static_cast<size_t>(count));
+    if (count != 0) {
+      std::memcpy(out->data(), data_ + pos_, out->size() * sizeof(T));
+    }
+    pos_ += out->size() * sizeof(T);
+    return Status::OK();
+  }
+
+  /// Everything left, as text (the bare-name payloads).
+  std::string RestAsString() {
+    std::string rest(reinterpret_cast<const char*>(data_ + pos_),
+                     remaining());
+    pos_ = len_;
+    return rest;
+  }
+
+  /// IoError unless every byte was read.
+  Status ExpectEnd() const {
+    return remaining() == 0 ? Status::OK() : Trailing();
+  }
+
+ private:
+  // The error paths live out of line (wire.cc), keeping every read small
+  // enough to inline into the codecs' loops.
+  Status Truncated(uint64_t count, size_t size) const;
+  Status Trailing() const;
+
+  const uint8_t* data_;
+  size_t len_;
+  size_t pos_ = 0;
+  const char* op_;
+};
+
+/// The payload of a one-record message (DATASET_INFO, EXTENT_INFO,
+/// SESSION_INFO, APPEND_ACK, ...).
+template <typename T>
+std::vector<uint8_t> EncodeRecordPayload(const T& record) {
+  PayloadWriter out(sizeof(T));
+  out.Put(record);
+  return out.Take();
+}
+
+/// Decodes a one-record payload; any other length is an IoError.
+template <typename T>
+Result<T> DecodeRecordPayload(const WireFrame& frame) {
+  PayloadReader in(frame);
+  T record;
+  OPAQ_RETURN_IF_ERROR(in.Read(&record));
+  OPAQ_RETURN_IF_ERROR(in.ExpectEnd());
+  return record;
+}
 
 /// Encodes a frame (header + payload copy) ready to put on the wire. The
 /// header's version field is `WireOpVersion(op)`: v1 ops encode exactly as

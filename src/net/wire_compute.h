@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,11 +25,10 @@ namespace opaq {
 /// `kSampleRuns` request payload: fixed prefix + dataset name.
 inline std::vector<uint8_t> EncodeSampleRunsPayload(
     const WireSampleRunsRequest& request, const std::string& dataset) {
-  std::vector<uint8_t> payload(sizeof(request) + dataset.size());
-  std::memcpy(payload.data(), &request, sizeof(request));
-  std::memcpy(payload.data() + sizeof(request), dataset.data(),
-              dataset.size());
-  return payload;
+  PayloadWriter out(sizeof(request) + dataset.size());
+  out.Put(request);
+  out.PutString(dataset);
+  return out.Take();
 }
 
 /// `kSampleListData` response payload: accounting header + the raw sorted
@@ -53,13 +51,10 @@ Result<std::vector<uint8_t>> EncodeSampleListPayload(
         " samples does not fit one wire frame; lower samples_per_run or "
         "raise run_size");
   }
-  std::vector<uint8_t> payload(sizeof(header) + sample_bytes);
-  std::memcpy(payload.data(), &header, sizeof(header));
-  if (sample_bytes != 0) {
-    std::memcpy(payload.data() + sizeof(header), list.samples().data(),
-                sample_bytes);
-  }
-  return payload;
+  PayloadWriter out(sizeof(header) + sample_bytes);
+  out.Put(header);
+  out.PutArray(list.samples());
+  return out.Take();
 }
 
 /// Decodes and validates a `kSampleListData` payload back into a
@@ -69,18 +64,15 @@ Result<std::vector<uint8_t>> EncodeSampleListPayload(
 template <typename K>
 Result<SampleList<K>> DecodeSampleListPayload(const uint8_t* payload,
                                               size_t len) {
+  PayloadReader in(payload, len, "SAMPLE_LIST_DATA");
   WireSampleListHeader header;
-  if (len < sizeof(header)) {
-    return Status::IoError(
-        "SAMPLE_LIST_DATA payload shorter than its header");
-  }
-  std::memcpy(&header, payload, sizeof(header));
-  if (header.num_samples != (len - sizeof(header)) / sizeof(K) ||
-      (len - sizeof(header)) % sizeof(K) != 0) {
+  OPAQ_RETURN_IF_ERROR(in.Read(&header));
+  if (header.num_samples != in.remaining() / sizeof(K) ||
+      in.remaining() % sizeof(K) != 0) {
     return Status::IoError(
         "SAMPLE_LIST_DATA header promises " +
         std::to_string(header.num_samples) + " samples, payload holds " +
-        std::to_string(len - sizeof(header)) + " bytes");
+        std::to_string(in.remaining()) + " bytes");
   }
   SampleAccounting acc;
   acc.subrun_size = header.subrun_size;
@@ -92,11 +84,8 @@ Result<SampleList<K>> DecodeSampleListPayload(const uint8_t* payload,
     return Status::IoError(
         "SAMPLE_LIST_DATA carries inconsistent sample accounting");
   }
-  std::vector<K> samples(static_cast<size_t>(header.num_samples));
-  if (!samples.empty()) {
-    std::memcpy(samples.data(), payload + sizeof(header),
-                samples.size() * sizeof(K));
-  }
+  std::vector<K> samples;
+  OPAQ_RETURN_IF_ERROR(in.ReadArray(header.num_samples, &samples));
   if (!std::is_sorted(samples.begin(), samples.end())) {
     return Status::IoError("SAMPLE_LIST_DATA samples are not sorted");
   }
@@ -114,35 +103,36 @@ std::vector<uint8_t> EncodeExactPassPayload(
     const std::string& dataset) {
   request.num_brackets = static_cast<uint32_t>(estimates.size());
   request.name_len = static_cast<uint32_t>(dataset.size());
-  std::vector<uint8_t> payload(sizeof(request) + dataset.size() +
-                               estimates.size() * 2 * sizeof(K));
-  uint8_t* out = payload.data();
-  std::memcpy(out, &request, sizeof(request));
-  out += sizeof(request);
-  std::memcpy(out, dataset.data(), dataset.size());
-  out += dataset.size();
+  PayloadWriter out(sizeof(request) + dataset.size() +
+                    estimates.size() * 2 * sizeof(K));
+  out.Put(request);
+  out.PutString(dataset);
   for (const QuantileEstimate<K>& e : estimates) {
-    std::memcpy(out, &e.lower, sizeof(K));
-    out += sizeof(K);
-    std::memcpy(out, &e.upper, sizeof(K));
-    out += sizeof(K);
+    out.Put(e.lower);
+    out.Put(e.upper);
   }
-  return payload;
+  return out.Take();
 }
 
-/// Decodes the bracket bounds of a `kExactPass` request (node side). The
-/// fixed prefix and dataset name are the server's concern; `brackets` points
-/// at the `num_brackets * 2 * sizeof(K)` bound bytes between them.
+/// Decodes the bracket bounds of a `kExactPass` request (node side): `in`
+/// is positioned past the fixed prefix and dataset name, and the rest of
+/// the payload must be exactly `num_brackets` (lower, upper) element pairs.
+/// A wrong length or an inverted bracket is a per-request InvalidArgument.
 template <typename K>
 Result<std::vector<QuantileEstimate<K>>> DecodeExactBrackets(
-    const uint8_t* brackets, uint32_t num_brackets) {
+    PayloadReader& in, uint32_t num_brackets) {
+  const uint64_t need = uint64_t{num_brackets} * 2 * sizeof(K);
+  if (in.remaining() != need) {
+    return Status::InvalidArgument(
+        "EXACT_PASS carries " + std::to_string(in.remaining()) +
+        " bracket bytes where " + std::to_string(num_brackets) +
+        " brackets of " + std::to_string(sizeof(K)) +
+        "-byte elements need " + std::to_string(need));
+  }
   std::vector<QuantileEstimate<K>> estimates(num_brackets);
-  const uint8_t* in = brackets;
   for (QuantileEstimate<K>& e : estimates) {
-    std::memcpy(&e.lower, in, sizeof(K));
-    in += sizeof(K);
-    std::memcpy(&e.upper, in, sizeof(K));
-    in += sizeof(K);
+    OPAQ_RETURN_IF_ERROR(in.Read(&e.lower));
+    OPAQ_RETURN_IF_ERROR(in.Read(&e.upper));
     if (e.upper < e.lower) {
       return Status::InvalidArgument(
           "EXACT_PASS bracket has upper < lower");
@@ -173,25 +163,14 @@ Result<std::vector<uint8_t>> EncodeExactScanPayload(
         " elements do not fit one wire frame; lower the memory budget or "
         "raise samples_per_run");
   }
-  std::vector<uint8_t> payload(static_cast<size_t>(bytes));
-  uint8_t* out = payload.data();
-  std::memcpy(out, &header, sizeof(header));
-  out += sizeof(header);
-  std::memcpy(out, scan.below.data(),
-              scan.below.size() * sizeof(uint64_t));
-  out += scan.below.size() * sizeof(uint64_t);
+  PayloadWriter out(static_cast<size_t>(bytes));
+  out.Put(header);
+  out.PutArray(scan.below);
   for (const std::vector<K>& kept : scan.kept) {
-    const uint64_t count = kept.size();
-    std::memcpy(out, &count, sizeof(count));
-    out += sizeof(count);
+    out.Put(uint64_t{kept.size()});
   }
-  for (const std::vector<K>& kept : scan.kept) {
-    if (!kept.empty()) {
-      std::memcpy(out, kept.data(), kept.size() * sizeof(K));
-      out += kept.size() * sizeof(K);
-    }
-  }
-  return payload;
+  for (const std::vector<K>& kept : scan.kept) out.PutArray(kept);
+  return out.Take();
 }
 
 /// Decodes and validates a `kExactPassData` payload (client side). The
@@ -200,11 +179,9 @@ Result<std::vector<uint8_t>> EncodeExactScanPayload(
 template <typename K>
 Result<internal_exact::BracketAccumulator<K>> DecodeExactScanPayload(
     const uint8_t* payload, size_t len, uint32_t expected_brackets) {
+  PayloadReader in(payload, len, "EXACT_PASS_DATA");
   WireExactPassHeader header;
-  if (len < sizeof(header)) {
-    return Status::IoError("EXACT_PASS_DATA payload shorter than its header");
-  }
-  std::memcpy(&header, payload, sizeof(header));
+  OPAQ_RETURN_IF_ERROR(in.Read(&header));
   if (header.num_brackets != expected_brackets) {
     return Status::IoError(
         "EXACT_PASS_DATA answers " + std::to_string(header.num_brackets) +
@@ -212,22 +189,16 @@ Result<internal_exact::BracketAccumulator<K>> DecodeExactScanPayload(
   }
   const uint64_t counts_bytes =
       uint64_t{header.num_brackets} * 2 * sizeof(uint64_t);
-  if (len < sizeof(header) + counts_bytes ||
-      len - sizeof(header) - counts_bytes !=
-          header.kept_total * sizeof(K) ||
+  if (in.remaining() < counts_bytes ||
+      in.remaining() - counts_bytes != header.kept_total * sizeof(K) ||
       header.kept_total > kMaxWirePayload / sizeof(K)) {
     return Status::IoError(
         "EXACT_PASS_DATA payload length disagrees with its header");
   }
   internal_exact::BracketAccumulator<K> scan(header.num_brackets);
-  const uint8_t* in = payload + sizeof(header);
-  std::memcpy(scan.below.data(), in,
-              scan.below.size() * sizeof(uint64_t));
-  in += scan.below.size() * sizeof(uint64_t);
-  std::vector<uint64_t> kept_counts(header.num_brackets);
-  std::memcpy(kept_counts.data(), in,
-              kept_counts.size() * sizeof(uint64_t));
-  in += kept_counts.size() * sizeof(uint64_t);
+  OPAQ_RETURN_IF_ERROR(in.ReadArray(header.num_brackets, &scan.below));
+  std::vector<uint64_t> kept_counts;
+  OPAQ_RETURN_IF_ERROR(in.ReadArray(header.num_brackets, &kept_counts));
   uint64_t total = 0;
   for (uint64_t count : kept_counts) total += count;
   if (total != header.kept_total) {
@@ -235,11 +206,7 @@ Result<internal_exact::BracketAccumulator<K>> DecodeExactScanPayload(
         "EXACT_PASS_DATA kept counts do not sum to the header total");
   }
   for (uint32_t q = 0; q < header.num_brackets; ++q) {
-    scan.kept[q].resize(static_cast<size_t>(kept_counts[q]));
-    if (!scan.kept[q].empty()) {
-      std::memcpy(scan.kept[q].data(), in, kept_counts[q] * sizeof(K));
-      in += kept_counts[q] * sizeof(K);
-    }
+    OPAQ_RETURN_IF_ERROR(in.ReadArray(kept_counts[q], &scan.kept[q]));
   }
   return scan;
 }

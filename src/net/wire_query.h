@@ -2,7 +2,6 @@
 #define OPAQ_NET_WIRE_QUERY_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,14 +47,10 @@ std::vector<uint8_t> EncodeQueryPayload(
   WireQueryHeader header;
   header.name_len = static_cast<uint32_t>(session.size());
   header.num_requests = static_cast<uint32_t>(requests.size());
-  std::vector<uint8_t> payload(
-      sizeof(header) + session.size() +
-      requests.size() * (sizeof(WireQueryRequest) + sizeof(K)));
-  uint8_t* out = payload.data();
-  std::memcpy(out, &header, sizeof(header));
-  out += sizeof(header);
-  std::memcpy(out, session.data(), session.size());
-  out += session.size();
+  PayloadWriter out(sizeof(header) + session.size() +
+                    requests.size() * (sizeof(WireQueryRequest) + sizeof(K)));
+  out.Put(header);
+  out.PutString(session);
   for (const QueryRequest<K>& request : requests) {
     WireQueryRequest record;
     record.kind = static_cast<uint32_t>(request.kind);
@@ -63,13 +58,10 @@ std::vector<uint8_t> EncodeQueryPayload(
     record.phi = request.phi;
     record.rank = request.rank;
     record.q = request.q < 0 ? 0 : static_cast<uint32_t>(request.q);
-    std::memcpy(out, &record, sizeof(record));
-    out += sizeof(record);
-    K value = request.value;
-    std::memcpy(out, &value, sizeof(K));
-    out += sizeof(K);
+    out.Put(record);
+    out.Put(request.value);
   }
-  return payload;
+  return out.Take();
 }
 
 /// First (untyped) half of decoding a `kQuery` payload: the header and the
@@ -77,14 +69,11 @@ std::vector<uint8_t> EncodeQueryPayload(
 /// session and learning the element size. Returns the validated header.
 inline Result<std::pair<WireQueryHeader, std::string>> DecodeQueryName(
     const uint8_t* payload, size_t len) {
+  PayloadReader in(payload, len, "QUERY");
   WireQueryHeader header;
-  if (len < sizeof(header)) {
-    return Status::IoError("QUERY payload shorter than its fixed prefix");
-  }
-  std::memcpy(&header, payload, sizeof(header));
-  if (len - sizeof(header) < header.name_len) {
-    return Status::IoError("QUERY name_len passes the end of the payload");
-  }
+  OPAQ_RETURN_IF_ERROR(in.Read(&header));
+  std::string name;
+  OPAQ_RETURN_IF_ERROR(in.ReadString(header.name_len, &name));
   if (header.num_requests == 0) {
     return Status::InvalidArgument("QUERY batch holds no requests");
   }
@@ -94,8 +83,6 @@ inline Result<std::pair<WireQueryHeader, std::string>> DecodeQueryName(
         " requests exceeds the protocol cap of " +
         std::to_string(kMaxWireQueryRequests));
   }
-  std::string name(reinterpret_cast<const char*>(payload) + sizeof(header),
-                   header.name_len);
   return std::make_pair(header, std::move(name));
 }
 
@@ -116,13 +103,13 @@ Result<std::vector<QueryRequest<K>>> DecodeQueryRequests(
         std::to_string(sizeof(K)) + "-byte elements (" +
         std::to_string(expected) + " expected)");
   }
+  PayloadReader in(payload, len, "QUERY");
+  OPAQ_RETURN_IF_ERROR(in.Skip(sizeof(header) + header.name_len));
   std::vector<QueryRequest<K>> requests;
   requests.reserve(header.num_requests);
-  const uint8_t* in = payload + sizeof(header) + header.name_len;
   for (uint32_t i = 0; i < header.num_requests; ++i) {
     WireQueryRequest record;
-    std::memcpy(&record, in, sizeof(record));
-    in += sizeof(record);
+    OPAQ_RETURN_IF_ERROR(in.Read(&record));
     if (record.kind >
         static_cast<uint32_t>(QueryRequest<K>::Kind::kEquiQuantiles)) {
       return Status::InvalidArgument(
@@ -145,8 +132,7 @@ Result<std::vector<QueryRequest<K>>> DecodeQueryRequests(
     request.phi = record.phi;
     request.rank = record.rank;
     request.q = static_cast<int>(record.q);
-    std::memcpy(&request.value, in, sizeof(K));
-    in += sizeof(K);
+    OPAQ_RETURN_IF_ERROR(in.Read(&request.value));
     requests.push_back(request);
   }
   return requests;
@@ -175,10 +161,8 @@ Result<std::vector<uint8_t>> EncodeQueryResultsPayload(
         "QUERY_RESULT batch of " + std::to_string(bytes) +
         " bytes does not fit one wire frame; split the batch or lower q");
   }
-  std::vector<uint8_t> payload(static_cast<size_t>(bytes));
-  uint8_t* out = payload.data();
-  std::memcpy(out, &header, sizeof(header));
-  out += sizeof(header);
+  PayloadWriter out(static_cast<size_t>(bytes));
+  out.Put(header);
   for (const QueryResult<K>& result : results.results) {
     WireQueryResultRecord record;
     record.kind = static_cast<uint32_t>(result.kind);
@@ -188,8 +172,7 @@ Result<std::vector<uint8_t>> EncodeQueryResultsPayload(
     record.max_rank_le = result.rank.max_rank_le;
     record.min_rank_lt = result.rank.min_rank_lt;
     record.max_rank_lt = result.rank.max_rank_lt;
-    std::memcpy(out, &record, sizeof(record));
-    out += sizeof(record);
+    out.Put(record);
     for (const QuantileEstimate<K>& estimate : result.estimates) {
       WireQuantileEstimate wire;
       wire.target_rank = estimate.target_rank;
@@ -201,21 +184,13 @@ Result<std::vector<uint8_t>> EncodeQueryResultsPayload(
                                   : 0) |
           (estimate.upper_clamped ? wire_query_internal::kUpperClampedFlag
                                   : 0);
-      std::memcpy(out, &wire, sizeof(wire));
-      out += sizeof(wire);
-      K lower = estimate.lower;
-      K upper = estimate.upper;
-      std::memcpy(out, &lower, sizeof(K));
-      out += sizeof(K);
-      std::memcpy(out, &upper, sizeof(K));
-      out += sizeof(K);
+      out.Put(wire);
+      out.Put(estimate.lower);
+      out.Put(estimate.upper);
     }
-    if (!result.exact.empty()) {
-      std::memcpy(out, result.exact.data(), result.exact.size() * sizeof(K));
-      out += result.exact.size() * sizeof(K);
-    }
+    out.PutArray(result.exact);
   }
-  return payload;
+  return out.Take();
 }
 
 /// Decodes and validates a `kQueryResult` payload (client side). Every
@@ -224,35 +199,25 @@ Result<std::vector<uint8_t>> EncodeQueryResultsPayload(
 template <typename K>
 Result<QueryResults<K>> DecodeQueryResultsPayload(const uint8_t* payload,
                                                   size_t len) {
+  PayloadReader in(payload, len, "QUERY_RESULT");
   WireQueryResultHeader header;
-  if (len < sizeof(header)) {
-    return Status::IoError("QUERY_RESULT payload shorter than its header");
-  }
-  std::memcpy(&header, payload, sizeof(header));
+  OPAQ_RETURN_IF_ERROR(in.Read(&header));
   QueryResults<K> out;
   out.total_elements = header.total_elements;
   out.max_rank_error = header.max_rank_error;
-  const uint8_t* in = payload + sizeof(header);
-  size_t remaining = len - sizeof(header);
   // Bound num_results by the bytes actually present BEFORE reserving:
   // the count is attacker-controlled, and an unchecked reserve of up to
   // 2^32 records is an allocation bomb, not a Status.
-  if (header.num_results > remaining / sizeof(WireQueryResultRecord)) {
+  if (header.num_results > in.remaining() / sizeof(WireQueryResultRecord)) {
     return Status::IoError(
         "QUERY_RESULT claims " + std::to_string(header.num_results) +
-        " results but carries only " + std::to_string(remaining) +
+        " results but carries only " + std::to_string(in.remaining()) +
         " payload bytes");
   }
   out.results.reserve(header.num_results);
   for (uint32_t r = 0; r < header.num_results; ++r) {
     WireQueryResultRecord record;
-    if (remaining < sizeof(record)) {
-      return Status::IoError("QUERY_RESULT truncated inside result " +
-                             std::to_string(r));
-    }
-    std::memcpy(&record, in, sizeof(record));
-    in += sizeof(record);
-    remaining -= sizeof(record);
+    OPAQ_RETURN_IF_ERROR(in.Read(&record));
     if (record.kind >
         static_cast<uint32_t>(QueryRequest<K>::Kind::kEquiQuantiles)) {
       return Status::IoError("QUERY_RESULT result " + std::to_string(r) +
@@ -265,25 +230,15 @@ Result<QueryResults<K>> DecodeQueryResultsPayload(const uint8_t* payload,
           std::to_string(record.num_exact) + " exact values for " +
           std::to_string(record.num_estimates) + " estimates");
     }
-    const uint64_t estimate_bytes =
-        uint64_t{record.num_estimates} *
-        (sizeof(WireQuantileEstimate) + 2 * sizeof(K));
-    const uint64_t exact_bytes = uint64_t{record.num_exact} * sizeof(K);
-    if (remaining < estimate_bytes + exact_bytes) {
-      return Status::IoError("QUERY_RESULT truncated inside result " +
-                             std::to_string(r));
-    }
     QueryResult<K> result;
     result.kind = static_cast<typename QueryRequest<K>::Kind>(record.kind);
     result.rank.min_rank_le = record.min_rank_le;
     result.rank.max_rank_le = record.max_rank_le;
     result.rank.min_rank_lt = record.min_rank_lt;
     result.rank.max_rank_lt = record.max_rank_lt;
-    result.estimates.reserve(record.num_estimates);
     for (uint32_t e = 0; e < record.num_estimates; ++e) {
       WireQuantileEstimate wire;
-      std::memcpy(&wire, in, sizeof(wire));
-      in += sizeof(wire);
+      OPAQ_RETURN_IF_ERROR(in.Read(&wire));
       if ((wire.clamp_flags & ~(wire_query_internal::kLowerClampedFlag |
                                 wire_query_internal::kUpperClampedFlag)) !=
           0) {
@@ -299,25 +254,14 @@ Result<QueryResults<K>> DecodeQueryResultsPayload(const uint8_t* payload,
           (wire.clamp_flags & wire_query_internal::kLowerClampedFlag) != 0;
       estimate.upper_clamped =
           (wire.clamp_flags & wire_query_internal::kUpperClampedFlag) != 0;
-      std::memcpy(&estimate.lower, in, sizeof(K));
-      in += sizeof(K);
-      std::memcpy(&estimate.upper, in, sizeof(K));
-      in += sizeof(K);
+      OPAQ_RETURN_IF_ERROR(in.Read(&estimate.lower));
+      OPAQ_RETURN_IF_ERROR(in.Read(&estimate.upper));
       result.estimates.push_back(estimate);
     }
-    result.exact.resize(record.num_exact);
-    if (record.num_exact != 0) {
-      std::memcpy(result.exact.data(), in, exact_bytes);
-      in += exact_bytes;
-    }
-    remaining -= static_cast<size_t>(estimate_bytes + exact_bytes);
+    OPAQ_RETURN_IF_ERROR(in.ReadArray(record.num_exact, &result.exact));
     out.results.push_back(std::move(result));
   }
-  if (remaining != 0) {
-    return Status::IoError("QUERY_RESULT carries " +
-                           std::to_string(remaining) +
-                           " trailing bytes past its last result");
-  }
+  OPAQ_RETURN_IF_ERROR(in.ExpectEnd());
   return out;
 }
 

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,18 +49,14 @@ inline std::vector<uint8_t> EncodeStatsPayload(
       bytes += sizeof(uint64_t);
     }
   }
-  std::vector<uint8_t> payload(bytes);
-  uint8_t* out = payload.data();
-  std::memcpy(out, &header, sizeof(header));
-  out += sizeof(header);
+  PayloadWriter out(bytes);
+  out.Put(header);
   for (const MetricSample& metric : snapshot.metrics) {
     WireStatsMetric record;
     record.name_len = static_cast<uint16_t>(metric.name.size());
     record.type = static_cast<uint8_t>(metric.type);
-    std::memcpy(out, &record, sizeof(record));
-    out += sizeof(record);
-    std::memcpy(out, metric.name.data(), metric.name.size());
-    out += metric.name.size();
+    out.Put(record);
+    out.PutString(metric.name);
     if (metric.type == MetricType::kHistogram) {
       WireStatsHistogram hist;
       hist.count = metric.histogram.count;
@@ -70,20 +65,13 @@ inline std::vector<uint8_t> EncodeStatsPayload(
       hist.num_runs = metric.histogram.num_runs;
       hist.num_samples =
           static_cast<uint32_t>(metric.histogram.samples.size());
-      std::memcpy(out, &hist, sizeof(hist));
-      out += sizeof(hist);
-      if (!metric.histogram.samples.empty()) {
-        std::memcpy(out, metric.histogram.samples.data(),
-                    metric.histogram.samples.size() * sizeof(uint64_t));
-        out += metric.histogram.samples.size() * sizeof(uint64_t);
-      }
+      out.Put(hist);
+      out.PutArray(metric.histogram.samples);
     } else {
-      const uint64_t value = metric.value;
-      std::memcpy(out, &value, sizeof(value));
-      out += sizeof(value);
+      out.Put(metric.value);
     }
   }
-  return payload;
+  return out.Take();
 }
 
 /// Decodes and validates a `kStatsData` payload. Every record boundary is
@@ -93,11 +81,9 @@ inline std::vector<uint8_t> EncodeStatsPayload(
 /// (the invariant every renderer's rank arithmetic relies on).
 inline Result<MetricsSnapshot> DecodeStatsPayload(const uint8_t* payload,
                                                   size_t len) {
+  PayloadReader in(payload, len, "STATS_DATA");
   WireStatsHeader header;
-  if (len < sizeof(header)) {
-    return Status::IoError("STATS_DATA payload shorter than its header");
-  }
-  std::memcpy(&header, payload, sizeof(header));
+  OPAQ_RETURN_IF_ERROR(in.Read(&header));
   if (header.stats_version != kWireStatsVersion) {
     return Status::IoError("STATS_DATA snapshot layout version " +
                            std::to_string(header.stats_version) +
@@ -110,13 +96,11 @@ inline Result<MetricsSnapshot> DecodeStatsPayload(const uint8_t* payload,
         " metrics (protocol cap " + std::to_string(kMaxWireStatsMetrics) +
         ")");
   }
-  const uint8_t* in = payload + sizeof(header);
-  size_t remaining = len - sizeof(header);
   // Bound the count by the bytes actually present BEFORE reserving.
-  if (header.num_metrics > remaining / sizeof(WireStatsMetric)) {
+  if (header.num_metrics > in.remaining() / sizeof(WireStatsMetric)) {
     return Status::IoError(
         "STATS_DATA claims " + std::to_string(header.num_metrics) +
-        " metrics but carries only " + std::to_string(remaining) +
+        " metrics but carries only " + std::to_string(in.remaining()) +
         " payload bytes");
   }
   MetricsSnapshot out;
@@ -124,13 +108,7 @@ inline Result<MetricsSnapshot> DecodeStatsPayload(const uint8_t* payload,
   out.metrics.reserve(header.num_metrics);
   for (uint32_t m = 0; m < header.num_metrics; ++m) {
     WireStatsMetric record;
-    if (remaining < sizeof(record)) {
-      return Status::IoError("STATS_DATA truncated inside metric " +
-                             std::to_string(m));
-    }
-    std::memcpy(&record, in, sizeof(record));
-    in += sizeof(record);
-    remaining -= sizeof(record);
+    OPAQ_RETURN_IF_ERROR(in.Read(&record));
     if (record.reserved != 0) {
       return Status::IoError("STATS_DATA metric " + std::to_string(m) +
                              " sets reserved bits");
@@ -145,24 +123,12 @@ inline Result<MetricsSnapshot> DecodeStatsPayload(const uint8_t* payload,
                              " has invalid name length " +
                              std::to_string(record.name_len));
     }
-    if (remaining < record.name_len) {
-      return Status::IoError("STATS_DATA metric " + std::to_string(m) +
-                             " name passes the end of the payload");
-    }
     MetricSample metric;
-    metric.name.assign(reinterpret_cast<const char*>(in), record.name_len);
+    OPAQ_RETURN_IF_ERROR(in.ReadString(record.name_len, &metric.name));
     metric.type = static_cast<MetricType>(record.type);
-    in += record.name_len;
-    remaining -= record.name_len;
     if (metric.type == MetricType::kHistogram) {
       WireStatsHistogram hist;
-      if (remaining < sizeof(hist)) {
-        return Status::IoError("STATS_DATA truncated inside metric " +
-                               std::to_string(m) + "'s histogram");
-      }
-      std::memcpy(&hist, in, sizeof(hist));
-      in += sizeof(hist);
-      remaining -= sizeof(hist);
+      OPAQ_RETURN_IF_ERROR(in.Read(&hist));
       if (hist.reserved != 0) {
         return Status::IoError("STATS_DATA metric " + std::to_string(m) +
                                "'s histogram sets reserved bits");
@@ -177,22 +143,12 @@ inline Result<MetricsSnapshot> DecodeStatsPayload(const uint8_t* payload,
         return Status::IoError("STATS_DATA metric " + std::to_string(m) +
                                "'s histogram has sub-run size 0");
       }
-      const uint64_t sample_bytes =
-          uint64_t{hist.num_samples} * sizeof(uint64_t);
-      if (remaining < sample_bytes) {
-        return Status::IoError("STATS_DATA truncated inside metric " +
-                               std::to_string(m) + "'s samples");
-      }
       metric.histogram.count = hist.count;
       metric.histogram.sum = hist.sum;
       metric.histogram.subrun_size = hist.subrun_size;
       metric.histogram.num_runs = hist.num_runs;
-      metric.histogram.samples.resize(hist.num_samples);
-      if (hist.num_samples != 0) {
-        std::memcpy(metric.histogram.samples.data(), in, sample_bytes);
-        in += sample_bytes;
-      }
-      remaining -= static_cast<size_t>(sample_bytes);
+      OPAQ_RETURN_IF_ERROR(
+          in.ReadArray(hist.num_samples, &metric.histogram.samples));
       if (!std::is_sorted(metric.histogram.samples.begin(),
                           metric.histogram.samples.end())) {
         return Status::IoError("STATS_DATA metric " + std::to_string(m) +
@@ -200,23 +156,11 @@ inline Result<MetricsSnapshot> DecodeStatsPayload(const uint8_t* payload,
       }
       metric.value = metric.histogram.count;
     } else {
-      uint64_t value = 0;
-      if (remaining < sizeof(value)) {
-        return Status::IoError("STATS_DATA truncated inside metric " +
-                               std::to_string(m) + "'s value");
-      }
-      std::memcpy(&value, in, sizeof(value));
-      in += sizeof(value);
-      remaining -= sizeof(value);
-      metric.value = value;
+      OPAQ_RETURN_IF_ERROR(in.Read(&metric.value));
     }
     out.metrics.push_back(std::move(metric));
   }
-  if (remaining != 0) {
-    return Status::IoError("STATS_DATA carries " +
-                           std::to_string(remaining) +
-                           " trailing bytes past its last metric");
-  }
+  OPAQ_RETURN_IF_ERROR(in.ExpectEnd());
   return out;
 }
 

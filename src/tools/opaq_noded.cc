@@ -174,8 +174,9 @@ int Usage(std::ostream& os, int code) {
         "                      bind non-loopback only on trusted networks)\n"
         "  --port=34601        TCP port (0 = pick an ephemeral port)\n"
         "  --max-read-bytes=4194304  per-request read bound\n"
-        "  --max-wire-version=4  cap the protocol (1 = emulate a v1-only "
-        "node)\n"
+        "  --max-wire-version="
+     << kMaxWireVersion
+     << "  cap the protocol (1 = emulate a v1-only node)\n"
         "  --delay-ms=0        artificial response latency (bench/testing)\n"
         "  --duration=0        serve this many seconds, then exit (0 = "
         "until\n"

@@ -25,6 +25,7 @@
 #include "opaq/engine.h"
 #include "opaq/query.h"
 #include "opaq/source.h"
+#include "telemetry/trace.h"
 
 namespace opaq {
 namespace {
@@ -462,6 +463,50 @@ TEST(RemoteSourceFacadeTest, EmptyAndExhaustedRanges) {
     EXPECT_FALSE(*more);
     EXPECT_TRUE(buffer.empty());
   }
+}
+
+TEST(NodeClientTest, RangeDataReceivesRecordWireRecvSpans) {
+  // A scripted node reads requests and writes RANGE_DATA frames with raw
+  // socket calls, so every kWireRecv span recorded here is the client's:
+  // one per RANGE_DATA frame received zero-copy, and one for the ERROR
+  // frame that answers the last request.
+  auto listener = TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  constexpr int kReads = 4;
+  std::thread node([&listener] {
+    auto conn = listener->Accept();
+    OPAQ_CHECK_OK(conn.status());
+    for (int i = 0; i <= kReads; ++i) {
+      WireFrameHeader header;
+      OPAQ_CHECK_OK(conn->ReadFull(&header, sizeof(header)));
+      std::vector<uint8_t> request(header.payload_len);
+      OPAQ_CHECK_OK(conn->ReadFull(request.data(), request.size()));
+      std::vector<uint8_t> frame =
+          i < kReads ? EncodeFrame(WireOp::kRangeData,
+                                   std::vector<uint8_t>(8 * sizeof(Key), 1))
+                     : EncodeErrorFrame(Status::OutOfRange("past the end"));
+      OPAQ_CHECK_OK(conn->WriteFull(frame.data(), frame.size()));
+    }
+  });
+  FlightRecorder& recorder = FlightRecorder::Global();
+  const bool was_enabled = recorder.enabled();
+  recorder.set_enabled(true);
+  const uint64_t before = recorder.StageCount(TraceStage::kWireRecv);
+  auto client = NodeClient::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::vector<Key> values(8);
+  for (int i = 0; i < kReads; ++i) {
+    ASSERT_TRUE(client->ReadRange("data", 8 * i, 8, values.data(),
+                                  values.size() * sizeof(Key))
+                    .ok());
+  }
+  Status past = client->ReadRange("data", 1000, 8, values.data(),
+                                  values.size() * sizeof(Key));
+  EXPECT_EQ(past.code(), StatusCode::kOutOfRange);
+  node.join();
+  EXPECT_EQ(recorder.StageCount(TraceStage::kWireRecv) - before,
+            uint64_t{kReads + 1});
+  recorder.set_enabled(was_enabled);
 }
 
 }  // namespace

@@ -786,6 +786,15 @@ TEST(DaemonOpenerMatrixTest, NodedExportOfADirectoryPointsAtLive) {
       << run.output;
 }
 
+TEST(DaemonHelpTest, NodedHelpShowsTheBuildsDefaultWireVersion) {
+  DaemonRun run = RunDaemonUntilSigterm(OPAQ_NODED_BIN, {"--help"}, nullptr);
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("--max-wire-version=" +
+                            std::to_string(kMaxWireVersion) + " "),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(DaemonOpenerMatrixTest, HostileFilesFailWithStatus) {
   auto dir = TempDir::Make("daemon_hostile");
   OPAQ_CHECK_OK(dir.status());
