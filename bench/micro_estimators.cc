@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for end-to-end estimator throughput:
 // OPAQ's sample phase vs the streaming baselines, elements/second; plus the
-// §4 exact pass over in-memory runs, the CRC-32 kernel and the delta-codec
+// §4 exact pass over in-memory runs, the CRC-32 kernels and the delta-codec
 // decoder.
 
 #include <benchmark/benchmark.h>
@@ -140,21 +140,34 @@ BENCHMARK(BM_ExactPass)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-// CRC-32 over 1 MiB, the checksum of every extent header and wire frame.
-void BM_Crc32(benchmark::State& state) {
-  std::vector<uint8_t> bytes(size_t{1} << 20);
+// CRC-32 over one buffer of range(0) bytes: 64 B is a small serve-live
+// frame, 1 MiB a batch of extents or a range of plain elements. BM_Crc32 is
+// the dispatched kernel (its label names it); BM_Crc32SlicingBy8 the table
+// kernel alone, the fallback on CPUs without PCLMULQDQ.
+template <uint32_t (*kCrc)(const void*, size_t)>
+void CrcBench(benchmark::State& state) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
   Xoshiro256 rng(9);
-  for (size_t i = 0; i < bytes.size(); i += 8) {
-    const uint64_t word = rng.Next();
-    std::memcpy(&bytes[i], &word, 8);
-  }
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+    benchmark::DoNotOptimize(kCrc(bytes.data(), bytes.size()));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(bytes.size()));
 }
-BENCHMARK(BM_Crc32);
+void BM_Crc32(benchmark::State& state) {
+  state.SetLabel(internal_crc32::Crc32KernelName());
+  CrcBench<Crc32>(state);
+}
+void BM_Crc32SlicingBy8(benchmark::State& state) {
+  CrcBench<internal_crc32::SlicingBy8Crc32>(state);
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+BENCHMARK(BM_Crc32SlicingBy8)
+    ->Arg(64)
+    ->Arg(4 << 10)
+    ->Arg(64 << 10)
+    ->Arg(1 << 20);
 
 // Delta-codec decode of one 64Ki-element extent, the unpack step of every
 // delta-compressed read. Arg 0: sorted uniform keys, 1: zipf, 2: uniform.

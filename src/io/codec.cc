@@ -43,6 +43,15 @@ class RawCodec : public Codec {
 /// the running difference is zigzag-folded so small negative deltas stay
 /// small, and each folded delta is LEB128-encoded. Sorted and clustered
 /// integer data — the paper's workloads — collapse to 1-2 bytes/element.
+///
+/// Decode has two varint readers:
+///   - `LoadVarints`: the varints whose terminators fall in one 8-byte load,
+///     two at a time when both do (the common case at 1-3 bytes/element),
+///     else one;
+///   - `ByteVarint`: a byte at a time, the only reader that reports a
+///     malformed or truncated varint.
+/// `LoadVarints` declines, consuming nothing, on anything irregular, so
+/// every error code and message comes from `ByteVarint` alone.
 class DeltaCodec : public Codec {
  public:
   ExtentCodec id() const override { return ExtentCodec::kDelta; }
@@ -91,14 +100,23 @@ class DeltaCodec : public Codec {
                             size_t out_len) {
     size_t pos = 0;
     Word prev = 0;
-    for (size_t i = 0; i < out_len; i += sizeof(Word)) {
-      uint64_t folded = 0;
-      if (!FastVarint<Word>(data, len, &pos, &folded)) {
-        OPAQ_RETURN_IF_ERROR(ByteVarint<Word>(data, len, &pos, &folded));
-      }
+    const auto emit = [&prev](uint64_t folded, uint8_t* to) {
       const Word f = static_cast<Word>(folded);
       prev = static_cast<Word>(prev + ((f >> 1) ^ (Word{0} - (f & 1))));
-      std::memcpy(out + i, &prev, sizeof(Word));
+      std::memcpy(to, &prev, sizeof(Word));
+    };
+    size_t i = 0;
+    while (i < out_len) {
+      uint64_t folded[2];
+      const bool two_left = out_len - i >= 2 * sizeof(Word);
+      size_t count = LoadVarints<Word>(data, len, two_left, &pos, folded);
+      if (count == 0) {
+        OPAQ_RETURN_IF_ERROR(ByteVarint<Word>(data, len, &pos, folded));
+        count = 1;
+      }
+      for (size_t k = 0; k < count; ++k, i += sizeof(Word)) {
+        emit(folded[k], out + i);
+      }
     }
     if (pos != len) {
       return Status::IoError("delta extent has " + std::to_string(len - pos) +
@@ -107,41 +125,67 @@ class DeltaCodec : public Codec {
     return Status::OK();
   }
 
-  /// The common case with no per-byte branch: loads 8 bytes, finds the
-  /// varint's last byte as the lowest clear continuation bit, and packs its
-  /// 7-bit groups together in three mask-and-shift steps. Returns false,
-  /// consuming nothing, for anything irregular — fewer than 8 bytes left,
-  /// no terminator among them, more bytes than the width allows, or bits
-  /// above the width — which `ByteVarint` then decodes or rejects.
+  /// Packs the 7-bit groups of one varint's bytes (the word holds only
+  /// them, low byte first) together in three mask-and-shift steps.
+  static uint64_t PackGroups(uint64_t v) {
+    v = (v & 0x007f007f007f007fu) | ((v & 0x7f007f007f007f00u) >> 1);
+    v = (v & 0x00003fff00003fffu) | ((v & 0x3fff00003fff0000u) >> 2);
+    return (v & 0x000000000fffffffu) | ((v & 0x0fffffff00000000u) >> 4);
+  }
+
+  /// Whether a packed varint of `bytes` bytes is one `Word` may hold.
   template <typename Word>
-  static bool FastVarint(const uint8_t* data, size_t len, size_t* pos,
-                         uint64_t* folded) {
-    if (len - *pos < 8) return false;
+  static bool FitsWord(size_t bytes, uint64_t packed) {
+    if (bytes > MaxVarintBytes<Word>()) return false;
+    if constexpr (sizeof(Word) < 8) {
+      if ((packed >> (sizeof(Word) * 8)) != 0) return false;
+    }
+    return true;
+  }
+
+  /// Decodes the varints ending in one 8-byte load, with no per-byte
+  /// branch: the lowest clear continuation bit ends the first, the next one
+  /// the second. Returns 2 when `two` allows and both varints fit the
+  /// width, 1 when only the first is taken, and 0, consuming nothing, for
+  /// anything irregular — fewer than 8 bytes left, no terminator among
+  /// them, more bytes than the width allows, or bits above the width —
+  /// which `ByteVarint` then decodes or rejects.
+  template <typename Word>
+  static size_t LoadVarints(const uint8_t* data, size_t len, bool two,
+                            size_t* pos, uint64_t folded[2]) {
+    if (len - *pos < 8) return 0;
     const uint8_t* p = data + *pos;
     const uint64_t word =
         uint64_t{p[0]} | uint64_t{p[1]} << 8 | uint64_t{p[2]} << 16 |
         uint64_t{p[3]} << 24 | uint64_t{p[4]} << 32 | uint64_t{p[5]} << 40 |
         uint64_t{p[6]} << 48 | uint64_t{p[7]} << 56;
     const uint64_t stops = ~word & 0x8080808080808080u;
-    if (stops == 0) return false;
-    const size_t bytes = static_cast<size_t>(__builtin_ctzll(stops) / 8 + 1);
-    if (bytes > MaxVarintBytes<Word>()) return false;
-    // The varint's bytes (up to the terminator's top bit); the masks below
-    // keep only their 7-bit groups.
-    uint64_t v = word & (stops ^ (stops - 1));
-    v = (v & 0x007f007f007f007fu) | ((v & 0x7f007f007f007f00u) >> 1);
-    v = (v & 0x00003fff00003fffu) | ((v & 0x3fff00003fff0000u) >> 2);
-    v = (v & 0x000000000fffffffu) | ((v & 0x0fffffff00000000u) >> 4);
-    if constexpr (sizeof(Word) < 8) {
-      if ((v >> (sizeof(Word) * 8)) != 0) return false;
+    if (stops == 0) return 0;
+    // The varint's bytes (up to the terminator's top bit); `PackGroups`
+    // keeps only their 7-bit groups.
+    const size_t first_bytes =
+        static_cast<size_t>(__builtin_ctzll(stops) / 8 + 1);
+    folded[0] = PackGroups(word & (stops ^ (stops - 1)));
+    if (!FitsWord<Word>(first_bytes, folded[0])) return 0;
+    const uint64_t second_stop = stops & (stops - 1);
+    if (two && second_stop != 0) {
+      // A second terminator means first_bytes <= 7, so the shift that drops
+      // the first varint's bytes stays below the word width.
+      const size_t bytes =
+          static_cast<size_t>(__builtin_ctzll(second_stop) / 8 + 1);
+      folded[1] = PackGroups((word & (second_stop ^ (second_stop - 1))) >>
+                             (8 * first_bytes));
+      if (FitsWord<Word>(bytes - first_bytes, folded[1])) {
+        *pos += bytes;
+        return 2;
+      }
     }
-    *pos += bytes;
-    *folded = v;
-    return true;
+    *pos += first_bytes;
+    return 1;
   }
 
   /// Decodes one LEB128 varint a byte at a time: the fallback for whatever
-  /// `FastVarint` declines, and the only path that reports a malformed one.
+  /// `LoadVarints` declines, and the only path that reports a malformed one.
   template <typename Word>
   static Status ByteVarint(const uint8_t* data, size_t len, size_t* pos,
                            uint64_t* folded) {

@@ -400,25 +400,24 @@ uint64_t ExtentFile::StoredExtentBytes(uint64_t e) const {
   return end - start;
 }
 
-Status ExtentFile::ReadStoredExtent(uint64_t e,
-                                    std::vector<uint8_t>* out) const {
-  if (e >= header_.num_extents) {
-    return Status::OutOfRange("extent " + std::to_string(e) +
-                              " past the end (" +
-                              std::to_string(header_.num_extents) +
-                              " extents)");
-  }
+Status ExtentFile::ExtentPastTheEnd(uint64_t e) const {
+  return Status::OutOfRange("extent " + std::to_string(e) + " past the end (" +
+                            std::to_string(header_.num_extents) + " extents)");
+}
+
+Status ExtentFile::ReadStoredExtent(uint64_t e, void* out) const {
+  if (e >= header_.num_extents) return ExtentPastTheEnd(e);
   const uint32_t s = static_cast<uint32_t>(e % num_stripes());
   const uint64_t slot = e / num_stripes();
-  const uint64_t start = directory_[s][slot];
-  out->resize(StoredExtentBytes(e));
-  return devices_[s]->ReadAt(start, out->data(), out->size());
+  return devices_[s]->ReadAt(directory_[s][slot], out, StoredExtentBytes(e));
 }
 
 Status ExtentFile::DecodeExtent(uint64_t e, bool verify_checksums,
                                 std::vector<uint8_t>* scratch,
                                 void* out) const {
-  OPAQ_RETURN_IF_ERROR(ReadStoredExtent(e, scratch));
+  if (e >= header_.num_extents) return ExtentPastTheEnd(e);
+  scratch->resize(StoredExtentBytes(e));
+  OPAQ_RETURN_IF_ERROR(ReadStoredExtent(e, scratch->data()));
   const uint64_t expected_unpacked =
       ExtentLength(e) * header_.element_size;
   return DecodeStoredExtent(scratch->data(), scratch->size(), e,

@@ -199,8 +199,9 @@ class ExtentFile {
   uint64_t StoredExtentBytes(uint64_t e) const;
 
   /// Reads extent `e` exactly as stored (ExtentHeader + packed payload) —
-  /// what a data node ships over the wire without decoding.
-  Status ReadStoredExtent(uint64_t e, std::vector<uint8_t>* out) const;
+  /// what a data node ships over the wire without decoding — into `out`,
+  /// which holds `StoredExtentBytes(e)` bytes.
+  Status ReadStoredExtent(uint64_t e, void* out) const;
 
   /// Reads, validates and decodes extent `e` into `out` (ExtentLength(e) *
   /// element_size bytes). `scratch` is caller-owned reusable packed-byte
@@ -222,6 +223,9 @@ class ExtentFile {
   ExtentFile(std::vector<BlockDevice*> devices, ExtentFileHeader header)
       : devices_(std::move(devices)), header_(header),
         stats_(std::make_unique<ExtentStats>()) {}
+
+  /// OutOfRange naming extent `e` and the file's extent count.
+  Status ExtentPastTheEnd(uint64_t e) const;
 
   std::vector<BlockDevice*> devices_;
   ExtentFileHeader header_;  // stripe 0's (stripe_index/directory_offset vary)

@@ -25,9 +25,9 @@ Status ProtocolViolation(const WireFrameHeader& header, WireOp expected) {
 
 Status SendFrame(TcpConnection& conn, WireOp op, const void* payload,
                  size_t len) {
-  std::vector<uint8_t> frame = EncodeFrame(op, payload, len);
+  const WireFrameHeader header = EncodeFrameHeader(op, payload, len);
   TraceSpan span(TraceStage::kWireSend);
-  return conn.WriteFull(frame.data(), frame.size());
+  return conn.WriteFull(&header, sizeof(header), payload, len);
 }
 
 Status ReceivePayload(TcpConnection& conn, const WireFrameHeader& header,

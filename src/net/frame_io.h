@@ -14,7 +14,8 @@ namespace opaq {
 /// checks the payload CRC before the caller sees a byte, so truncation and
 /// corruption surface as IoError exactly at the frame boundary.
 
-/// Sends one frame (header + payload) atomically from the caller's view.
+/// Sends one frame (header + payload) atomically from the caller's view:
+/// one gather write of the header and the caller's payload, never copied.
 Status SendFrame(TcpConnection& conn, WireOp op, const void* payload,
                  size_t len);
 

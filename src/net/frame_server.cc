@@ -24,17 +24,15 @@ FrameServer::~FrameServer() {
 
 bool FrameServer::SendCounted(TcpConnection* conn, WireOp op,
                               const void* payload, size_t len) {
-  std::vector<uint8_t> frame = EncodeFrame(op, payload, len);
-  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
+  const WireFrameHeader header = EncodeFrameHeader(op, payload, len);
+  bytes_sent_.fetch_add(sizeof(header) + len, std::memory_order_relaxed);
   TraceSpan span(TraceStage::kWireSend);
-  return conn->WriteFull(frame.data(), frame.size()).ok();
+  return conn->WriteFull(&header, sizeof(header), payload, len).ok();
 }
 
 bool FrameServer::SendErrorCounted(TcpConnection* conn, const Status& status) {
-  std::vector<uint8_t> frame = EncodeErrorFrame(status);
-  bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-  TraceSpan span(TraceStage::kWireSend);
-  return conn->WriteFull(frame.data(), frame.size()).ok();
+  const std::vector<uint8_t> payload = EncodeErrorPayload(status);
+  return SendCounted(conn, WireOp::kError, payload.data(), payload.size());
 }
 
 MetricsRegistry* FrameServer::metrics_registry() const {

@@ -123,7 +123,8 @@ class FrameServer {
   virtual void PublishMetrics(MetricsRegistry* registry);
 
   /// All response traffic funnels through these so `bytes_sent` counts
-  /// every frame (header + payload) exactly once.
+  /// every frame (header + payload) exactly once. `SendCounted` puts the
+  /// header and the caller's payload on the wire in one gather write.
   bool SendCounted(TcpConnection* conn, WireOp op, const void* payload,
                    size_t len);
   /// Answers a request with the error frame carrying `status`. Returns

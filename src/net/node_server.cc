@@ -80,22 +80,33 @@ Result<const ExportedDataset*> NodeServer::Find(
 }
 
 bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
+  // Each connection is served by its own thread, so this is one response
+  // per connection, kept across its requests: a stream of READ_RANGE or
+  // READ_EXTENTS reads into storage already sized by the one before, with
+  // no allocation and no zero fill.
+  thread_local WireFrame response;
   bool close = false;
-  Result<WireFrame> response = Answer(frame, &close);
-  if (!response.ok()) {
-    return SendErrorCounted(conn, response.status()) && !close;
-  }
-  return SendCounted(conn, static_cast<WireOp>(response->op),
-                     response->payload.data(), response->payload.size());
+  const Status answered = Answer(frame, &close, &response);
+  if (!answered.ok()) return SendErrorCounted(conn, answered) && !close;
+  return SendCounted(conn, static_cast<WireOp>(response.op),
+                     response.payload.data(), response.payload.size());
 }
 
 namespace {
 
-WireFrame Response(WireOp op, std::vector<uint8_t> payload) {
-  WireFrame frame;
-  frame.op = static_cast<uint16_t>(op);
-  frame.payload = std::move(payload);
-  return frame;
+Status Respond(WireFrame* response, WireOp op, std::vector<uint8_t> payload) {
+  response->op = static_cast<uint16_t>(op);
+  response->payload = std::move(payload);
+  return Status::OK();
+}
+
+/// Sizes `response` as an `op` frame of `bytes` payload bytes for the
+/// caller to read into. Growing past the previous response's size
+/// zero-fills only the growth.
+uint8_t* RespondInPlace(WireFrame* response, WireOp op, uint64_t bytes) {
+  response->op = static_cast<uint16_t>(op);
+  response->payload.resize(bytes);
+  return response->payload.data();
 }
 
 Status UntypedExport(const std::string& name) {
@@ -115,8 +126,8 @@ Status NotExtentExport(const std::string& name) {
 
 }  // namespace
 
-Result<WireFrame> NodeServer::Answer(const WireFrame& request,
-                                     bool* close) const {
+Status NodeServer::Answer(const WireFrame& request, bool* close,
+                          WireFrame* response) const {
   PayloadReader in(request);
   // Until a case has read its fixed prefix and dataset name, a short
   // payload means the framing is off: answer, then close.
@@ -124,7 +135,7 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
   switch (static_cast<WireOp>(request.op)) {
     case WireOp::kPing:
       *close = false;
-      return Response(WireOp::kPong, {});
+      return Respond(response, WireOp::kPong, {});
 
     case WireOp::kHello: {
       // The peer's announced version needs no inspection: each side simply
@@ -133,7 +144,7 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
       *close = false;
       WireHello ack;
       ack.max_version = options_.max_wire_version;
-      return Response(WireOp::kHelloAck, EncodeRecordPayload(ack));
+      return Respond(response, WireOp::kHelloAck, EncodeRecordPayload(ack));
     }
 
     case WireOp::kOpenDataset: {
@@ -149,7 +160,7 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
                                                : dataset->element_count;
       info.max_read_elements = std::max<uint64_t>(
           1, options_.max_read_bytes / dataset->element_size);
-      return Response(WireOp::kDatasetInfo, EncodeRecordPayload(info));
+      return Respond(response, WireOp::kDatasetInfo, EncodeRecordPayload(info));
     }
 
     case WireOp::kReadRange: {
@@ -183,11 +194,10 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
             std::to_string(range.count) + ") passes the end (" +
             std::to_string(element_count) + " elements)");
       }
-      std::vector<uint8_t> data(range.count * dataset->element_size);
+      uint8_t* data = RespondInPlace(response, WireOp::kRangeData,
+                                     range.count * dataset->element_size);
       // A failing disk under the dataset leaves the connection fine.
-      OPAQ_RETURN_IF_ERROR(
-          dataset->read(range.first, range.count, data.data()));
-      return Response(WireOp::kRangeData, std::move(data));
+      return dataset->read(range.first, range.count, data);
     }
 
     case WireOp::kSampleRuns: {
@@ -201,7 +211,7 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
       OPAQ_ASSIGN_OR_RETURN(
           std::vector<uint8_t> payload,
           dataset->sample_runs(sample, options_.max_compute_run_bytes));
-      return Response(WireOp::kSampleListData, std::move(payload));
+      return Respond(response, WireOp::kSampleListData, std::move(payload));
     }
 
     case WireOp::kExactPass: {
@@ -215,7 +225,7 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
       OPAQ_ASSIGN_OR_RETURN(
           std::vector<uint8_t> payload,
           dataset->exact_pass(exact, in, options_.max_compute_run_bytes));
-      return Response(WireOp::kExactPassData, std::move(payload));
+      return Respond(response, WireOp::kExactPassData, std::move(payload));
     }
 
     case WireOp::kOpenExtents: {
@@ -231,7 +241,7 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
       info.num_extents = dataset->num_extents;
       info.max_extents_per_read = MaxExtentsPerRead(*dataset);
       info.default_codec = dataset->extent_codec;
-      return Response(WireOp::kExtentInfo, EncodeRecordPayload(info));
+      return Respond(response, WireOp::kExtentInfo, EncodeRecordPayload(info));
     }
 
     case WireOp::kReadExtents: {
@@ -259,12 +269,17 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
             std::to_string(range.count) + ") passes the end (" +
             std::to_string(dataset->num_extents) + " extents)");
       }
-      std::vector<uint8_t> data;
+      uint64_t bytes = 0;
       for (uint64_t e = 0; e < range.count; ++e) {
-        OPAQ_RETURN_IF_ERROR(
-            dataset->read_stored_extent(range.first_extent + e, &data));
+        bytes += dataset->stored_extent_bytes(range.first_extent + e);
       }
-      return Response(WireOp::kExtentData, std::move(data));
+      uint8_t* data = RespondInPlace(response, WireOp::kExtentData, bytes);
+      for (uint64_t e = 0; e < range.count; ++e) {
+        const uint64_t extent = range.first_extent + e;
+        OPAQ_RETURN_IF_ERROR(dataset->read_stored_extent(extent, data));
+        data += dataset->stored_extent_bytes(extent);
+      }
+      return Status::OK();
     }
 
     case WireOp::kAppend: {
@@ -304,7 +319,7 @@ Result<WireFrame> NodeServer::Answer(const WireFrame& request,
       // A failing disk under the dataset leaves the connection fine.
       OPAQ_ASSIGN_OR_RETURN(WireAppendAck ack,
                             dataset->append(elements, append.count));
-      return Response(WireOp::kAppendAck, EncodeRecordPayload(ack));
+      return Respond(response, WireOp::kAppendAck, EncodeRecordPayload(ack));
     }
 
     default:

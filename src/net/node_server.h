@@ -49,8 +49,9 @@ struct ExportedDataset {
       exact_pass;
   /// Optional v4 extent hooks, bound when the export is stored as
   /// compressed extents (io/extent.h): the geometry `kOpenExtents`
-  /// discloses, and a reader that appends the stored (packed) bytes of one
-  /// logical extent to `out` — shipped verbatim, decoded client-side.
+  /// discloses, the stored size of one logical extent, and a reader of its
+  /// stored (packed) bytes into `out`, which holds that many — shipped
+  /// verbatim, decoded client-side.
   /// `extent_elements == 0` means "not an extent export"; the node then
   /// answers `kOpenExtents` with Unimplemented and a v4 client falls back
   /// to `kReadRange` streaming (extent exports keep a `read` hook too, so
@@ -58,8 +59,8 @@ struct ExportedDataset {
   uint64_t extent_elements = 0;
   uint64_t num_extents = 0;
   uint16_t extent_codec = 0;
-  std::function<Status(uint64_t extent, std::vector<uint8_t>* out)>
-      read_stored_extent;
+  std::function<uint64_t(uint64_t extent)> stored_extent_bytes;
+  std::function<Status(uint64_t extent, void* out)> read_stored_extent;
   /// Optional v5 ingest hooks, bound for live (appendable) dataset exports
   /// (`opaq_noded --live`). `append` durably commits `count` elements as
   /// one new segment and returns the dataset's new totals (the ack IS the
@@ -119,12 +120,11 @@ ExportedDataset MakeExport(Source<K> source) {
     dataset.extent_elements = file->extent_elements();
     dataset.num_extents = file->num_extents();
     dataset.extent_codec = static_cast<uint16_t>(file->default_codec());
-    dataset.read_stored_extent = [file](uint64_t extent,
-                                        std::vector<uint8_t>* out) {
-      std::vector<uint8_t> stored;
-      OPAQ_RETURN_IF_ERROR(file->ReadStoredExtent(extent, &stored));
-      out->insert(out->end(), stored.begin(), stored.end());
-      return Status::OK();
+    dataset.stored_extent_bytes = [file](uint64_t extent) {
+      return file->StoredExtentBytes(extent);
+    };
+    dataset.read_stored_extent = [file](uint64_t extent, void* out) {
+      return file->ReadStoredExtent(extent, out);
     };
   }
   dataset.owner = std::move(owned);
@@ -223,11 +223,15 @@ class NodeServer : public FrameServer {
   /// The export named `name`, or NotFound.
   Result<const ExportedDataset*> Find(const std::string& name) const;
 
-  /// The one per-op dispatch: the response frame to `request`, or the
-  /// error to answer it with. `*close` is set when the request's framing
-  /// (its fixed prefix or dataset name) does not fit the payload, or the op
-  /// is unknown: the byte stream can no longer be trusted.
-  Result<WireFrame> Answer(const WireFrame& request, bool* close) const;
+  /// The one per-op dispatch: fills `*response` with the response frame to
+  /// `request`, or returns the error to answer it with. Element ranges and
+  /// stored extents are read straight into `response->payload`, whose
+  /// storage the caller keeps across requests. `*close` is set when the
+  /// request's framing (its fixed prefix or dataset name) does not fit the
+  /// payload, or the op is unknown: the byte stream can no longer be
+  /// trusted.
+  Status Answer(const WireFrame& request, bool* close,
+                WireFrame* response) const;
 
   NodeServerOptions options_;
   std::map<std::string, ExportedDataset> exports_;

@@ -7,6 +7,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/time.h>
 #include <unistd.h>
 
@@ -110,17 +111,40 @@ Status TcpConnection::ReadFull(void* buffer, size_t length) {
 }
 
 Status TcpConnection::WriteFull(const void* buffer, size_t length) {
+  return WriteFull(buffer, length, nullptr, 0);
+}
+
+Status TcpConnection::WriteFull(const void* head, size_t head_length,
+                                const void* body, size_t body_length) {
   if (fd_ < 0) return Status::IoError("write on a closed connection");
-  const uint8_t* in = static_cast<const uint8_t*>(buffer);
-  size_t done = 0;
-  while (done < length) {
-    const ssize_t n = ::send(fd_, in + done, length - done, MSG_NOSIGNAL);
-    if (n >= 0) {
-      done += static_cast<size_t>(n);
-      continue;
+  struct iovec parts[2];
+  parts[0].iov_base = const_cast<void*>(head);
+  parts[0].iov_len = head_length;
+  parts[1].iov_base = const_cast<void*>(body);
+  parts[1].iov_len = body_length;
+  struct msghdr message;
+  std::memset(&message, 0, sizeof(message));
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  while (message.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd_, &message, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("send to " + peer_);
     }
-    if (errno == EINTR) continue;
-    return Errno("send to " + peer_);
+    // Drop what the kernel took: whole parts first, then the front of the
+    // part it stopped in.
+    size_t sent = static_cast<size_t>(n);
+    while (message.msg_iovlen > 0 && sent >= message.msg_iov->iov_len) {
+      sent -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<uint8_t*>(message.msg_iov->iov_base) + sent;
+      message.msg_iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }

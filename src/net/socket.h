@@ -43,8 +43,15 @@ class TcpConnection {
   Status ReadFull(void* buffer, size_t length);
 
   /// Writes exactly `length` bytes (SIGPIPE suppressed; a broken pipe is an
-  /// IoError).
+  /// IoError): the gather write below with an empty body.
   Status WriteFull(const void* buffer, size_t length);
+
+  /// Writes `head` then `body` as one gather write (`sendmsg` over two
+  /// buffers, repeated only if the kernel takes part of them): a frame's
+  /// header and payload leave in one syscall without first being copied
+  /// into one buffer.
+  Status WriteFull(const void* head, size_t head_length, const void* body,
+                   size_t body_length);
 
   /// Half-closes both directions, waking any thread blocked in a transfer
   /// on this connection. Idempotent; safe from any thread while the

@@ -74,15 +74,19 @@ uint16_t WireOpVersion(WireOp op) {
   return kMaxWireVersion;
 }
 
-std::vector<uint8_t> EncodeFrame(WireOp op, const void* payload, size_t len) {
+WireFrameHeader EncodeFrameHeader(WireOp op, const void* payload, size_t len) {
   OPAQ_CHECK_LE(len, static_cast<size_t>(kMaxWirePayload));
   WireFrameHeader header;
   header.version = WireOpVersion(op);
   header.op = static_cast<uint16_t>(op);
   header.payload_len = static_cast<uint32_t>(len);
   header.payload_crc = Crc32(payload, len);
-  PayloadWriter out(sizeof(header) + len);
-  out.Put(header);
+  return header;
+}
+
+std::vector<uint8_t> EncodeFrame(WireOp op, const void* payload, size_t len) {
+  PayloadWriter out(sizeof(WireFrameHeader) + len);
+  out.Put(EncodeFrameHeader(op, payload, len));
   out.PutBytes(payload, len);
   return out.Take();
 }
@@ -92,11 +96,15 @@ std::vector<uint8_t> EncodeFrame(WireOp op,
   return EncodeFrame(op, payload.data(), payload.size());
 }
 
-std::vector<uint8_t> EncodeErrorFrame(const Status& status) {
+std::vector<uint8_t> EncodeErrorPayload(const Status& status) {
   PayloadWriter out(sizeof(uint32_t) + status.message().size());
   out.Put(static_cast<uint32_t>(status.code()));
   out.PutString(status.message());
-  return EncodeFrame(WireOp::kError, out.Take());
+  return out.Take();
+}
+
+std::vector<uint8_t> EncodeErrorFrame(const Status& status) {
+  return EncodeFrame(WireOp::kError, EncodeErrorPayload(status));
 }
 
 Status DecodeErrorPayload(const uint8_t* payload, size_t len) {

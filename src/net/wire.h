@@ -616,14 +616,20 @@ Result<T> DecodeRecordPayload(const WireFrame& frame) {
   return record;
 }
 
-/// Encodes a frame (header + payload copy) ready to put on the wire. The
-/// header's version field is `WireOpVersion(op)`: v1 ops encode exactly as
-/// they always have, v2 ops stamp version 2.
+/// The header of the frame carrying `payload` as op `op`: its version field
+/// is `WireOpVersion(op)` (v1 ops encode exactly as they always have, v2 ops
+/// stamp version 2), its CRC the payload's. The senders put it and the
+/// payload on the wire in one gather write (`SendFrame`).
+WireFrameHeader EncodeFrameHeader(WireOp op, const void* payload, size_t len);
+
+/// Encodes a frame (header + payload copy) as one buffer, as the goldens
+/// and tests build them.
 std::vector<uint8_t> EncodeFrame(WireOp op, const void* payload, size_t len);
 std::vector<uint8_t> EncodeFrame(WireOp op,
                                  const std::vector<uint8_t>& payload);
 
-/// Encodes the `kError` frame carrying `status`.
+/// Encodes the `kError` payload, and the whole frame, carrying `status`.
+std::vector<uint8_t> EncodeErrorPayload(const Status& status);
 std::vector<uint8_t> EncodeErrorFrame(const Status& status);
 
 /// Decodes the `kError` payload back into the `Status` it carries; a

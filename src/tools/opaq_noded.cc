@@ -174,6 +174,10 @@ int Usage(std::ostream& os, int code) {
         "                      bind non-loopback only on trusted networks)\n"
         "  --port=34601        TCP port (0 = pick an ephemeral port)\n"
         "  --max-read-bytes=4194304  per-request read bound\n"
+        "  --max-compute-run-bytes="
+     << NodeServerOptions{}.max_compute_run_bytes
+     << "  per-request bound on the node-side\n"
+        "                      run buffer of SAMPLE_RUNS / EXACT_PASS\n"
         "  --max-wire-version="
      << kMaxWireVersion
      << "  cap the protocol (1 = emulate a v1-only node)\n"
@@ -209,7 +213,8 @@ int Main(int argc, char** argv) {
   }
   for (const std::string& key : flags->keys()) {
     if (key != "export" && key != "live" && key != "bind" && key != "port" &&
-        key != "max-read-bytes" && key != "max-wire-version" &&
+        key != "max-read-bytes" && key != "max-compute-run-bytes" &&
+        key != "max-wire-version" &&
         key != "delay-ms" && key != "duration" &&
         key != "stats-interval" && key != "help") {
       std::cerr << "opaq_noded: unknown flag --" << key << "\n";
@@ -267,6 +272,15 @@ int Main(int argc, char** argv) {
     return BadFlag(Status::InvalidArgument("--max-read-bytes must be >= 1"));
   }
   options.max_read_bytes = static_cast<uint64_t>(*max_read);
+  const auto max_compute_run = flags->TryGetInt(
+      "max-compute-run-bytes",
+      static_cast<int64_t>(options.max_compute_run_bytes));
+  if (!max_compute_run.ok()) return BadFlag(max_compute_run.status());
+  if (*max_compute_run < 1) {
+    return BadFlag(
+        Status::InvalidArgument("--max-compute-run-bytes must be >= 1"));
+  }
+  options.max_compute_run_bytes = static_cast<uint64_t>(*max_compute_run);
   const auto max_version =
       flags->TryGetInt("max-wire-version", kMaxWireVersion);
   if (!max_version.ok()) return BadFlag(max_version.status());

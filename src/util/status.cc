@@ -28,6 +28,16 @@ const char* StatusCodeToString(StatusCode code) {
   return "UNKNOWN";
 }
 
+namespace internal_status {
+
+void DieOfValueOnError(const Status& status) {
+  internal_check::CheckFailureStream("ok()", __FILE__, __LINE__)
+      << "Result::value() on error: " << status.ToString();
+  std::abort();  // not reached: the stream aborts as it is destroyed
+}
+
+}  // namespace internal_status
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeToString(code_);

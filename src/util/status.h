@@ -87,6 +87,15 @@ class Status {
   std::string message_;
 };
 
+namespace internal_status {
+
+/// Aborts naming `status`: the one out-of-line failure path of
+/// `Result<T>::value()` on an error, so the accessor inlines to a test and
+/// a load.
+[[noreturn]] void DieOfValueOnError(const Status& status);
+
+}  // namespace internal_status
+
 /// Either a value of type `T` or an error `Status`. Analogous to
 /// `absl::StatusOr<T>`.
 template <typename T>
@@ -112,16 +121,16 @@ class Result {
   /// Accessors die if the result holds an error; callers must test `ok()`
   /// (or use `value_or`) on any path where failure is possible.
   T& value() & {
-    OPAQ_CHECK(ok()) << "Result::value() on error: " << status().ToString();
-    return std::get<T>(storage_);
+    CheckHoldsValue();
+    return *std::get_if<T>(&storage_);
   }
   const T& value() const& {
-    OPAQ_CHECK(ok()) << "Result::value() on error: " << status().ToString();
-    return std::get<T>(storage_);
+    CheckHoldsValue();
+    return *std::get_if<T>(&storage_);
   }
   T&& value() && {
-    OPAQ_CHECK(ok()) << "Result::value() on error: " << status().ToString();
-    return std::get<T>(std::move(storage_));
+    CheckHoldsValue();
+    return std::move(*std::get_if<T>(&storage_));
   }
 
   T value_or(T fallback) const {
@@ -134,6 +143,12 @@ class Result {
   const T* operator->() const { return &value(); }
 
  private:
+  void CheckHoldsValue() const {
+    if (__builtin_expect(!ok(), 0)) {
+      internal_status::DieOfValueOnError(*std::get_if<Status>(&storage_));
+    }
+  }
+
   std::variant<T, Status> storage_;
 };
 

@@ -740,9 +740,9 @@ TEST(ExtentHostileTest, AbandonedThreadedReaderJoinsCleanly) {
 
 // ------------------------------------------------- delta codec ----
 
-// `DeltaCodec::Decompress` decodes most varints from one 8-byte load and
-// falls back to a byte loop for anything irregular. These rows hold it to a
-// plain byte-at-a-time decoder on valid and hostile payloads alike.
+// `DeltaCodec::Decompress` decodes most varints two or one per 8-byte load
+// and falls back to a byte loop for anything irregular. These rows hold it
+// to a plain byte-at-a-time decoder on valid and hostile payloads alike.
 
 /// Byte-at-a-time reference for the delta codec's decode: LEB128 varints of
 /// zigzag-folded deltas, all within `width` bytes, with the codec's errors.
@@ -971,6 +971,61 @@ TEST(DeltaCodecTest, HostileVarints) {
       packed.insert(packed.end(), extra, 0x05);
       ExpectDecodeMatchesReference(packed, width, folded.size(),
                                    std::to_string(extra) + " trailing");
+    }
+  }
+}
+
+TEST(DeltaCodecTest, PairedLoadEdgeCases) {
+  // Every pair (a, b) of varints below, after `before` one-byte varints and
+  // followed by `after` of them, decoded as one element too few (trailing
+  // bytes), exactly (odd and even counts) and one too many (truncated).
+  // The pairs cover both terminators in one load, a second varint that
+  // straddles the load's end, a first varint that fills all 8 bytes, and a
+  // second varint that overflows the width or runs past its longest form.
+  // 0-2, 40 or 41 leading one-byte varints put `a` first or second in its
+  // load, and at every offset within it.
+  for (uint32_t width : {4u, 8u}) {
+    std::vector<std::vector<uint8_t>> varints;
+    for (uint64_t v : FoldedOfEveryLength(width, 1, 19)) {
+      varints.push_back(Varint(v));
+    }
+    // 8 bytes at width 8 (7 groups of continuation, then a terminator); an
+    // over-long form at width 4.
+    std::vector<uint8_t> eight(7, 0xff);
+    eight.push_back(0x01);
+    varints.push_back(eight);
+    // The widest form with bits above the width in its last byte.
+    const size_t max_len = (width * 8 + 6) / 7;
+    std::vector<uint8_t> overflow(max_len - 1, 0x80);
+    overflow.push_back(width == 4 ? 0x1f : 0x7f);
+    varints.push_back(overflow);
+    // One byte longer than the widest form (width 4: 6 bytes), with groups
+    // set and as an over-long zero.
+    std::vector<uint8_t> longer(max_len, 0x81);
+    longer.push_back(0x00);
+    varints.push_back(longer);
+    std::vector<uint8_t> longer_zero(max_len, 0x80);
+    longer_zero.push_back(0x00);
+    varints.push_back(longer_zero);
+    for (const std::vector<uint8_t>& a : varints) {
+      for (const std::vector<uint8_t>& b : varints) {
+        for (size_t before : {0, 1, 2, 40, 41}) {
+          for (size_t after : {size_t{0}, size_t{1}, size_t{2}, size_t{7}}) {
+            std::vector<uint8_t> packed(before, 0x04);
+            packed.insert(packed.end(), a.begin(), a.end());
+            packed.insert(packed.end(), b.begin(), b.end());
+            packed.insert(packed.end(), after, 0x7e);
+            const size_t elements = before + 2 + after;
+            const std::string what =
+                "a " + std::to_string(a.size()) + " bytes, b " +
+                std::to_string(b.size()) + " bytes, before " +
+                std::to_string(before) + " after " + std::to_string(after);
+            for (size_t count : {elements - 1, elements, elements + 1}) {
+              ExpectDecodeMatchesReference(packed, width, count, what);
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -33,6 +33,7 @@
 #include "net/client.h"
 #include "net/query_client.h"
 #include "net/query_server.h"
+#include "net/wire_compute.h"
 #include "net/wire_query.h"
 #include "opaq/engine.h"
 #include "opaq/source.h"
@@ -793,6 +794,54 @@ TEST(DaemonHelpTest, NodedHelpShowsTheBuildsDefaultWireVersion) {
                             std::to_string(kMaxWireVersion) + " "),
             std::string::npos)
       << run.output;
+}
+
+TEST(DaemonHelpTest, NodedBoundsComputeRunsWithMaxComputeRunBytes) {
+  DaemonRun help = RunDaemonUntilSigterm(OPAQ_NODED_BIN, {"--help"}, nullptr);
+  EXPECT_NE(help.output.find("--max-compute-run-bytes="), std::string::npos)
+      << help.output;
+
+  auto dir = TempDir::Make("noded_compute_bound");
+  OPAQ_CHECK_OK(dir.status());
+  const std::string path = WriteTestDataFile(*dir, "d.opaq", 20000);
+  DaemonRun zero = RunDaemonUntilSigterm(
+      OPAQ_NODED_BIN,
+      {"--export=d=" + path, "--port=0", "--max-compute-run-bytes=0"},
+      nullptr);
+  EXPECT_EQ(zero.exit_code, 2) << zero.output;
+  EXPECT_NE(zero.output.find("--max-compute-run-bytes must be >= 1"),
+            std::string::npos)
+      << zero.output;
+
+  // 1024 bytes hold 128 keys: a 128-element run is sampled node-side, a
+  // 129-element run is refused by the bound.
+  const auto sample = [](const std::string& address, uint64_t run_size) {
+    auto client = NodeClient::Connect("127.0.0.1", PortOf(address));
+    OPAQ_CHECK_OK(client.status());
+    WireSampleRunsRequest request;
+    request.run_size = run_size;
+    request.samples_per_run = 1;
+    const std::vector<uint8_t> payload =
+        EncodeSampleRunsPayload(request, "d");
+    OPAQ_CHECK_OK(client->SendRequest(WireOp::kSampleRuns, payload.data(),
+                                      payload.size()));
+    return client->ReceiveResponse(WireOp::kSampleListData).status();
+  };
+  static_assert(sizeof(Key) == 8, "the bound below counts 8-byte keys");
+  Status fits, too_big;
+  DaemonRun bounded = RunDaemonUntilSigterm(
+      OPAQ_NODED_BIN,
+      {"--export=d=" + path, "--port=0", "--max-compute-run-bytes=1024"},
+      [&](const std::string& address) {
+        fits = sample(address, 128);
+        too_big = sample(address, 129);
+      });
+  EXPECT_EQ(bounded.exit_code, 0) << bounded.output;
+  EXPECT_TRUE(fits.ok()) << fits.ToString();
+  EXPECT_EQ(too_big.code(), StatusCode::kResourceExhausted)
+      << too_big.ToString();
+  EXPECT_NE(too_big.message().find("per-run memory bound"), std::string::npos)
+      << too_big.ToString();
 }
 
 TEST(DaemonOpenerMatrixTest, HostileFilesFailWithStatus) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/crc32.h"
@@ -74,6 +76,15 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> v = std::move(r).value();
   EXPECT_EQ(*v, 7);
+}
+
+TEST(ResultDeathTest, ValueOnErrorAbortsNamingTheStatus) {
+  Result<int> r = Status::NotFound("gone");
+  EXPECT_DEATH(r.value(), "Result::value\\(\\) on error: NOT_FOUND: gone");
+  const Result<int>& view = r;
+  EXPECT_DEATH(view.value(), "on error: NOT_FOUND: gone");
+  EXPECT_DEATH(*r, "on error: NOT_FOUND: gone");
+  EXPECT_DEATH(std::move(r).value(), "on error: NOT_FOUND: gone");
 }
 
 Status FailingOp() { return Status::Internal("boom"); }
@@ -401,7 +412,7 @@ TEST(MathTest, Clamp) {
 // ---------------------------------------------------------------- CRC-32 --
 
 // The textbook bytewise CRC-32 (reflected, polynomial 0xEDB88320), one bit
-// at a time: the reference the table-driven Crc32 must match.
+// at a time: the reference every Crc32 kernel must match.
 uint32_t BitwiseCrc32(const uint8_t* bytes, size_t len) {
   uint32_t crc = 0xFFFFFFFFu;
   for (size_t i = 0; i < len; ++i) {
@@ -419,28 +430,42 @@ TEST(Crc32Test, CheckValue) {
   EXPECT_EQ(Crc32(check, 0), 0u);
 }
 
-TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+/// `Crc32` (whichever kernel this CPU dispatches to) and the slicing-by-8
+/// kernel alone, each against the bitwise reference.
+void ExpectKernelsMatchReference(const uint8_t* bytes, size_t len) {
+  const uint32_t want = BitwiseCrc32(bytes, len);
+  EXPECT_EQ(Crc32(bytes, len), want)
+      << internal_crc32::Crc32KernelName() << " length " << len;
+  EXPECT_EQ(internal_crc32::SlicingBy8Crc32(bytes, len), want)
+      << "slicing-by-8 length " << len;
+}
+
+TEST(Crc32Test, EveryKernelMatchesTheReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-1024 cross the folding kernel's 64-byte entry, its 16-byte
+  // block tail and its 64-byte main loop; offsets 0-15 cover every
+  // misalignment of its 16-byte loads.
+  std::printf("Crc32 kernel: %s\n", internal_crc32::Crc32KernelName());
   Xoshiro256 rng(32);
-  std::vector<uint8_t> bytes(8 + 64);
+  std::vector<uint8_t> bytes(16 + 1024);
   for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 64; ++len) {
-      EXPECT_EQ(Crc32(bytes.data() + offset, len),
-                BitwiseCrc32(bytes.data() + offset, len))
-          << "offset " << offset << " length " << len;
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      SCOPED_TRACE("offset " + std::to_string(offset));
+      ExpectKernelsMatchReference(bytes.data() + offset, len);
     }
   }
 }
 
-TEST(Crc32Test, MatchesBytewiseReferenceOnLongBuffers) {
+TEST(Crc32Test, EveryKernelMatchesTheReferenceOnLongBuffers) {
   Xoshiro256 rng(33);
-  std::vector<uint8_t> bytes(100003);
+  std::vector<uint8_t> bytes((size_t{1} << 20) + 7);
   for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.Next());
-  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
-            BitwiseCrc32(bytes.data(), bytes.size()));
+  ExpectKernelsMatchReference(bytes.data(), bytes.size());
+  ExpectKernelsMatchReference(bytes.data() + 3, bytes.size() - 3);
   bytes.assign(4096, 0xFF);
-  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
-            BitwiseCrc32(bytes.data(), bytes.size()));
+  ExpectKernelsMatchReference(bytes.data(), bytes.size());
+  bytes.assign(4096 + 5, 0x00);
+  ExpectKernelsMatchReference(bytes.data(), bytes.size());
 }
 
 }  // namespace
