@@ -30,8 +30,8 @@ struct EngineStats {
   uint64_t runs = 0;
   uint64_t elements = 0;
   size_t shards = 0;
-  /// Workers each shard's sketch stripes a run across: every core for one
-  /// source, 1 when several shards sample side by side.
+  /// Workers each shard's sketch stripes a run across: every core
+  /// (`WorkerPool::HardwareWidth()`), however many shards there are.
   size_t sample_workers = 0;
   /// Pack/unpack accounting over the build, summed across compressed-extent
   /// shards (all-zero when no shard is compressed): how many extents were
@@ -47,11 +47,13 @@ struct EngineStats {
 /// finalization — behind a single `Build()` call that returns a ready
 /// `QuerySession` or a `Status` (no aborts on bad configs or dead disks).
 ///
-/// The sampling width is derived, not configured: one source reads its
+/// The sampling width is derived, not configured: every shard reads its
 /// runs in order and every core samples each resident run (the striped
-/// distribution step of select/multi_select.h); several sources get one
-/// thread per shard, each sampling with one worker, so the cores are
-/// already shared out and no shard holds more than its one run.
+/// distribution step of select/multi_select.h). Several sources get one
+/// thread per shard, and their sketches share the one `WorkerPool`, whose
+/// callers run their own slices, so shards never wait on each other for a
+/// core and each still holds only its one run. Run buffers come from the
+/// process-wide `RunBufferPool`, so shard threads add no resident copies.
 ///
 ///     OpaqConfig config;
 ///     auto session = Engine<uint64_t>(config, Source<uint64_t>::Open(path)
@@ -94,8 +96,7 @@ class Engine {
     }
     stats_ = EngineStats{};
     stats_.shards = shards_.size();
-    stats_.sample_workers =
-        shards_.size() == 1 ? WorkerPool::HardwareWidth() : 1;
+    stats_.sample_workers = WorkerPool::HardwareWidth();
     WallTimer total_timer;
 
     // Compressed-extent backends keep cumulative pack/unpack counters;
@@ -147,9 +148,8 @@ class Engine {
       lists[rank] = sketch.FinalizeSampleList();
     };
 
-    // Shard 0 on the calling thread and the others on their own threads:
-    // the same layout as the session's exact pass, so each shard's run
-    // buffers come from the same malloc arena in both phases.
+    // Shard 0 on the calling thread and the others on their own threads,
+    // the same layout as the session's exact pass.
     std::vector<std::thread> threads;
     for (size_t rank = 1; rank < shards_.size(); ++rank) {
       threads.emplace_back(build_shard, rank);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "io/run_buffer_pool.h"
 #include "io/run_reader.h"
 #include "select/bucket_classifier.h"
 #include "select/select.h"
@@ -183,15 +184,15 @@ Status AccumulateBrackets(const RunProvider<K>& provider,
   std::vector<size_t> counts(num_ids, 0);
   uint32_t ids[kExactScanBlock];
   uint32_t hits[kExactScanBlock];
-  std::vector<K> buffer;
+  PooledBuffer<K> buffer(options.run_size);
   std::unique_ptr<RunSource<K>> reader = provider.OpenRuns(options);
   while (true) {
-    auto more = reader->NextRun(&buffer);
+    auto more = reader->NextRun(buffer.get());
     if (!more.ok()) return more.status();
     if (!*more) break;
-    for (size_t start = 0; start < buffer.size(); start += kExactScanBlock) {
-      const K* block = buffer.data() + start;
-      const size_t len = std::min(kExactScanBlock, buffer.size() - start);
+    for (size_t start = 0; start < buffer->size(); start += kExactScanBlock) {
+      const K* block = buffer->data() + start;
+      const size_t len = std::min(kExactScanBlock, buffer->size() - start);
       classifier.Classify(block, len, ids, counts.data());
       // Most elements lie in no bracket: gather the others without a
       // branch per element, then append only those.

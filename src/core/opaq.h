@@ -11,6 +11,7 @@
 #include "core/opaq_config.h"
 #include "core/sample_list.h"
 #include "io/async_run_reader.h"
+#include "io/run_buffer_pool.h"
 #include "io/run_reader.h"
 #include "io/striped_run_source.h"
 #include "parallel/worker_pool.h"
@@ -55,15 +56,20 @@ std::unique_ptr<RunSource<K>> MakeRunSource(const RunProvider<K>& provider,
 /// Memory: one run buffer (m elements) plus the accumulated sample lists
 /// (r*s elements) — the paper's §2.3 constraint r*s + m <= M — plus m bytes
 /// of selection scratch and, when sampling is striped, one small gather
-/// buffer per worker (see select/multi_select.h).
+/// buffer per worker (see select/multi_select.h). `ConsumeRuns` takes the
+/// run buffer from the process-wide `RunBufferPool` and gives it back when
+/// it returns, so consecutive sketches, and the shards of one build, reuse
+/// buffers rather than leave a copy in each thread's malloc arena.
 ///
 /// Sampling width: each run of at least `sample_workers` ×
 /// `kDistributeMinElements` elements is sampled by that many workers of the
 /// shared pool, all on the one resident run. The default is every core,
-/// which is what a single sketch (one-source `Engine::Build`, `Consume`,
-/// a data node's `NodeSampleRuns`) wants. Sketches that already run side by
-/// side, one per shard or per simulated processor, pass 1. The width never
-/// changes the samples, only how fast they are found.
+/// which every `Engine::Build` shard, `Consume` and a data node's
+/// `NodeSampleRuns` use: sketches sampling side by side share the pool's
+/// helpers, each running its own slices. `RunParallelOpaq`'s simulated
+/// processors pass 1, as the paper's p processors each sample their own
+/// runs. The width never changes the samples, only how fast they are
+/// found.
 template <typename K>
 class OpaqSketch {
  public:
@@ -116,21 +122,21 @@ class OpaqSketch {
   /// Same, over an explicit run source (sub-range of a file in the parallel
   /// algorithm, or a caller-built sync/async reader).
   ///
-  /// One run buffer is sampled in place and handed back to the reader for
-  /// the next run, so a prefetching reader recycles full-size buffers.
+  /// One run buffer, taken from `RunBufferPool::Shared()` and given back on
+  /// return, is sampled in place and handed back to the reader for the next
+  /// run, so a prefetching reader recycles full-size buffers.
   Status ConsumeRuns(RunSource<K>* reader, double* io_seconds = nullptr) {
-    std::vector<K> buffer;
-    buffer.reserve(config_.run_size);
+    PooledBuffer<K> buffer(config_.run_size);
     while (true) {
       WallTimer io_timer;
       Result<bool> more = [&] {
         TraceSpan read_span(TraceStage::kRunRead);
-        return reader->NextRun(&buffer);
+        return reader->NextRun(buffer.get());
       }();
       if (!more.ok()) return more.status();
       if (!*more) break;
       if (io_seconds != nullptr) *io_seconds += io_timer.ElapsedSeconds();
-      AddRun(buffer.data(), buffer.size());
+      AddRun(buffer->data(), buffer->size());
     }
     return Status::OK();
   }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "io/io_mode.h"
+#include "io/run_buffer_pool.h"
 #include "io/run_reader.h"
 #include "parallel/channel.h"
 #include "util/status.h"
@@ -64,10 +65,18 @@ struct ChunkGrid {
 /// `IoMode::kSync` lane 0 produces every chunk on the calling thread.
 ///
 /// Copies: a chunk that is exactly the next run is swapped into the
-/// caller's buffer, and the caller's previous buffer goes back to that lane
-/// to be refilled; inline, a chunk lying wholly inside the run is produced
-/// straight into the run buffer. Otherwise chunks are copied into the run as
-/// they arrive, and at most one partly consumed chunk is held between calls.
+/// caller's buffer when that buffer can hold it, and the caller's previous
+/// buffer goes back to that lane to be refilled; inline, a chunk lying
+/// wholly inside the run is produced straight into the run buffer.
+/// Otherwise chunks are copied into the run as they arrive, and at most one
+/// partly consumed chunk is held between calls.
+///
+/// Buffers: every buffer a pipeline fills comes from `RunBufferPool::Shared()`
+/// and goes back there when the pipeline is destroyed, whether it finished,
+/// failed or was abandoned: the lane rings, any chunk in flight and the
+/// splice buffer, which is taken only once a chunk must be spliced. A swap
+/// trades buffers with the caller, so callers should take their run buffer
+/// from the pool too (`PooledBuffer`).
 ///
 /// Errors: runs wholly before the first failing chunk are delivered, then
 /// the failure is returned by `NextRun` and by every later call; a lane
@@ -88,7 +97,8 @@ class ChunkPipeline : public RunSource<K> {
       : run_size_(options.run_size), chunk_(grid.chunk),
         threaded_(options.io_mode == IoMode::kAsync), first_(first),
         next_(first), end_(ClampedEnd(size, first, count)),
-        origin_(grid.origin_at_first ? first : 0) {
+        origin_(grid.origin_at_first ? first : 0),
+        buffer_elements_(std::min(chunk_, end_ - first_)) {
     OPAQ_CHECK_GT(run_size_, 0u);
     OPAQ_CHECK_GT(chunk_, 0u);
     OPAQ_CHECK_GE(grid.lanes, 1u);
@@ -117,7 +127,8 @@ class ChunkPipeline : public RunSource<K> {
           next_chunk_ + (s + lanes - next_chunk_ % lanes) % lanes;
       if (c >= end_chunk) continue;  // the lane owns nothing in the range
       for (uint64_t i = 0; i < grid.lane_depth; ++i) {
-        lanes_[s]->free.Send(std::vector<K>());
+        lanes_[s]->free.Send(
+            RunBufferPool::Shared().Take<K>(buffer_elements_));
       }
       threads_.emplace_back([this, s, c, end_chunk, lanes] {
         LaneLoop(*lanes_[s], c, end_chunk, lanes);
@@ -132,6 +143,16 @@ class ChunkPipeline : public RunSource<K> {
       lane->producer->Cancel();
     }
     for (std::thread& thread : threads_) thread.join();
+    // Closed channels still drain: every buffer a lane did not hand to the
+    // consumer is queued in one of them.
+    RunBufferPool& pool = RunBufferPool::Shared();
+    for (auto& lane : lanes_) {
+      std::vector<K> buffer;
+      while (lane->free.Receive(&buffer)) pool.Give(std::move(buffer));
+      Chunk chunk;
+      while (lane->full.Receive(&chunk)) pool.Give(std::move(chunk.data));
+    }
+    pool.Give(std::move(partial_));
   }
 
   ChunkPipeline(const ChunkPipeline&) = delete;
@@ -176,16 +197,27 @@ class ChunkPipeline : public RunSource<K> {
   /// Body of a lane thread: produces chunks `c, c + stride, ...` below
   /// `end_chunk` into buffers taken from the lane's free ring.
   void LaneLoop(Lane& lane, uint64_t c, uint64_t end_chunk, uint32_t stride) {
+    RunBufferPool& pool = RunBufferPool::Shared();
     for (; c < end_chunk; c += stride) {
       Chunk chunk;
       if (!lane.free.Receive(&chunk.data)) return;  // consumer went away
       const uint64_t start = ChunkStart(c);
       const uint64_t len = ChunkEnd(c) - start;
+      if (chunk.data.capacity() < len) {
+        // A short buffer the caller swapped in (a run clipped below the
+        // chunk size): trade it rather than grow it outside the pool.
+        pool.Give(std::move(chunk.data));
+        chunk.data = pool.Take<K>(buffer_elements_);
+      }
       chunk.data.resize(len);
       chunk.status = lane.producer->Produce(c, start, len, chunk.data.data());
       const bool failed = !chunk.status.ok();
-      if (failed) chunk.data = std::vector<K>();
-      if (!lane.full.Send(std::move(chunk)) || failed) break;
+      if (failed) pool.Give(std::move(chunk.data));
+      if (!lane.full.Send(std::move(chunk))) {
+        pool.Give(std::move(chunk.data));
+        break;
+      }
+      if (failed) break;
     }
     // The consumer pops exactly the chunks this lane owns; closing lets it
     // tell a lane that stopped short from a slow one.
@@ -208,10 +240,19 @@ class ChunkPipeline : public RunSource<K> {
     return Status::OK();
   }
 
+  /// The splice buffer, taken from the pool the first time a chunk must be
+  /// spliced: a pipeline whose chunks are its runs never holds one.
+  std::vector<K>* Partial() {
+    if (partial_.capacity() == 0) {
+      partial_ = RunBufferPool::Shared().Take<K>(buffer_elements_);
+    }
+    return &partial_;
+  }
+
   /// Fills `buffer` with the next run; any error is the sticky status.
   Status FillRun(std::vector<K>* buffer) {
     const uint64_t len = std::min(run_size_, end_ - next_);
-    if (threaded_ && head_ == partial_.size() &&
+    if (threaded_ && head_ == partial_.size() && buffer->capacity() >= len &&
         ChunkEnd(next_chunk_) - ChunkStart(next_chunk_) == len) {
       // The chunk is exactly this run: swap it in, and the caller's
       // previous buffer goes back to the lane to be refilled.
@@ -226,7 +267,7 @@ class ChunkPipeline : public RunSource<K> {
         const uint64_t start = ChunkStart(next_chunk_);
         const uint64_t chunk_len = ChunkEnd(next_chunk_) - start;
         if (threaded_) {
-          OPAQ_RETURN_IF_ERROR(PopChunk(&partial_));
+          OPAQ_RETURN_IF_ERROR(PopChunk(Partial()));
         } else if (chunk_len <= len - filled) {
           // Wholly inside the run: produce straight into the run buffer.
           OPAQ_RETURN_IF_ERROR(lanes_[0]->producer->Produce(
@@ -234,7 +275,7 @@ class ChunkPipeline : public RunSource<K> {
           filled += chunk_len;
           continue;
         } else {
-          partial_.resize(chunk_len);
+          Partial()->resize(chunk_len);
           OPAQ_RETURN_IF_ERROR(lanes_[0]->producer->Produce(
               next_chunk_++, start, chunk_len, partial_.data()));
         }
@@ -260,6 +301,10 @@ class ChunkPipeline : public RunSource<K> {
   uint64_t origin_;      // element where chunk 0 starts (immutable)
   uint64_t next_chunk_;  // next chunk to pop or produce (consumer only)
   Status status_;        // sticky failure state
+
+  // Capacity each chunk buffer is taken with: a whole chunk, or the whole
+  // range when that is shorter (immutable).
+  uint64_t buffer_elements_;
 
   std::vector<K> partial_;  // the chunk being spliced; head_ is its used prefix
   uint64_t head_ = 0;

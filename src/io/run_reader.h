@@ -26,6 +26,9 @@ class RunSource {
 
   /// Reads the next run into `buffer` (resized to the run's length).
   /// Returns false when the data set is exhausted (buffer left empty).
+  /// A prefetching source may swap `*buffer` with one of its own buffers
+  /// from `RunBufferPool`; callers that loop over runs should take their
+  /// buffer from that pool too (`PooledBuffer`), so it goes back there.
   virtual Result<bool> NextRun(std::vector<K>* buffer) = 0;
 };
 

@@ -196,10 +196,8 @@ Result<WireAppendAck> NodeClient::Append(const std::string& name,
   return DecodeRecordPayload<WireAppendAck>(frame);
 }
 
-Result<std::vector<uint8_t>> NodeClient::ReceiveExtents() {
-  OPAQ_ASSIGN_OR_RETURN(WireFrame frame,
-                        ReceiveExpected(conn_, WireOp::kExtentData));
-  return std::move(frame.payload);
+Result<size_t> NodeClient::ReceiveExtents(std::vector<uint8_t>* buffer) {
+  return ReceiveExpectedInto(conn_, WireOp::kExtentData, buffer);
 }
 
 }  // namespace opaq

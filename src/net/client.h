@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "net/frame_io.h"
 #include "net/socket.h"
@@ -104,11 +105,14 @@ class NodeClient {
   Status SendReadExtents(const std::string& name, uint64_t first_extent,
                          uint64_t count);
 
-  /// Receives the response to the oldest in-flight `SendReadExtents`: the
-  /// stored extents back to back, exactly as packed on the node's disk
-  /// (validate + decode with `DecodeStoredExtent`). An error frame decodes
-  /// into the `Status` the node sent.
-  Result<std::vector<uint8_t>> ReceiveExtents();
+  /// Receives the response to the oldest in-flight `SendReadExtents` into
+  /// `*buffer` and returns its length: the stored extents back to back,
+  /// exactly as packed on the node's disk (validate + decode with
+  /// `DecodeStoredExtent`). Keep one buffer across calls: it grows to the
+  /// longest response and is never zero-filled again, and bytes past the
+  /// returned length are stale. An error frame decodes into the `Status`
+  /// the node sent.
+  Result<size_t> ReceiveExtents(std::vector<uint8_t>* buffer);
 
   /// v5: durably appends `count` elements (`count * element_size` raw
   /// bytes at `elements`) to the live dataset the node exports as `name`,

@@ -54,16 +54,25 @@ Result<WireFrame> ReceiveFrame(TcpConnection& conn) {
 }
 
 Result<WireFrame> ReceiveExpected(TcpConnection& conn, WireOp expected) {
-  OPAQ_ASSIGN_OR_RETURN(WireFrame frame, ReceiveFrame(conn));
-  if (frame.op == static_cast<uint16_t>(WireOp::kError)) {
-    return DecodeErrorPayload(frame.payload.data(), frame.payload.size());
+  WireFrame frame;
+  frame.op = static_cast<uint16_t>(expected);
+  OPAQ_RETURN_IF_ERROR(
+      ReceiveExpectedInto(conn, expected, &frame.payload).status());
+  return frame;
+}
+
+Result<size_t> ReceiveExpectedInto(TcpConnection& conn, WireOp expected,
+                                   std::vector<uint8_t>* buffer) {
+  OPAQ_ASSIGN_OR_RETURN(WireFrameHeader header, ReceiveHeader(conn));
+  if (buffer->size() < header.payload_len) buffer->resize(header.payload_len);
+  OPAQ_RETURN_IF_ERROR(ReceivePayload(conn, header, buffer->data()));
+  if (header.op == static_cast<uint16_t>(WireOp::kError)) {
+    return DecodeErrorPayload(buffer->data(), header.payload_len);
   }
-  if (frame.op != static_cast<uint16_t>(expected)) {
-    WireFrameHeader header;
-    header.op = frame.op;
+  if (header.op != static_cast<uint16_t>(expected)) {
     return ProtocolViolation(header, expected);
   }
-  return frame;
+  return static_cast<size_t>(header.payload_len);
 }
 
 Status ReceiveRangeData(TcpConnection& conn, void* out,

@@ -2,6 +2,8 @@
 #define OPAQ_NET_FRAME_IO_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "net/socket.h"
 #include "net/wire.h"
@@ -33,6 +35,13 @@ Result<WireFrame> ReceiveFrame(TcpConnection& conn);
 /// frame into the `Status` it carries (the node's sticky-error channel) and
 /// rejecting any other op as a protocol violation.
 Result<WireFrame> ReceiveExpected(TcpConnection& conn, WireOp expected);
+
+/// `ReceiveExpected` into a caller-kept `*buffer` and returns the payload
+/// length. The buffer only grows, so a stream of frames allocates (and
+/// zero-fills) only when a frame is longer than every one before it; bytes
+/// past the returned length are left over from earlier frames.
+Result<size_t> ReceiveExpectedInto(TcpConnection& conn, WireOp expected,
+                                   std::vector<uint8_t>* buffer);
 
 /// Zero-copy receive of a `kRangeData` frame directly into `out` (exactly
 /// `expected_bytes` long). A `kError` frame decodes into its carried

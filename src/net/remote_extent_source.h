@@ -48,8 +48,8 @@ class RemoteExtentLane : public ChunkLane<K> {
       OPAQ_RETURN_IF_ERROR(client_.SendReadExtents(dataset_, send_++, 1));
     }
     --outstanding_;
-    auto stored = client_.ReceiveExtents();
-    if (!stored.ok()) return stored.status();
+    auto stored_len = client_.ReceiveExtents(&stored_);
+    if (!stored_len.ok()) return stored_len.status();
     const uint64_t extent_start = e * info_.extent_elements;
     // Trusted geometry: only the last extent may be ragged.
     const uint64_t extent_len =
@@ -57,7 +57,7 @@ class RemoteExtentLane : public ChunkLane<K> {
     return DecodeExtentSlice(
         extent_start, extent_len, start, len, out, &extent_buf_,
         [&](K* dest) {
-          return DecodeStoredExtent(stored->data(), stored->size(), e,
+          return DecodeStoredExtent(stored_.data(), *stored_len, e,
                                     extent_len * sizeof(K), sizeof(K),
                                     verify_checksums_, dest, stats_.get());
         });
@@ -75,8 +75,9 @@ class RemoteExtentLane : public ChunkLane<K> {
   uint64_t window_;
   bool verify_checksums_;
   std::shared_ptr<ExtentStats> stats_;
-  uint64_t outstanding_ = 0;   // requests sent but not yet received
-  std::vector<K> extent_buf_;  // a whole decoded extent, for clipped ones
+  uint64_t outstanding_ = 0;     // requests sent but not yet received
+  std::vector<uint8_t> stored_;  // the last stored extent received
+  std::vector<K> extent_buf_;    // a whole decoded extent, for clipped ones
 };
 
 /// A compressed remote dataset as a `RunProvider`: the wire-v4 network

@@ -17,7 +17,7 @@ namespace opaq {
 ///
 /// Semantics:
 ///  - `Send` blocks while the channel holds `capacity` items; it returns
-///    false (dropping the value) once the channel is closed.
+///    false once the channel is closed, leaving the value with the caller.
 ///  - `Receive` blocks while the channel is empty and open; after `Close`
 ///    it keeps draining queued items and returns false only when empty.
 ///  - `Close` is idempotent and wakes every blocked sender and receiver.
@@ -29,8 +29,8 @@ class Channel {
   }
 
   /// Blocks until there is room (or the channel closes). Returns whether
-  /// the value was enqueued.
-  bool Send(T value) {
+  /// the value was enqueued (moved from); on false `value` is untouched.
+  bool Send(T&& value) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       send_cv_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });

@@ -8,6 +8,7 @@
 
 #include "core/estimator.h"
 #include "core/opaq.h"
+#include "io/run_buffer_pool.h"
 #include "parallel/collectives.h"
 #include "parallel/global_merge.h"
 #include "util/status.h"
@@ -90,18 +91,18 @@ Result<ParallelOpaqResult<K>> RunParallelOpaq(
     // cores, as the paper's p processors each sample their own runs.
     OpaqSketch<K> sketch(config, /*sample_workers=*/1);
     std::unique_ptr<RunSource<K>> reader = MakeRunSource<K>(*provider, config);
-    std::vector<K> buffer;
+    PooledBuffer<K> buffer(config.run_size);
     Status local_status;
     while (true) {
       timer.Start(kPhaseIo);
-      auto more = reader->NextRun(&buffer);
+      auto more = reader->NextRun(buffer.get());
       if (!more.ok()) {
         local_status = more.status();
         break;
       }
       if (!*more) break;
       timer.Start(kPhaseSampling);
-      sketch.AddRun(buffer.data(), buffer.size());
+      sketch.AddRun(buffer->data(), buffer->size());
     }
 
     // --- Local merge of the r per-run sample lists. ---

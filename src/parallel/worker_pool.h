@@ -25,8 +25,10 @@ namespace opaq {
 ///
 /// Threads are created once, with the pool, and live until it is
 /// destroyed: nothing is spawned per job. Callers should size buffers
-/// before the job, so helpers allocate little (glibc keeps a malloc arena
-/// per thread, and what a helper allocates stays resident there).
+/// before the job, so helpers allocate little: glibc keeps a malloc arena
+/// per thread, and what a helper frees stays resident there. Run and chunk
+/// buffers, the large ones, come from `RunBufferPool` (io/run_buffer_pool.h)
+/// instead, which keeps them across threads and jobs.
 class WorkerPool {
  public:
   /// Cores this process may use: `hardware_concurrency()`, or 1 when the

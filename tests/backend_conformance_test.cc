@@ -594,8 +594,8 @@ TEST(BackendConformanceTest, SampleWidthNeverChangesTheSketch) {
   // 4 x 64Ki elements) through the plain-async, extent and striped
   // backends: sampling each run with 1 worker and with 4 leaves the same
   // bytes, and so does Engine::Build, which derives its own width (every
-  // core for one source). The ragged tail run is below the striping
-  // threshold and takes one worker either way.
+  // core, for one source or several). The ragged tail run is below the
+  // striping threshold and takes one worker either way.
   constexpr uint64_t kRun = uint64_t{1} << 18;
   DatasetSpec spec;
   spec.n = 3 * kRun + 12345;
@@ -635,10 +635,29 @@ TEST(BackendConformanceTest, SampleWidthNeverChangesTheSketch) {
         << name << " Engine::Build";
   }
 
-  // Several shards already sample side by side: one worker each.
-  Engine<Key> sharded(config, {sources[0].second, sources[2].second});
-  ASSERT_TRUE(sharded.Build().ok());
-  EXPECT_EQ(sharded.stats().sample_workers, 1u);
+  // Several shards sample side by side, each at full width on the shared
+  // pool, and still equal the shard-order merge of width-1 shard sketches.
+  const std::vector<Source<Key>> shards = {sources[0].second,
+                                           sources[2].second};
+  Engine<Key> sharded(config, shards);
+  auto sharded_session = sharded.Build();
+  ASSERT_TRUE(sharded_session.ok()) << sharded_session.status().ToString();
+  EXPECT_EQ(sharded.stats().sample_workers, WorkerPool::HardwareWidth());
+  SampleList<Key> merged;
+  for (size_t rank = 0; rank < shards.size(); ++rank) {
+    OpaqSketch<Key> sketch(config, 1);
+    OPAQ_CHECK_OK(sketch.Consume(shards[rank].provider()));
+    SampleList<Key> list = sketch.FinalizeSampleList();
+    if (rank == 0) {
+      merged = std::move(list);
+      continue;
+    }
+    auto combined = SampleList<Key>::Merge(merged, list);
+    ASSERT_TRUE(combined.ok()) << combined.status().ToString();
+    merged = std::move(combined).value();
+  }
+  EXPECT_EQ(SampleListBytes(sharded_session->sample_list()),
+            SampleListBytes(merged));
 }
 
 TEST(BackendConformanceTest, ConcurrentSketchesShareThePool) {

@@ -4,6 +4,10 @@
 // and contents, across randomized chunk grids, lane counts, depths and both
 // I/O modes — plus failure position, stickiness, abandonment and the
 // zero-copy hand-offs.
+//
+// Then `RunBufferPool`, the store every pipeline takes its buffers from:
+// its bounds, concurrent use, and that pipelines (abandoned, failed, or
+// repeated across sharded remote builds) give back all they take.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +23,16 @@
 #include <thread>
 #include <vector>
 
+#include "data/dataset.h"
+#include "io/block_device.h"
 #include "io/chunk_pipeline.h"
+#include "io/data_file.h"
+#include "io/extent.h"
+#include "io/run_buffer_pool.h"
 #include "io/run_reader.h"
+#include "io/throttled_device.h"
+#include "net/node_server.h"
+#include "opaq/engine.h"
 
 namespace opaq {
 namespace {
@@ -361,17 +373,18 @@ TEST(ChunkPipelineTest, ZeroCopyHandOffs) {
     }
   }
   {
-    // Threaded, chunk == run: the produced buffer itself is handed over,
-    // and the caller's previous buffer is refilled by the lane — with one
-    // buffer in flight the lane alternates between exactly two.
+    // Threaded, chunk == run, and a caller buffer that can hold a run: the
+    // produced buffer itself is handed over, and the caller's previous
+    // buffer is refilled by the lane — with one buffer in flight the lane
+    // alternates between exactly two.
     Geometry g{1000, 100, 100, true, 0, UINT64_MAX, 1, 1, IoMode::kAsync};
     LaneLog log;
     auto pipeline = MakePipeline(data, g, &log);
-    std::vector<Key> buffer;
+    PooledBuffer<Key> buffer(100);
     for (uint64_t c = 0; c < 10; ++c) {
-      ASSERT_TRUE(*pipeline->NextRun(&buffer));
+      ASSERT_TRUE(*pipeline->NextRun(buffer.get()));
       std::lock_guard<std::mutex> lock(log.mutex);
-      EXPECT_EQ(log.out[c], buffer.data()) << "run " << c;
+      EXPECT_EQ(log.out[c], buffer->data()) << "run " << c;
       if (c >= 2) {
         EXPECT_EQ(log.out[c], log.out[c - 2]) << "run " << c;
       }
@@ -411,6 +424,206 @@ TEST(ChunkPipelineTest, DestructorCancelsALaneBlockedInProduce) {
       LanesOf<Key, BlockingLane>());
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   pipeline.reset();  // must not hang
+}
+
+TEST(RunBufferPoolTest, TakeHandsOutCapacityAndReusesBelowTwice) {
+  RunBufferPool pool;
+  // `spare` only raises the high-water mark: given back first, it is the
+  // idle buffer a later fresh allocation frees to stay under the mark.
+  std::vector<Key> spare = pool.Take<Key>(3000);
+  std::vector<Key> fresh = pool.Take<Key>(1000);
+  EXPECT_EQ(fresh.size(), 0u);
+  EXPECT_GE(fresh.capacity(), 1000u);
+  fresh.resize(10);
+  const Key* storage = fresh.data();
+  pool.Give(std::move(spare));
+  pool.Give(std::move(fresh));
+  EXPECT_EQ(pool.stats().idle_buffers, 2u);
+
+  // 1000 lies in [600, 1200): the idle buffer comes back, emptied.
+  std::vector<Key> reused = pool.Take<Key>(600);
+  EXPECT_EQ(reused.data(), storage);
+  EXPECT_EQ(reused.size(), 0u);
+  EXPECT_GE(reused.capacity(), 600u);
+  pool.Give(std::move(reused));
+
+  // Twice a request or more (500, 100) and too small (2000): none of these
+  // requests gets it, and it stays idle for one that fits.
+  std::vector<Key> half = pool.Take<Key>(500);
+  std::vector<Key> small = pool.Take<Key>(100);
+  std::vector<Key> large = pool.Take<Key>(2000);
+  for (const std::vector<Key>* other : {&half, &small, &large}) {
+    EXPECT_NE(other->data(), storage);
+  }
+  EXPECT_GE(half.capacity(), 500u);
+  EXPECT_GE(small.capacity(), 100u);
+  EXPECT_GE(large.capacity(), 2000u);
+  std::vector<Key> again = pool.Take<Key>(1000);
+  EXPECT_EQ(again.data(), storage);
+  for (std::vector<Key>* buffer : {&half, &small, &large, &again}) {
+    pool.Give(std::move(*buffer));
+  }
+  EXPECT_EQ(pool.stats().outstanding_bytes, 0u);
+}
+
+TEST(RunBufferPoolTest, BuffersAreReusedOnlyWithinTheirElementType) {
+  RunBufferPool pool;
+  std::vector<Key> keys = pool.Take<Key>(1000);
+  std::vector<double> doubles = pool.Take<double>(1000);
+  const void* double_storage = doubles.data();
+  pool.Give(std::move(keys));
+  pool.Give(std::move(doubles));
+  std::vector<double> again = pool.Take<double>(1000);
+  EXPECT_EQ(static_cast<const void*>(again.data()), double_storage);
+  pool.Give(std::move(again));
+}
+
+TEST(RunBufferPoolTest, IdlePlusOutstandingNeverExceedsTheHighWaterMark) {
+  RunBufferPool pool;
+  std::mt19937_64 rng(7);
+  std::vector<std::vector<Key>> held;
+  uint64_t held_bytes = 0;
+  for (int step = 0; step < 5000; ++step) {
+    const bool take =
+        held.empty() || (held.size() < 8 && rng() % 2 == 0);
+    if (take) {
+      held.push_back(pool.Take<Key>(1 + rng() % 4096));
+      held_bytes += held.back().capacity() * sizeof(Key);
+    } else {
+      const size_t i = rng() % held.size();
+      held_bytes -= held[i].capacity() * sizeof(Key);
+      pool.Give(std::move(held[i]));
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    const RunBufferPool::Stats stats = pool.stats();
+    ASSERT_EQ(stats.outstanding_bytes, held_bytes) << "step " << step;
+    ASSERT_LE(stats.idle_bytes + stats.outstanding_bytes,
+              stats.high_water_bytes)
+        << "step " << step;
+  }
+  // A buffer the pool never handed out is bounded the same way.
+  std::vector<Key> foreign(1 << 16);
+  pool.Give(std::move(foreign));
+  const RunBufferPool::Stats stats = pool.stats();
+  EXPECT_LE(stats.idle_bytes + stats.outstanding_bytes,
+            stats.high_water_bytes);
+  for (std::vector<Key>& buffer : held) pool.Give(std::move(buffer));
+}
+
+TEST(RunBufferPoolTest, FourThreadsTakeAndGiveAtOnce) {
+  RunBufferPool pool;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&pool, t] {
+      std::mt19937_64 rng(static_cast<uint64_t>(t));
+      for (int i = 0; i < 2000; ++i) {
+        std::vector<Key> buffer = pool.Take<Key>(1 + rng() % 2048);
+        buffer.resize(1 + rng() % buffer.capacity(), static_cast<Key>(t));
+        EXPECT_EQ(buffer.front(), static_cast<Key>(t));
+        pool.Give(std::move(buffer));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const RunBufferPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.outstanding_bytes, 0u);
+  EXPECT_LE(stats.idle_bytes, stats.high_water_bytes);
+  EXPECT_LE(stats.high_water_bytes, 4 * 2048 * sizeof(Key));
+}
+
+TEST(RunBufferPoolTest, PipelinesGiveBackEveryBufferOnEveryExit) {
+  // Random grids, both modes, a consumer that stops after a random number
+  // of runs (or reads to the end), and sometimes a failing lane: once the
+  // pipeline and the consumer's buffer are gone, the shared pool has every
+  // byte back.
+  RunBufferPool& pool = RunBufferPool::Shared();
+  std::mt19937_64 rng(23);
+  for (int iter = 0; iter < 300; ++iter) {
+    Geometry g = RandomGeometry(rng);
+    g.mode = iter % 3 == 0 ? IoMode::kSync : IoMode::kAsync;
+    const std::vector<Key> data = Iota(g.n);
+    const uint64_t fail_chunk = rng() % 3 == 0 ? rng() % 20 : UINT64_MAX;
+    const uint64_t stop_after = rng() % 4 == 0 ? UINT64_MAX : rng() % 6;
+    SCOPED_TRACE(g.ToString() + " fail_chunk=" + std::to_string(fail_chunk) +
+                 " stop_after=" + std::to_string(stop_after));
+    const uint64_t before = pool.stats().outstanding_bytes;
+    {
+      LaneLog log;
+      auto pipeline = MakePipeline(data, g, &log, fail_chunk);
+      PooledBuffer<Key> buffer(g.run);
+      for (uint64_t run = 0; run < stop_after; ++run) {
+        auto more = pipeline->NextRun(buffer.get());
+        if (!more.ok() || !*more) break;
+      }
+    }
+    ASSERT_EQ(pool.stats().outstanding_bytes, before);
+  }
+}
+
+TEST(RunBufferPoolTest, RepeatedShardedRemoteBuildsStopAllocating) {
+  // Two data nodes, one serving a plain file and one a delta-extent file,
+  // behind a disk that charges 2 ms a request so both shards are always
+  // streaming at once. After the first build and exact pass, every later
+  // one is served from idle buffers: the high-water mark stays put and
+  // every buffer comes back.
+  constexpr uint64_t kPerNode = 1 << 17;
+  DiskModel model;
+  model.latency_seconds = 0.002;
+  model.bandwidth_bytes_per_second = 1e12;
+  DatasetSpec spec;
+  spec.n = kPerNode;
+  spec.seed = 5;
+  ThrottledDevice plain_device(std::make_unique<MemoryBlockDevice>(), model,
+                               ThrottledDevice::Mode::kSleep);
+  OPAQ_CHECK_OK(WriteDataset(GenerateDataset<Key>(spec), &plain_device));
+  auto plain = TypedDataFile<Key>::Open(&plain_device);
+  ASSERT_TRUE(plain.ok());
+  spec.distribution = Distribution::kZipf;
+  ThrottledDevice extent_device(std::make_unique<MemoryBlockDevice>(), model,
+                                ThrottledDevice::Mode::kSleep);
+  ExtentWriterOptions writer;
+  writer.extent_elements = 1 << 14;
+  writer.codec = ExtentCodec::kDelta;
+  ASSERT_TRUE(
+      WriteExtents<Key>(GenerateDataset<Key>(spec), {&extent_device}, writer)
+          .ok());
+  auto extents = ExtentFile::Open({&extent_device});
+  ASSERT_TRUE(extents.ok());
+
+  NodeServer plain_node;
+  plain_node.Export<Key>("plain", &*plain);
+  ASSERT_TRUE(plain_node.Start().ok());
+  NodeServer extent_node;
+  extent_node.Export<Key>("zipf", &*extents);
+  ASSERT_TRUE(extent_node.Start().ok());
+  NodeClientOptions options;
+  options.node_compute = false;  // stream every element to this process
+  auto plain_source =
+      Source<Key>::OpenRemote(plain_node.address() + "/plain", options);
+  ASSERT_TRUE(plain_source.ok()) << plain_source.status().ToString();
+  auto extent_source =
+      Source<Key>::OpenRemote(extent_node.address() + "/zipf", options);
+  ASSERT_TRUE(extent_source.ok()) << extent_source.status().ToString();
+  const std::vector<Source<Key>> shards = {*plain_source, *extent_source};
+
+  OpaqConfig config;
+  config.run_size = 1 << 15;
+  config.samples_per_run = 256;
+  config.io_mode = IoMode::kAsync;
+  RunBufferPool& pool = RunBufferPool::Shared();
+  const uint64_t outstanding = pool.stats().outstanding_bytes;
+  uint64_t high_water = 0;
+  for (int build = 0; build < 20; ++build) {
+    SCOPED_TRACE("build " + std::to_string(build));
+    Engine<Key> engine(config, shards);
+    auto session = engine.Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(session->ExactQuantile(0.5).ok());
+    const RunBufferPool::Stats stats = pool.stats();
+    EXPECT_EQ(stats.outstanding_bytes, outstanding);
+    if (build == 0) high_water = stats.high_water_bytes;
+    EXPECT_EQ(stats.high_water_bytes, high_water);
+  }
 }
 
 }  // namespace

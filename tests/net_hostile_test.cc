@@ -12,6 +12,10 @@
 // error frame; the connection must close exactly when the request's fixed
 // prefix or its dataset name does not fit, and the node must serve a
 // fresh connection afterwards.
+//
+// Extent stream: the client receives every EXTENT_DATA frame into one
+// reused buffer, so a short frame after a long one must be decoded at its
+// own length and never from the longer frame's leftover bytes.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +26,7 @@
 #include <iterator>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/estimator.h"
@@ -29,6 +34,7 @@
 #include "io/block_device.h"
 #include "io/data_file.h"
 #include "io/extent.h"
+#include "net/client.h"
 #include "net/frame_io.h"
 #include "net/node_server.h"
 #include "net/socket.h"
@@ -379,6 +385,79 @@ TEST(HostileNodeTest, EveryTruncatedRequestDrawsAnErrorFrame) {
   }
   TcpConnection fresh = node.Dial();
   EXPECT_TRUE(StillServes(fresh));
+}
+
+TEST(HostileExtentStreamTest, ShortFrameAfterALongOneIsReadAtItsOwnLength) {
+  // Extent 0 holds random keys and packs long; extent 1 repeats one key and
+  // packs short.
+  constexpr uint64_t kExtent = 1024;
+  DatasetSpec spec;
+  spec.n = kExtent;
+  spec.seed = 11;
+  std::vector<Key> data = GenerateDataset<Key>(spec);
+  data.resize(2 * kExtent, Key{42});
+  MemoryBlockDevice device;
+  ExtentWriterOptions writer;
+  writer.extent_elements = kExtent;
+  writer.codec = ExtentCodec::kDelta;
+  ASSERT_TRUE(WriteExtents<Key>(data, {&device}, writer).ok());
+  auto file = ExtentFile::Open({&device});
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  std::vector<uint8_t> stored[2];
+  for (uint64_t e = 0; e < 2; ++e) {
+    stored[e].resize(file->StoredExtentBytes(e));
+    ASSERT_TRUE(file->ReadStoredExtent(e, stored[e].data()).ok());
+  }
+  ASSERT_GT(stored[0].size(), 2 * stored[1].size());
+  // A hostile node's third frame: extent 0 cut to the short frame's
+  // length. Its missing tail is exactly what the buffer still holds.
+  const std::vector<uint8_t> cut(stored[0].begin(),
+                                 stored[0].begin() + stored[1].size());
+
+  auto listener = TcpListener::Bind("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok());
+  std::thread node([&] {
+    auto conn = listener->Accept();
+    if (!conn.ok()) return;
+    const std::vector<uint8_t>* frames[] = {&stored[0], &stored[1], &cut};
+    for (const std::vector<uint8_t>* frame : frames) {
+      if (!SendFrame(*conn, WireOp::kExtentData, frame->data(), frame->size())
+               .ok()) {
+        return;
+      }
+    }
+  });
+  auto client = NodeClient::Connect("127.0.0.1", listener->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  std::vector<uint8_t> buffer;
+  std::vector<Key> decoded(kExtent);
+  auto decode = [&](size_t len, uint64_t e) {
+    return DecodeStoredExtent(buffer.data(), len, e, kExtent * sizeof(Key),
+                              sizeof(Key), /*verify_crc=*/true,
+                              decoded.data(), nullptr);
+  };
+  auto len = client->ReceiveExtents(&buffer);
+  ASSERT_TRUE(len.ok()) << len.status().ToString();
+  EXPECT_EQ(*len, stored[0].size());
+  ASSERT_TRUE(decode(*len, 0).ok());
+  EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), data.begin()));
+
+  len = client->ReceiveExtents(&buffer);
+  ASSERT_TRUE(len.ok()) << len.status().ToString();
+  EXPECT_EQ(*len, stored[1].size());
+  ASSERT_TRUE(decode(*len, 1).ok());
+  EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(),
+                         data.begin() + kExtent));
+
+  len = client->ReceiveExtents(&buffer);
+  ASSERT_TRUE(len.ok()) << len.status().ToString();
+  EXPECT_EQ(*len, cut.size());
+  // The whole extent 0 is still in the buffer; read at the frame's own
+  // length it is a truncated extent.
+  ASSERT_TRUE(decode(stored[0].size(), 0).ok());
+  const Status truncated = decode(*len, 0);
+  EXPECT_EQ(truncated.code(), StatusCode::kIoError) << truncated.ToString();
+  node.join();
 }
 
 }  // namespace
