@@ -19,6 +19,7 @@
 #include "data/dataset.h"
 #include "io/codec.h"
 #include "io/run_reader.h"
+#include "parallel/worker_pool.h"
 #include "util/crc32.h"
 #include "util/random.h"
 
@@ -100,9 +101,10 @@ void BM_Kll(benchmark::State& state) {
 BENCHMARK(BM_Kll);
 
 // The §4 exact pass over 2^22 in-memory zipf keys (runs of 2^20, s = 1024)
-// for the certified brackets of q equi-spaced quantiles. The scan classifies
-// each key once against all bracket endpoints, so the rate should fall only
-// with log q.
+// for the certified brackets of q equi-spaced quantiles, at 1 worker and at
+// every core. The scan classifies each key once against all bracket
+// endpoints, so the rate should fall only with log q. Times are wall-clock:
+// the pool's helpers do most of the work at full width.
 void BM_ExactPass(benchmark::State& state) {
   constexpr size_t kExactN = size_t{1} << 22;
   DatasetSpec spec;
@@ -120,13 +122,16 @@ void BM_ExactPass(benchmark::State& state) {
        estimator.EquiQuantiles(static_cast<int>(state.range(0)))) {
     if (!e.lower_clamped && !e.upper_clamped) estimates.push_back(e);
   }
+  // The body of ExactQuantilesSecondPass, at `workers` wide.
+  const size_t workers = static_cast<size_t>(state.range(1));
+  const uint64_t budget = internal_exact::DefaultExactBudget(estimates);
   for (auto _ : state) {
-    auto exact =
-        ExactQuantilesSecondPass(provider, estimates, config.read_options());
-    if (!exact.ok()) {
-      state.SkipWithError(exact.status().ToString().c_str());
-      break;
-    }
+    internal_exact::BracketAccumulator<uint64_t> acc(estimates.size());
+    OPAQ_CHECK_OK(internal_exact::AccumulateBrackets(
+        provider, estimates, config.read_options(), budget, &acc,
+        /*shared_held=*/nullptr, workers));
+    auto exact = internal_exact::SelectWithinBrackets(estimates, &acc, workers);
+    OPAQ_CHECK_OK(exact.status());
     benchmark::DoNotOptimize(exact->data());
   }
   state.counters["brackets"] = static_cast<double>(estimates.size());
@@ -134,10 +139,10 @@ void BM_ExactPass(benchmark::State& state) {
                           static_cast<int64_t>(kExactN));
 }
 BENCHMARK(BM_ExactPass)
-    ->ArgName("q")
-    ->Arg(2)
-    ->Arg(100)
-    ->Arg(1000)
+    ->ArgNames({"q", "workers"})
+    ->ArgsProduct({{2, 100, 1000},
+                   {1, static_cast<int64_t>(WorkerPool::HardwareWidth())}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // CRC-32 over one buffer of range(0) bytes: 64 B is a small serve-live

@@ -11,7 +11,9 @@
 #include "core/estimator.h"
 #include "io/run_buffer_pool.h"
 #include "io/run_reader.h"
+#include "parallel/worker_pool.h"
 #include "select/bucket_classifier.h"
+#include "select/multi_select.h"
 #include "select/select.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -83,8 +85,21 @@ Status ValidateBrackets(const std::vector<QuantileEstimate<K>>& estimates) {
 }
 
 /// Elements classified per block of the scan; the block's ids live on the
-/// stack, so the scan allocates nothing per run.
+/// stack, so the scan allocates nothing per block.
 inline constexpr size_t kExactScanBlock = 256;
+
+/// Elements of a run striped across the workers at once. Each worker lists
+/// its stripe's kept elements (8 bytes each) until the slab is placed, so
+/// the slab, not the run, bounds that scratch. It is large enough that the
+/// two fork-joins per slab (microseconds each) cost little next to
+/// classifying it (a millisecond of one core's time).
+inline constexpr size_t kExactSlab = size_t{1} << 18;
+
+/// The shortest stripe worth handing to a pool helper: classifying 2^14
+/// elements takes tens of microseconds, several times what waking a helper
+/// costs. Shorter slabs (small runs, a file's last run) take fewer workers,
+/// down to the calling thread alone.
+inline constexpr size_t kExactMinStripe = size_t{1} << 14;
 
 /// One filter scan over `provider`: counts the elements below each bracket
 /// and collects the elements inside it, accumulating into `acc` and
@@ -99,9 +114,17 @@ inline constexpr size_t kExactScanBlock = 256;
 /// `BucketClassifier` with equality buckets) maps an element to its
 /// segment in O(log q), the segment's count goes up by one, and the
 /// element is appended to the kept set of each bracket covering the
-/// segment, in scan order. Below-counts are prefix sums of the segment
-/// counts, taken once at the end. The scan therefore costs O(n log q) plus
-/// the kept elements, not O(n q).
+/// segment. Below-counts are prefix sums of the segment counts, taken once
+/// at the end. The scan therefore costs O(n log q) plus the kept elements,
+/// not O(n q).
+///
+/// Each run is read in slabs of kExactSlab elements, and each slab is cut
+/// into up to `workers` stripes (none shorter than kExactMinStripe) that
+/// the shared `WorkerPool` classifies at once, each with its own segment
+/// counts and a list of its kept elements. The caller then sizes every
+/// kept set once for the slab and the stripes copy their elements into
+/// place, stripe after stripe, so each kept set holds its elements in scan
+/// order whatever `workers` is.
 ///
 /// The per-segment cover table holds one entry per (bracket, segment) pair.
 /// Each distinct endpoint inside a bracket is a key the bracket keeps when
@@ -110,8 +133,9 @@ inline constexpr size_t kExactScanBlock = 256;
 /// the budget (nested brackets from a hostile peer, say) fails with
 /// ResourceExhausted before anything is read or allocated for it.
 ///
-/// The budget is charged after each block of kExactScanBlock elements that
-/// kept anything, so a failing pass may hold at most one block's elements
+/// Each stripe charges the budget after each block of kExactScanBlock
+/// elements that kept anything and stops at the first block that crosses
+/// it, so a failing pass may hold, per worker, at most one block's elements
 /// times the number of brackets covering them beyond it before returning
 /// ResourceExhausted.
 ///
@@ -123,8 +147,10 @@ Status AccumulateBrackets(const RunProvider<K>& provider,
                           const ReadOptions& options,
                           uint64_t memory_budget_elements,
                           BracketAccumulator<K>* acc,
-                          std::atomic<uint64_t>* shared_held = nullptr) {
+                          std::atomic<uint64_t>* shared_held = nullptr,
+                          size_t workers = WorkerPool::HardwareWidth()) {
   if (estimates.empty()) return Status::OK();  // nothing to count or keep
+  workers = std::max<size_t>(workers, 1);
   std::vector<K> endpoints;
   endpoints.reserve(2 * estimates.size());
   for (const QuantileEstimate<K>& e : estimates) {
@@ -181,45 +207,133 @@ Status AccumulateBrackets(const RunProvider<K>& provider,
     covered[id] = first[id + 1] != first[id] ? 1 : 0;
   }
 
-  std::vector<size_t> counts(num_ids, 0);
-  uint32_t ids[kExactScanBlock];
-  uint32_t hits[kExactScanBlock];
+  // One worker's share of a slab. Only the calling thread allocates: a
+  // stripe whose list of kept elements has no room for another block
+  // stops, the caller doubles the list, and the stripe resumes. The lists
+  // thus stay near what one slab keeps, far below the slab's length.
+  struct Stripe {
+    std::vector<size_t> counts;     ///< segment counts over the whole scan
+    std::vector<uint64_t> hits;     ///< (slab offset << 32) | segment id
+    std::vector<uint64_t> kept;     ///< kept per bracket, then write cursor
+    size_t next = 0;                ///< where the classify resumes
+    BracketAccumulator<K> charged;  ///< what this stripe charged (held)
+    Status status;
+  };
+  std::vector<Stripe> stripes;
+  // Without a shared counter the stripes share this one, which starts
+  // where `acc` stands, as a lone scan's own `held` would.
+  std::atomic<uint64_t> local_held{acc->held};
+  std::atomic<uint64_t>* const held_counter =
+      shared_held != nullptr ? shared_held : &local_held;
+
   PooledBuffer<K> buffer(options.run_size);
   std::unique_ptr<RunSource<K>> reader = provider.OpenRuns(options);
   while (true) {
     auto more = reader->NextRun(buffer.get());
     if (!more.ok()) return more.status();
     if (!*more) break;
-    for (size_t start = 0; start < buffer->size(); start += kExactScanBlock) {
-      const K* block = buffer->data() + start;
-      const size_t len = std::min(kExactScanBlock, buffer->size() - start);
-      classifier.Classify(block, len, ids, counts.data());
-      // Most elements lie in no bracket: gather the others without a
-      // branch per element, then append only those.
-      size_t num_hits = 0;
-      for (size_t i = 0; i < len; ++i) {
-        hits[num_hits] = static_cast<uint32_t>(i);
-        num_hits += covered[ids[i]];
+    for (size_t slab_start = 0; slab_start < buffer->size();
+         slab_start += kExactSlab) {
+      const K* slab = buffer->data() + slab_start;
+      const size_t slab_len =
+          std::min(kExactSlab, buffer->size() - slab_start);
+      const size_t num_stripes =
+          std::clamp<size_t>(slab_len / kExactMinStripe, 1, workers);
+      auto stripe_end = [&](size_t w) {
+        return internal_select::StripeStart(slab_len, num_stripes, w + 1);
+      };
+      while (stripes.size() < num_stripes) {
+        stripes.emplace_back();
+        stripes.back().counts.assign(num_ids, 0);
+        stripes.back().hits.reserve(16 * kExactScanBlock);
+        stripes.back().kept.assign(estimates.size(), 0);
       }
-      uint64_t added = 0;
-      for (size_t h = 0; h < num_hits; ++h) {
-        const size_t i = hits[h];
-        const size_t begin = first[ids[i]];
-        const size_t end = first[ids[i] + 1];
-        for (size_t c = begin; c < end; ++c) {
-          acc->kept[cover[c]].push_back(block[i]);
+      for (size_t w = 0; w < num_stripes; ++w) {
+        stripes[w].next = internal_select::StripeStart(slab_len, num_stripes, w);
+      }
+      for (bool resume = true; resume;) {
+        internal_select::ForEachWorker(num_stripes, [&](size_t w) {
+          Stripe& stripe = stripes[w];
+          const size_t end = stripe_end(w);
+          uint32_t ids[kExactScanBlock];
+          uint32_t hits[kExactScanBlock];
+          for (; stripe.next < end; stripe.next += kExactScanBlock) {
+            if (stripe.hits.capacity() - stripe.hits.size() <
+                kExactScanBlock) {
+              return;
+            }
+            const size_t start = stripe.next;
+            const size_t len = std::min(kExactScanBlock, end - start);
+            classifier.Classify(slab + start, len, ids, stripe.counts.data());
+            // Most elements lie in no bracket: gather the others without a
+            // branch per element, then note only those.
+            size_t num_hits = 0;
+            for (size_t i = 0; i < len; ++i) {
+              hits[num_hits] = static_cast<uint32_t>(i);
+              num_hits += covered[ids[i]];
+            }
+            uint64_t added = 0;
+            for (size_t h = 0; h < num_hits; ++h) {
+              const size_t i = hits[h];
+              stripe.hits.push_back(uint64_t{start + i} << 32 | ids[i]);
+              const size_t begin = first[ids[i]];
+              const size_t stop = first[ids[i] + 1];
+              for (size_t c = begin; c < stop; ++c) ++stripe.kept[cover[c]];
+              added += stop - begin;
+            }
+            if (added != 0) {
+              stripe.status = stripe.charged.Charge(
+                  added, memory_budget_elements, held_counter);
+              if (!stripe.status.ok()) return;
+            }
+          }
+        });
+        // What every stripe charged counts, even when one of them failed.
+        for (size_t w = 0; w < num_stripes; ++w) {
+          acc->held += stripes[w].charged.held;
+          stripes[w].charged.held = 0;
         }
-        added += end - begin;
+        for (size_t w = 0; w < num_stripes; ++w) {
+          OPAQ_RETURN_IF_ERROR(stripes[w].status);
+        }
+        resume = false;
+        for (size_t w = 0; w < num_stripes; ++w) {
+          if (stripes[w].next < stripe_end(w)) {
+            stripes[w].hits.reserve(2 * stripes[w].hits.capacity());
+            resume = true;
+          }
+        }
       }
-      if (added != 0) {
-        OPAQ_RETURN_IF_ERROR(
-            acc->Charge(added, memory_budget_elements, shared_held));
+      // Stripe w's elements of bracket q follow stripe w - 1's: turn each
+      // stripe's counts into its write cursors, then size each set once.
+      for (size_t q = 0; q < estimates.size(); ++q) {
+        size_t at = acc->kept[q].size();
+        for (size_t w = 0; w < num_stripes; ++w) {
+          const uint64_t kept = stripes[w].kept[q];
+          stripes[w].kept[q] = at;
+          at += kept;
+        }
+        if (at != acc->kept[q].size()) acc->kept[q].resize(at);
       }
+      internal_select::ForEachWorker(num_stripes, [&](size_t w) {
+        Stripe& stripe = stripes[w];
+        for (const uint64_t hit : stripe.hits) {
+          const K key = slab[hit >> 32];
+          const size_t id = static_cast<uint32_t>(hit);
+          for (size_t c = first[id]; c < first[id + 1]; ++c) {
+            acc->kept[cover[c]][stripe.kept[cover[c]]++] = key;
+          }
+        }
+        stripe.hits.clear();
+        std::fill(stripe.kept.begin(), stripe.kept.end(), 0);
+      });
     }
   }
   std::vector<uint64_t> below(num_ids + 1, 0);
   for (size_t id = 0; id < num_ids; ++id) {
-    below[id + 1] = below[id] + counts[id];
+    uint64_t count = 0;
+    for (const Stripe& stripe : stripes) count += stripe.counts[id];
+    below[id + 1] = below[id] + count;
   }
   for (size_t q = 0; q < estimates.size(); ++q) {
     acc->below[q] += below[lower_id[q]];
@@ -229,12 +343,14 @@ Status AccumulateBrackets(const RunProvider<K>& provider,
 
 /// Finishes the pass: selects the element of rank `target_rank - below`
 /// within each kept set (Lemmas 1-2 place it there for certified brackets).
+/// Every target rank is checked first; the selections then run on up to
+/// `workers` threads of the shared pool, each bracket with its own
+/// generator seeded by its target rank, so the answers do not depend on
+/// `workers`.
 template <typename K>
 Result<std::vector<K>> SelectWithinBrackets(
     const std::vector<QuantileEstimate<K>>& estimates,
-    BracketAccumulator<K>* acc) {
-  std::vector<K> out;
-  out.reserve(estimates.size());
+    BracketAccumulator<K>* acc, size_t workers = WorkerPool::HardwareWidth()) {
   for (size_t q = 0; q < estimates.size(); ++q) {
     const QuantileEstimate<K>& e = estimates[q];
     if (e.target_rank <= acc->below[q] ||
@@ -245,11 +361,21 @@ Result<std::vector<K>> SelectWithinBrackets(
           "target rank falls outside its bracket; was the estimate computed "
           "from a different file?");
     }
-    Xoshiro256 rng(e.target_rank);
-    out.push_back(SelectKth(acc->kept[q].data(), acc->kept[q].size(),
-                            e.target_rank - acc->below[q] - 1,
-                            SelectAlgorithm::kIntroSelect, rng));
   }
+  std::vector<K> out(estimates.size());
+  std::atomic<size_t> next{0};
+  internal_select::ForEachWorker(
+      std::clamp<size_t>(workers, 1, std::max<size_t>(estimates.size(), 1)),
+      [&](size_t) {
+        for (size_t q; (q = next.fetch_add(1, std::memory_order_relaxed)) <
+                       estimates.size();) {
+          const QuantileEstimate<K>& e = estimates[q];
+          Xoshiro256 rng(e.target_rank);
+          out[q] = SelectKth(acc->kept[q].data(), acc->kept[q].size(),
+                             e.target_rank - acc->below[q] - 1,
+                             SelectAlgorithm::kIntroSelect, rng);
+        }
+      });
   return out;
 }
 
@@ -279,10 +405,12 @@ uint64_t DefaultExactBudget(const std::vector<QuantileEstimate<K>>& estimates) {
 ///
 /// Fails with FailedPrecondition if any bound was clamped (the bracket is
 /// then not certified) and with ResourceExhausted if the kept sets exceed
-/// `memory_budget_elements` (0 = 4 * q * max_rank_error). The budget is
-/// checked after each block of 256 scanned elements, so a failing pass may
-/// hold up to one block's elements per covering bracket beyond it before it
-/// returns. Keys must be totally ordered by `<` (no NaN).
+/// `memory_budget_elements` (0 = 4 * q * max_rank_error). The scan and the
+/// selections run on every core of the shared `WorkerPool`; the answers do
+/// not depend on how many. The budget is checked after each block of 256
+/// scanned elements, so a failing pass may hold up to one block's elements
+/// per covering bracket per worker beyond it before it returns. Keys must
+/// be totally ordered by `<` (no NaN).
 template <typename K>
 Result<std::vector<K>> ExactQuantilesSecondPass(
     const RunProvider<K>& provider,

@@ -53,7 +53,8 @@ class RunBufferPool {
   static RunBufferPool& Shared();
 
   /// `publish` = publish the gauges (only the shared pool does; a private
-  /// pool is for tests).
+  /// pool serves one owner, such as a data node's response buffers, or a
+  /// test).
   explicit RunBufferPool(bool publish = false);
 
   /// An empty buffer with capacity for at least `n` elements. It hands out

@@ -79,34 +79,69 @@ Result<const ExportedDataset*> NodeServer::Find(
   return &it->second;
 }
 
+/// One connection's response, kept across its requests. Element ranges and
+/// stored extents (up to `max_read_bytes`) are read into `read`, a buffer
+/// of the server's pool that goes back to it when the connection's thread
+/// ends, so the next connection reuses it instead of growing a fresh
+/// thread's malloc arena. The small encoded responses `Respond` moves in
+/// stay in `encoded`, out of the pool.
+struct NodeResponse {
+  RunBufferPool* pool = nullptr;  ///< the serving NodeServer's read_buffers_
+  uint16_t op = 0;
+  std::vector<uint8_t> encoded;
+  std::vector<uint8_t> read;
+  bool in_read = false;  ///< the payload to send is `read`
+
+  NodeResponse() = default;
+  NodeResponse(const NodeResponse&) = delete;
+  NodeResponse& operator=(const NodeResponse&) = delete;
+  ~NodeResponse() {
+    if (pool != nullptr) pool->Give(std::move(read));
+  }
+
+  const std::vector<uint8_t>& payload() const {
+    return in_read ? read : encoded;
+  }
+};
+
 bool NodeServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
   // Each connection is served by its own thread, so this is one response
   // per connection, kept across its requests: a stream of READ_RANGE or
   // READ_EXTENTS reads into storage already sized by the one before, with
   // no allocation and no zero fill.
-  thread_local WireFrame response;
+  thread_local NodeResponse response;
+  response.pool = &read_buffers_;
   bool close = false;
   const Status answered = Answer(frame, &close, &response);
   if (!answered.ok()) return SendErrorCounted(conn, answered) && !close;
-  return SendCounted(conn, static_cast<WireOp>(response.op),
-                     response.payload.data(), response.payload.size());
+  const std::vector<uint8_t>& payload = response.payload();
+  return SendCounted(conn, static_cast<WireOp>(response.op), payload.data(),
+                     payload.size());
 }
 
 namespace {
 
-Status Respond(WireFrame* response, WireOp op, std::vector<uint8_t> payload) {
+Status Respond(NodeResponse* response, WireOp op,
+               std::vector<uint8_t> payload) {
   response->op = static_cast<uint16_t>(op);
-  response->payload = std::move(payload);
+  response->encoded = std::move(payload);
+  response->in_read = false;
   return Status::OK();
 }
 
-/// Sizes `response` as an `op` frame of `bytes` payload bytes for the
-/// caller to read into. Growing past the previous response's size
-/// zero-fills only the growth.
-uint8_t* RespondInPlace(WireFrame* response, WireOp op, uint64_t bytes) {
+/// Sizes `response`'s read buffer as an `op` frame of `bytes` payload
+/// bytes for the caller to read into. A buffer too small for them goes back
+/// to the pool for one that fits; growing past the previous response's
+/// size zero-fills only the growth.
+uint8_t* RespondInPlace(NodeResponse* response, WireOp op, uint64_t bytes) {
   response->op = static_cast<uint16_t>(op);
-  response->payload.resize(bytes);
-  return response->payload.data();
+  response->in_read = true;
+  if (response->read.capacity() < bytes) {
+    response->pool->Give(std::move(response->read));
+    response->read = response->pool->Take<uint8_t>(bytes);
+  }
+  response->read.resize(bytes);
+  return response->read.data();
 }
 
 Status UntypedExport(const std::string& name) {
@@ -127,7 +162,7 @@ Status NotExtentExport(const std::string& name) {
 }  // namespace
 
 Status NodeServer::Answer(const WireFrame& request, bool* close,
-                          WireFrame* response) const {
+                          NodeResponse* response) const {
   PayloadReader in(request);
   // Until a case has read its fixed prefix and dataset name, a short
   // payload means the framing is off: answer, then close.

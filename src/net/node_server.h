@@ -11,6 +11,7 @@
 
 #include "io/data_file.h"
 #include "io/extent.h"
+#include "io/run_buffer_pool.h"
 #include "io/striped_data_file.h"
 #include "net/frame_server.h"
 #include "net/node_compute.h"
@@ -20,6 +21,8 @@
 #include "util/status.h"
 
 namespace opaq {
+
+struct NodeResponse;
 
 /// One dataset a node exports, type-erased: the server only needs the
 /// geometry plus a bounds-checked element reader — it never interprets the
@@ -225,16 +228,22 @@ class NodeServer : public FrameServer {
 
   /// The one per-op dispatch: fills `*response` with the response frame to
   /// `request`, or returns the error to answer it with. Element ranges and
-  /// stored extents are read straight into `response->payload`, whose
-  /// storage the caller keeps across requests. `*close` is set when the
-  /// request's framing (its fixed prefix or dataset name) does not fit the
-  /// payload, or the op is unknown: the byte stream can no longer be
+  /// stored extents are read straight into the response's pooled read
+  /// buffer, which the caller keeps across requests. `*close` is set when
+  /// the request's framing (its fixed prefix or dataset name) does not fit
+  /// the payload, or the op is unknown: the byte stream can no longer be
   /// trusted.
   Status Answer(const WireFrame& request, bool* close,
-                WireFrame* response) const;
+                NodeResponse* response) const;
 
   NodeServerOptions options_;
   std::map<std::string, ExportedDataset> exports_;
+  /// The connections' READ_RANGE / READ_EXTENTS payload buffers: each
+  /// connection takes one here and gives it back when it ends, so the next
+  /// connection's fresh thread reuses it instead of allocating its own.
+  /// The server's own pool, not the shared one, so a client in the same
+  /// process never sees a closing connection's buffer in flight.
+  RunBufferPool read_buffers_;
 };
 
 }  // namespace opaq

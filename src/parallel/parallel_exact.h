@@ -42,9 +42,12 @@ Result<std::vector<K>> ParallelExactQuantiles(
   if (local_memory_budget == 0) {
     local_memory_budget = internal_exact::DefaultExactBudget(estimates);
   }
+  // One worker per rank, as in RunParallelOpaq: each rank models one of
+  // the paper's p processors.
   internal_exact::BracketAccumulator<K> local(estimates.size());
   const Status local_status = internal_exact::AccumulateBrackets(
-      local_data, estimates, options, local_memory_budget, &local);
+      local_data, estimates, options, local_memory_budget, &local,
+      /*shared_held=*/nullptr, /*workers=*/1);
 
   // Health check before any blocking exchange (same pattern as
   // RunParallelOpaq): all ranks abort together if any local pass failed.
@@ -70,7 +73,7 @@ Result<std::vector<K>> ParallelExactQuantiles(
     }
   }
   if (ctx.rank() != 0) return std::vector<K>{};
-  return internal_exact::SelectWithinBrackets(estimates, &all);
+  return internal_exact::SelectWithinBrackets(estimates, &all, /*workers=*/1);
 }
 
 }  // namespace opaq

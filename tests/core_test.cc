@@ -756,6 +756,73 @@ TYPED_TEST(BracketScanTest, MatchesNaiveReference) {
   }
 }
 
+// Scans ragged runs around the block and slab edges at every width from 1
+// to 7 and expects the naive reference's counts and kept sets, bit for bit
+// and in its order, whatever the width.
+template <typename K>
+void ExpectEveryWidthMatchesNaive() {
+  constexpr size_t kSlab = internal_exact::kExactSlab;
+  const std::vector<size_t> lengths = {0,   1,         255,   256,
+                                       257, kSlab - 1, kSlab, kSlab + 1};
+  const size_t full =
+      std::accumulate(lengths.begin(), lengths.end(), size_t{0});
+  OpaqConfig config;
+  config.run_size = 1 << 16;
+  config.samples_per_run = 1 << 12;
+  for (ScanShape shape : {ScanShape::kUniform, ScanShape::kZipf,
+                          ScanShape::kAllEqual, ScanShape::kTwoValued}) {
+    const std::vector<K> all = ScanShapeData<K>(shape, full);
+    const OpaqEstimator<K> estimator = EstimateQuantilesInMemory(all, config);
+    // The naive reference costs n x brackets comparisons, and on all-equal
+    // and two-valued data every bracket keeps about every element. Each
+    // scan reads the longest prefix that keeps n x brackets under 2^25
+    // (2^20 where that many are kept): full slabs up to q = 100 and
+    // several stripes at a thousand brackets on uniform and zipf data,
+    // full slabs up to q = 2 on the others.
+    const bool heavy =
+        shape == ScanShape::kAllEqual || shape == ScanShape::kTwoValued;
+    const size_t work = size_t{1} << (heavy ? 20 : 25);
+    for (size_t q : {1, 2, 100, 1000}) {
+      std::vector<QuantileEstimate<K>> base;
+      for (size_t i = 1; i <= q; ++i) {
+        base.push_back(estimator.Quantile(static_cast<double>(i) / (q + 1)));
+      }
+      for (const auto& estimates : BracketSets(base, all)) {
+        const std::vector<K> data(
+            all.begin(),
+            all.begin() + std::min(full, work / estimates.size()));
+        const internal_exact::BracketAccumulator<K> want =
+            NaiveBrackets(data, estimates);
+        for (size_t workers = 1; workers <= 7; ++workers) {
+          SCOPED_TRACE(testing::Message()
+                       << "shape " << static_cast<int>(shape) << " q " << q
+                       << " brackets " << estimates.size() << " n "
+                       << data.size() << " workers " << workers);
+          internal_exact::BracketAccumulator<K> got(estimates.size());
+          ASSERT_TRUE(internal_exact::AccumulateBrackets(
+                          RaggedRunProvider<K>(&data, lengths), estimates,
+                          config.read_options(), UINT64_MAX, &got,
+                          /*shared_held=*/nullptr, workers)
+                          .ok());
+          EXPECT_EQ(got.below, want.below);
+          EXPECT_EQ(got.held, want.held);
+          for (size_t b = 0; b < estimates.size(); ++b) {
+            ASSERT_TRUE(SameBits(got.kept[b], want.kept[b]))
+                << "bracket " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
+// One integer and one floating key type (whose two zeros must keep their
+// bits) keep the matrix short enough for the sanitizer builds.
+TEST(BracketScanTest, EveryWidthKeepsTheNaiveScanOrder) {
+  ExpectEveryWidthMatchesNaive<uint64_t>();
+  ExpectEveryWidthMatchesNaive<double>();
+}
+
 TYPED_TEST(BracketScanTest, ShardsAccumulateIntoOneAccumulator) {
   using K = TypeParam;
   const std::vector<K> data = ScanShapeData<K>(ScanShape::kZipf, 5000);
@@ -831,6 +898,37 @@ TEST(BracketScanTest, SharedBudgetBoundsTheTotalAcrossShards) {
   // The budget is charged per 256-element block: the failing scan stops
   // after the block that crossed it, not at the end of its one run.
   EXPECT_EQ(second.held, 2 * internal_exact::kExactScanBlock);
+}
+
+TEST(BracketScanTest, EachWorkerOvershootsTheBudgetByAtMostOneBlock) {
+  // Every element lies in both brackets, so each block charges twice its
+  // length; with W workers the stripes stop at W blocks past the budget.
+  const std::vector<uint64_t> data(internal_exact::kExactSlab, 7);
+  OpaqConfig config;
+  config.run_size = data.size();
+  config.samples_per_run = 1024;
+  const auto estimates =
+      EstimateQuantilesInMemory(data, config).EquiQuantiles(3);
+  ASSERT_EQ(estimates.size(), 2u);
+  constexpr uint64_t kBudget = 20000;
+  for (size_t workers = 1; workers <= 7; ++workers) {
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
+    // Alone, and with another scan's 5000 kept elements already charged.
+    for (uint64_t charged : {uint64_t{0}, uint64_t{5000}}) {
+      std::atomic<uint64_t> shared_held{charged};
+      internal_exact::BracketAccumulator<uint64_t> acc(estimates.size());
+      const Status status = internal_exact::AccumulateBrackets(
+          MemoryRunProvider<uint64_t>(data), estimates, config.read_options(),
+          kBudget, &acc, charged == 0 ? nullptr : &shared_held, workers);
+      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+      EXPECT_GT(acc.held + charged, kBudget);
+      EXPECT_LE(acc.held + charged,
+                kBudget + workers * internal_exact::kExactScanBlock * 2);
+      if (charged != 0) {
+        EXPECT_EQ(shared_held.load(), acc.held + charged);
+      }
+    }
+  }
 }
 
 TEST(BracketScanTest, NestedBracketsOverBudgetFailBeforeTheScan) {
