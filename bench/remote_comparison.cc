@@ -3,21 +3,21 @@
 // (a) a plain throttled disk, sync and async, (b) a striped throttled
 // array, and (c) a loopback data node serving that same throttled disk
 // with injectable per-request latency (--net-delay-ms, default 0.2ms —
-// LAN-class RTT), under BOTH wire protocols: forced v1 (the client
-// streams every run over the wire) and v2 (the node runs the sample
-// phase itself and ships only the O(s) sample list).
+// LAN-class RTT), with node compute off (the client streams every run
+// over the wire) and on (the node runs the sample phase itself and ships
+// only the O(s) sample list).
 //
 // Each timing cell is "seconds (blocked fraction)". Expected shape:
 // remote sync pays the full RTT per request on the critical path, while
 // remote async — pipelined request-ahead — hides it behind sampling just
-// as async disk I/O hides seeks. Wire v2 goes further: latency AND
+// as async disk I/O hides seeks. Node compute goes further: latency AND
 // bandwidth drop out together because the data never leaves the node.
 //
 // A second table reports bytes-on-wire for the sample phase (measured at
 // the node's own send counter, so it includes every frame header and
-// error path, not just payload bytes). The bench FAILS (exit 1) if v2
-// does not beat v1 by at least 10x — that ratio is the contract the
-// compute path exists to honour.
+// error path, not just payload bytes). The bench FAILS (exit 1) if node
+// compute does not beat streaming by at least 10x — that ratio is the
+// contract the compute path exists to honour.
 
 #include <cstdio>
 #include <memory>
@@ -82,14 +82,14 @@ int Main(int argc, char** argv) {
       {"sync", {}},
       {"async", {}},
       {"striped x" + std::to_string(options.stripes) + " async", {}},
-      {"remote sync (wire v1)", {}},
-      {"remote async (wire v1)", {}},
-      {"remote async (wire v2)", {}},
+      {"remote sync (streamed)", {}},
+      {"remote async (streamed)", {}},
+      {"remote async (node compute)", {}},
   };
   std::vector<Cell> wire_rows = {
-      {"wire v1 (streamed runs)", {}},
-      {"wire v2 (node-side sampling)", {}},
-      {"v1 / v2 ratio", {}},
+      {"streamed runs", {}},
+      {"node-side sampling", {}},
+      {"streamed / compute ratio", {}},
   };
   double min_ratio = -1;
 
@@ -109,49 +109,53 @@ int Main(int argc, char** argv) {
     // The data node serves its OWN throttled disk (so its device time is
     // charged node-side, as it would be on a real remote machine), plus
     // the injected per-request network latency. The export is typed, so
-    // the node is a full compute node; the v1 rows force the client cap
-    // down to keep them measuring the streaming protocol.
+    // the node is a full compute node; the streamed rows turn node
+    // compute off to keep them measuring the streaming protocol.
     SimulatedDisk node_disk = MakeSimulatedDisk(data, /*sleep_mode=*/true);
     NodeServerOptions node_options;
     node_options.response_delay_seconds = net_delay_ms / 1000.0;
     NodeServer node(node_options);
     node.Export("data", &node_disk.file);
     OPAQ_CHECK_OK(node.Start());
-    NodeClientOptions v1_only;
-    v1_only.max_wire_version = 1;
-    auto remote_v1 = Source<Key>::OpenRemote(node.address() + "/data",
-                                             v1_only);
-    OPAQ_CHECK_OK(remote_v1.status());
-    auto remote_v2 = Source<Key>::OpenRemote(node.address() + "/data");
-    OPAQ_CHECK_OK(remote_v2.status());
+    NodeClientOptions streamed;
+    streamed.node_compute = false;
+    auto remote_streamed = Source<Key>::OpenRemote(node.address() + "/data",
+                                                   streamed);
+    OPAQ_CHECK_OK(remote_streamed.status());
+    auto remote_compute = Source<Key>::OpenRemote(node.address() + "/data");
+    OPAQ_CHECK_OK(remote_compute.status());
 
     const Source<Key> sources[] = {
         Source<Key>::FromFile(&plain.file),
         Source<Key>::FromFile(&plain.file),
         Source<Key>::FromFile(striped.file.get()),
-        *remote_v1,
-        *remote_v1,
-        *remote_v2,
+        *remote_streamed,
+        *remote_streamed,
+        *remote_compute,
     };
     const IoMode modes[] = {IoMode::kSync,  IoMode::kAsync, IoMode::kAsync,
                             IoMode::kSync,  IoMode::kAsync, IoMode::kAsync};
-    uint64_t v1_bytes = 0;
-    uint64_t v2_bytes = 0;
+    uint64_t streamed_bytes = 0;
+    uint64_t compute_bytes = 0;
     for (size_t i = 0; i < rows.size(); ++i) {
       const uint64_t before = node.bytes_sent();
       ModeRun run = RunMode(sources[i], modes[i], kRunSize, kSamples);
       const uint64_t sent = node.bytes_sent() - before;
-      if (rows[i].label == "remote async (wire v1)") v1_bytes = sent;
-      if (rows[i].label == "remote async (wire v2)") v2_bytes = sent;
+      if (rows[i].label == "remote async (streamed)") streamed_bytes = sent;
+      if (rows[i].label == "remote async (node compute)") {
+        compute_bytes = sent;
+      }
       rows[i].values.push_back(TextTable::Num(run.seconds, 2) + " (" +
                                TextTable::Num(run.blocked_fraction, 2) + ")");
     }
     node.Stop();
 
     const double ratio =
-        v2_bytes > 0 ? static_cast<double>(v1_bytes) / v2_bytes : 0;
-    wire_rows[0].values.push_back(HumanCount(v1_bytes) + "B");
-    wire_rows[1].values.push_back(HumanCount(v2_bytes) + "B");
+        compute_bytes > 0
+            ? static_cast<double>(streamed_bytes) / compute_bytes
+            : 0;
+    wire_rows[0].values.push_back(HumanCount(streamed_bytes) + "B");
+    wire_rows[1].values.push_back(HumanCount(compute_bytes) + "B");
     wire_rows[2].values.push_back(TextTable::Num(ratio, 1) + "x");
     if (min_ratio < 0 || ratio < min_ratio) min_ratio = ratio;
   }
@@ -177,8 +181,8 @@ int Main(int argc, char** argv) {
 
   if (min_ratio < 10.0) {
     std::fprintf(stderr,
-                 "FAIL: wire v2 must ship at least 10x fewer sample-phase "
-                 "bytes than v1 (worst ratio %.1fx)\n",
+                 "FAIL: node compute must ship at least 10x fewer "
+                 "sample-phase bytes than streaming (worst ratio %.1fx)\n",
                  min_ratio);
     return 1;
   }

@@ -119,7 +119,7 @@ class Engine {
       // result — only selection speed.
       OpaqConfig shard_config = config_;
       shard_config.seed += static_cast<uint64_t>(rank);
-      // A v2 remote shard samples NODE-SIDE: one RPC ships the config, the
+      // A remote compute shard samples NODE-SIDE: one RPC ships the config, the
       // node runs the identical sketch over its own disks, and only the
       // O(s) sample list comes back. The RPC wall time is this shard's I/O
       // stall (the thread blocks on it exactly as it would on reads).
@@ -127,18 +127,14 @@ class Engine {
               shards_[rank].remote_compute()) {
         WallTimer rpc_timer;
         auto list = compute->SampleRuns(shard_config);
-        if (list.ok()) {
-          io_seconds[rank] += rpc_timer.ElapsedSeconds();
-          runs[rank] = list->accounting().num_runs;
-          lists[rank] = std::move(list).value();
-          return;
-        }
-        if (list.status().code() != StatusCode::kUnimplemented) {
+        if (!list.ok()) {
           statuses[rank] = list.status();
           return;
         }
-        // Unimplemented = the node cannot compute over this dataset
-        // (untyped export); stream its runs over v1 instead.
+        io_seconds[rank] += rpc_timer.ElapsedSeconds();
+        runs[rank] = list->accounting().num_runs;
+        lists[rank] = std::move(list).value();
+        return;
       }
       OpaqSketch<K> sketch(shard_config, stats_.sample_workers);
       statuses[rank] =

@@ -301,28 +301,25 @@ class QuerySession {
         internal_exact::BracketAccumulator<K>(estimates.size()));
     std::vector<Status> statuses(sources_.size());
     std::atomic<uint64_t> shared_held{0};
-    // One shard's scan, compute-first: a v2 remote shard runs the filter
-    // pass NODE-SIDE (one RPC, only counts + candidates come back; the
-    // node's own budget bounds its kept sets) and the result is charged and
-    // appended here like a local scan's; Unimplemented (untyped export)
-    // falls back to streaming the shard's runs.
+    // One shard's scan, compute-first: a remote compute shard runs the
+    // filter pass NODE-SIDE (one RPC, only counts + candidates come back;
+    // the node's own budget bounds its kept sets) and the result is charged
+    // and appended here like a local scan's.
     auto scan_shard = [&](size_t shard) {
       const Source<K>& source = sources_[shard];
       internal_exact::BracketAccumulator<K>& acc = accs[shard];
       if (const RemoteComputeClient<K>* compute = source.remote_compute()) {
         auto scan =
             compute->ExactPass(estimates, config_.read_options(), budget);
-        if (scan.ok()) {
-          uint64_t added = 0;
-          for (const std::vector<K>& kept : scan->kept) added += kept.size();
-          acc.Append(std::move(scan).value());
-          statuses[shard] = acc.Charge(added, budget, &shared_held);
-          return;
-        }
-        if (scan.status().code() != StatusCode::kUnimplemented) {
+        if (!scan.ok()) {
           statuses[shard] = scan.status();
           return;
         }
+        uint64_t added = 0;
+        for (const std::vector<K>& kept : scan->kept) added += kept.size();
+        acc.Append(std::move(scan).value());
+        statuses[shard] = acc.Charge(added, budget, &shared_held);
+        return;
       }
       statuses[shard] = internal_exact::AccumulateBrackets(
           source.provider(), estimates, config_.read_options(), budget, &acc,

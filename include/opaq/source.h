@@ -158,41 +158,33 @@ class Source {
   /// with pipelined request-ahead — so engines, exact passes and parallel
   /// harnesses consume remote shards unchanged.
   ///
-  /// After the handshake the wire version is negotiated (one `kHello`
-  /// round trip, skipped when `options.max_wire_version <= 1`): against a
-  /// v2 node the source also carries a `RemoteComputeClient`, and engines /
-  /// exact passes push the sample phase and §4 filter scan to the node
-  /// instead of streaming raw runs — same results, O(s) instead of O(n)
-  /// bytes on the wire. Against a v1 node (or when forced to v1) the
-  /// source works exactly as before.
+  /// With `options.node_compute` (the default) the source also carries a
+  /// `RemoteComputeClient`, and engines / exact passes push the sample
+  /// phase and §4 filter scan to the node instead of streaming raw runs —
+  /// same results, O(s) instead of O(n) bytes on the wire. Without it the
+  /// source streams every run.
   static Result<Source> OpenRemote(
       const std::string& spec,
       const NodeClientOptions& options = NodeClientOptions()) {
     auto provider = RemoteRunProvider<K>::Connect(spec, options);
     if (!provider.ok()) return provider.status();
-    auto negotiated = NegotiateWireVersion(provider->spec(), options);
-    if (!negotiated.ok()) return negotiated.status();
     const RemoteSpec parsed = provider->spec();
     Source s;
-    // Against a v4 node, probe for an extent export: when the dataset is
-    // stored as compressed extents, every stream from this source ships
-    // PACKED extents decoded client-side (RemoteExtentProvider). A node
-    // answering Unimplemented stores it uncompressed — range streaming as
-    // always.
-    if (*negotiated >= kExtentWireVersion) {
-      auto extents = RemoteExtentProvider<K>::Connect(parsed, options);
-      if (extents.ok()) {
-        s.provider_ = std::make_shared<RemoteExtentProvider<K>>(
-            std::move(extents).value());
-      } else if (extents.status().code() != StatusCode::kUnimplemented) {
-        return extents.status();
-      }
-    }
-    if (s.provider_ == nullptr) {
+    // Probe for an extent export: when the dataset is stored as compressed
+    // extents, every stream from this source ships PACKED extents decoded
+    // client-side (RemoteExtentProvider). A node answering Unimplemented
+    // stores it uncompressed — range streaming.
+    auto extents = RemoteExtentProvider<K>::Connect(parsed, options);
+    if (extents.ok()) {
+      s.provider_ = std::make_shared<RemoteExtentProvider<K>>(
+          std::move(extents).value());
+    } else if (extents.status().code() == StatusCode::kUnimplemented) {
       s.provider_ = std::make_shared<RemoteRunProvider<K>>(
           std::move(provider).value());
+    } else {
+      return extents.status();
     }
-    if (*negotiated >= 2 && options.node_compute) {
+    if (options.node_compute) {
       s.compute_ = std::make_shared<const RemoteComputeClient<K>>(parsed,
                                                                   options);
     }
@@ -209,11 +201,11 @@ class Source {
   /// The backend-independent view every run consumer is written against.
   const RunProvider<K>& provider() const { return *provider_; }
 
-  /// The v2 compute handle of a remote source whose node negotiated
-  /// version >= 2; nullptr for every local backend and for remote sources
-  /// speaking v1. Consumers (Engine, QuerySession) try this first and fall
-  /// back to streaming `provider()` when the node answers Unimplemented
-  /// for the dataset (e.g. an untyped export).
+  /// The compute handle of a remote source opened with
+  /// `NodeClientOptions::node_compute`; nullptr for every local backend and
+  /// for remote sources that stream. Consumers (Engine, QuerySession) push
+  /// their sample phase and §4 scan through it when present, and a node's
+  /// error on it surfaces as the `Status` it is.
   const RemoteComputeClient<K>* remote_compute() const {
     return compute_.get();
   }

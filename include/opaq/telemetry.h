@@ -18,7 +18,7 @@
 ///    (telemetry/stats_format.h) — the one snapshot renderer both daemons'
 ///    shutdown dumps, `--stats-interval` ticks, and `opaq_cli stats` share.
 ///
-/// Over the wire: protocol v6 `kStats`/`kStatsData` (net/wire_stats.h,
+/// Over the wire: `kStats`/`kStatsData` (net/wire_stats.h,
 /// reachable via opaq/net.h) serve a registry snapshot from any daemon to
 /// `opaq_cli stats host:port`.
 

@@ -1,6 +1,5 @@
 #include "net/client.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "io/io_mode.h"
@@ -76,38 +75,6 @@ Status NodeClient::Ping() {
   OPAQ_RETURN_IF_ERROR(SendFrame(conn_, WireOp::kPing, nullptr, 0));
   auto pong = ReceiveExpected(conn_, WireOp::kPong);
   return pong.status();
-}
-
-Result<uint16_t> NodeClient::Hello(uint16_t my_max_version) {
-  WireHello hello;
-  hello.max_version = my_max_version;
-  OPAQ_RETURN_IF_ERROR(
-      SendFrame(conn_, WireOp::kHello, &hello, sizeof(hello)));
-  OPAQ_ASSIGN_OR_RETURN(WireFrame frame,
-                        ReceiveExpected(conn_, WireOp::kHelloAck));
-  PayloadReader in(frame);
-  WireHello ack;
-  OPAQ_RETURN_IF_ERROR(in.Read(&ack));
-  if (ack.max_version < kWireVersion) {
-    return Status::IoError("node announced nonsensical wire version " +
-                           std::to_string(ack.max_version));
-  }
-  return ack.max_version;
-}
-
-Result<uint16_t> NegotiateWireVersion(const RemoteSpec& spec,
-                                      const NodeClientOptions& options) {
-  if (options.max_wire_version <= kWireVersion) return kWireVersion;
-  OPAQ_ASSIGN_OR_RETURN(NodeClient probe,
-                        NodeClient::Connect(spec.host, spec.port, options));
-  auto node_max = probe.Hello(options.max_wire_version);
-  if (!node_max.ok()) {
-    // The kHello frame is itself a version-2 artifact: a v1-only node
-    // rejects its header and hangs up. That is the fallback signal, not a
-    // failure — the node is alive (Connect succeeded) and speaks v1.
-    return kWireVersion;
-  }
-  return std::min<uint16_t>(options.max_wire_version, *node_max);
 }
 
 Result<WireDatasetInfo> NodeClient::OpenDataset(const std::string& name) {

@@ -40,19 +40,15 @@ struct NodeClientOptions {
   /// as IoError after this long instead of hanging the consumer. 0 = wait
   /// forever.
   double receive_timeout_seconds = 60;
-  /// Newest protocol version this client will speak. Lower to 1 to force
-  /// v1 range streaming even against a v2 node (the bench's apples-to-
-  /// apples bytes-on-wire rows do).
-  uint16_t max_wire_version = kMaxWireVersion;
-  /// When false, `Source::OpenRemote` never attaches the v2+ node-side
-  /// compute handle, so the engine streams the dataset instead — over v4
-  /// packed extents when the node stores it compressed. Bytes-on-wire
-  /// comparisons (compressed vs raw streaming) flip this off.
+  /// When false, `Source::OpenRemote` never attaches the node-side
+  /// compute handle, so the engine streams the dataset instead — as packed
+  /// extents when the node stores it compressed, as element ranges
+  /// otherwise. Bytes-on-wire comparisons flip this off.
   bool node_compute = true;
 };
 
 /// One client connection to a data node: typed request/response (and
-/// pipelined request-ahead) over the v1 wire protocol. Single-owner,
+/// pipelined request-ahead) over the wire protocol. Single-owner,
 /// single-thread use — `RemoteRunProvider` dials one per run stream.
 /// `ShutdownNow` is the only cross-thread-safe member (it wakes a blocked
 /// receive when a consumer abandons the stream).
@@ -68,14 +64,6 @@ class NodeClient {
 
   /// Liveness round trip.
   Status Ping();
-
-  /// v2 version probe: announces `my_max_version` and returns the node's
-  /// newest version. Against a v1-only node the `kHello` frame itself is
-  /// rejected (its header already says version 2) — that surfaces here as
-  /// an error `Status` mentioning "version", and the node hangs up, so
-  /// callers probe on a disposable connection (`NegotiateWireVersion`
-  /// does).
-  Result<uint16_t> Hello(uint16_t my_max_version = kMaxWireVersion);
 
   /// Fetches the node's description of `name` (geometry + read bound).
   Result<WireDatasetInfo> OpenDataset(const std::string& name);
@@ -95,7 +83,7 @@ class NodeClient {
   Status ReadRange(const std::string& name, uint64_t first, uint64_t count,
                    void* out, size_t out_bytes);
 
-  /// v4: fetches the node's extent geometry for `name`. A node answers
+  /// Fetches the node's extent geometry for `name`. A node answers
   /// Unimplemented when the dataset is not stored as compressed extents —
   /// the signal to stream `kReadRange` instead (see `WireExtentInfo`).
   Result<WireExtentInfo> OpenExtents(const std::string& name);
@@ -114,7 +102,7 @@ class NodeClient {
   /// the node sent.
   Result<size_t> ReceiveExtents(std::vector<uint8_t>* buffer);
 
-  /// v5: durably appends `count` elements (`count * element_size` raw
+  /// Durably appends `count` elements (`count * element_size` raw
   /// bytes at `elements`) to the live dataset the node exports as `name`,
   /// as ONE new segment. The returned ack carries the dataset's new totals
   /// — a commit receipt: when it arrives, the segment's manifest record is
@@ -126,7 +114,7 @@ class NodeClient {
                                uint64_t count, uint32_t element_size);
 
   /// Generic frame round-trip halves for ops whose payloads the caller
-  /// codes itself (the v2 compute layer does): send any request frame,
+  /// codes itself (the compute layer does): send any request frame,
   /// then receive a response demanding op `expected` — a `kError` response
   /// decodes into the `Status` the node sent.
   Status SendRequest(WireOp op, const void* payload, size_t len) {
@@ -148,16 +136,6 @@ class NodeClient {
 
   TcpConnection conn_;
 };
-
-/// Determines the wire version to speak to `spec`'s node: dials a
-/// disposable connection, probes with `Hello`, and returns
-/// min(client max, node max). A node that rejects the probe as a version
-/// it does not speak negotiates down to 1 (that IS the v1 fallback, not an
-/// error); failing to reach the node at all is a real error. With
-/// `options.max_wire_version <= 1` no probe is sent — the answer is 1 by
-/// configuration.
-Result<uint16_t> NegotiateWireVersion(const RemoteSpec& spec,
-                                      const NodeClientOptions& options);
 
 }  // namespace opaq
 

@@ -65,14 +65,6 @@ MetricsSnapshot FrameServer::StatsSnapshot() {
 
 Status FrameServer::Start() {
   OPAQ_CHECK(!started_) << "FrameServer::Start called twice";
-  if (options_.max_wire_version < kWireVersion ||
-      options_.max_wire_version > kMaxWireVersion) {
-    return Status::InvalidArgument(
-        "max_wire_version of " + std::to_string(options_.max_wire_version) +
-        " is outside this build's supported range [" +
-        std::to_string(kWireVersion) + ", " +
-        std::to_string(kMaxWireVersion) + "]");
-  }
   OPAQ_RETURN_IF_ERROR(ValidateStart());
   auto listener = TcpListener::Bind(options_.bind_address, options_.port);
   if (!listener.ok()) return listener.status();
@@ -164,16 +156,6 @@ void FrameServer::Serve(TcpConnection* conn) {
     }
     bytes_received_.fetch_add(sizeof(header), std::memory_order_relaxed);
     Status valid = ValidateFrameHeader(header);
-    if (valid.ok() && header.version > options_.max_wire_version) {
-      // This build could parse the frame, but the operator capped the server
-      // below it — reject exactly as an old build would, so version-capped
-      // servers are faithful stand-ins for real old nodes (and newer clients
-      // read the "version" error as "fall back").
-      valid = Status::IoError(
-          "unsupported wire protocol version " +
-          std::to_string(header.version) + " (this node speaks at most " +
-          std::to_string(options_.max_wire_version) + ")");
-    }
     if (!valid.ok()) {
       // The stream cannot be trusted past a malformed header (we may be
       // mid-garbage); answer once and hang up.

@@ -26,11 +26,6 @@ struct FrameServerOptions {
   /// Artificial delay before every response frame — the latency-injectable
   /// loopback transport the remote-vs-local benches are built on. 0 = off.
   double response_delay_seconds = 0;
-  /// Newest protocol version this server answers. Frames announcing a newer
-  /// version are rejected with an error frame mentioning "version" — the
-  /// signal a client's `kHello` probe reads as "speak older". Must be in
-  /// [1, kMaxWireVersion]; `Start` rejects anything else.
-  uint16_t max_wire_version = kMaxWireVersion;
   /// Registry this server publishes its metrics into and serves over the
   /// wire (`kStats`). nullptr = the process-global registry; tests running
   /// several servers in one process inject private registries to keep
@@ -63,8 +58,8 @@ class FrameServer {
   FrameServer& operator=(const FrameServer&) = delete;
 
   /// Binds, listens, and spawns the accept loop. Fails (without aborting)
-  /// on an unusable address/port, an out-of-range `max_wire_version`, or
-  /// whatever the derived `ValidateStart` rejects.
+  /// on an unusable address/port or whatever the derived `ValidateStart`
+  /// rejects.
   Status Start();
 
   /// Shuts the listener and every live connection down and joins all

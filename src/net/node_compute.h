@@ -14,7 +14,7 @@
 
 namespace opaq {
 
-/// Node-side halves of the v2 compute ops: given one exported dataset's
+/// Node-side halves of the compute ops: given one exported dataset's
 /// `RunProvider`, run the requested phase and produce the complete response
 /// payload. These are free templates over the provider seam — the same
 /// plain/striped/async readers local mode uses — so a node-side sample list
@@ -63,7 +63,7 @@ Result<OpaqConfig> SampleRunsConfig(const WireSampleRunsRequest& request,
 /// `kSampleRuns`: runs the paper's one-pass sample phase over the dataset's
 /// runs — the exact computation `OpaqSketch::Consume` performs locally —
 /// and returns the serialized sample list (O(s) bytes instead of the O(n)
-/// the v1 range protocol would ship).
+/// range streaming would ship).
 template <typename K>
 Result<std::vector<uint8_t>> NodeSampleRuns(
     const RunProvider<K>& provider, const WireSampleRunsRequest& request,

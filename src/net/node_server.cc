@@ -22,18 +22,6 @@ void NodeServer::Export(const std::string& name, ExportedDataset dataset) {
   exports_[name] = std::move(dataset);
 }
 
-void NodeServer::Export(const std::string& name, const DataFile* file) {
-  OPAQ_CHECK(file != nullptr);
-  ExportedDataset dataset;
-  dataset.key_type = static_cast<uint32_t>(file->key_type());
-  dataset.element_size = file->element_size();
-  dataset.element_count = file->element_count();
-  dataset.read = [file](uint64_t first, uint64_t count, void* out) {
-    return file->ReadElements(first, count, out);
-  };
-  Export(name, std::move(dataset));
-}
-
 Status NodeServer::ValidateStart() {
   if (exports_.empty()) {
     return Status::FailedPrecondition(
@@ -144,16 +132,15 @@ uint8_t* RespondInPlace(NodeResponse* response, WireOp op, uint64_t bytes) {
   return response->read.data();
 }
 
-Status UntypedExport(const std::string& name) {
-  // Recoverable: the client falls back to v1 range streaming.
+Status NoComputeHooks(const std::string& name) {
   return Status::Unimplemented(
       "dataset '" + name +
-      "' is exported untyped; this node can only serve its raw ranges, not "
-      "compute over it");
+      "' is exported without compute hooks; this node can only serve its "
+      "raw ranges, not compute over it");
 }
 
 Status NotExtentExport(const std::string& name) {
-  // Recoverable: the v4 client falls back to kReadRange streaming.
+  // Recoverable: the client falls back to kReadRange streaming.
   return Status::Unimplemented("dataset '" + name +
                                "' is not stored as compressed extents; "
                                "stream its ranges instead");
@@ -171,16 +158,6 @@ Status NodeServer::Answer(const WireFrame& request, bool* close,
     case WireOp::kPing:
       *close = false;
       return Respond(response, WireOp::kPong, {});
-
-    case WireOp::kHello: {
-      // The peer's announced version needs no inspection: each side simply
-      // discloses its own newest, and both use the minimum.
-      OPAQ_RETURN_IF_ERROR(in.Skip(sizeof(WireHello)));
-      *close = false;
-      WireHello ack;
-      ack.max_version = options_.max_wire_version;
-      return Respond(response, WireOp::kHelloAck, EncodeRecordPayload(ack));
-    }
 
     case WireOp::kOpenDataset: {
       *close = false;
@@ -241,7 +218,7 @@ Status NodeServer::Answer(const WireFrame& request, bool* close,
       *close = false;
       const std::string name = in.RestAsString();
       OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset, Find(name));
-      if (!dataset->sample_runs) return UntypedExport(name);
+      if (!dataset->sample_runs) return NoComputeHooks(name);
       // A bad request or a failing disk; the connection itself is fine.
       OPAQ_ASSIGN_OR_RETURN(
           std::vector<uint8_t> payload,
@@ -256,7 +233,7 @@ Status NodeServer::Answer(const WireFrame& request, bool* close,
       OPAQ_RETURN_IF_ERROR(in.ReadString(exact.name_len, &name));
       *close = false;
       OPAQ_ASSIGN_OR_RETURN(const ExportedDataset* dataset, Find(name));
-      if (!dataset->exact_pass) return UntypedExport(name);
+      if (!dataset->exact_pass) return NoComputeHooks(name);
       OPAQ_ASSIGN_OR_RETURN(
           std::vector<uint8_t> payload,
           dataset->exact_pass(exact, in, options_.max_compute_run_bytes));
@@ -358,7 +335,8 @@ Status NodeServer::Answer(const WireFrame& request, bool* close,
     }
 
     default:
-      // Unknown op: assume version skew and close.
+      // Unknown op (the retired 8 and 9 included): the peer does not
+      // speak this protocol; close.
       return Status::Unimplemented(std::string("node does not speak op ") +
                                    WireOpName(request.op) + " (" +
                                    std::to_string(request.op) + ")");

@@ -35,13 +35,13 @@ struct ExportedDataset {
   /// Reads `count` elements starting at `first` into `out` (already
   /// bounds-checked by the server against `element_count`).
   std::function<Status(uint64_t first, uint64_t count, void* out)> read;
-  /// Optional v2 compute hooks: run the paper's sample phase / §4 filter
-  /// scan over this dataset's runs and return the complete response payload
-  /// (see node_compute.h). The typed `Export` overloads bind these; an
-  /// untyped export leaves them empty, and the node then answers compute
-  /// requests with Unimplemented so a v2 client falls back to v1 range
-  /// streaming for that dataset. `max_run_bytes` is the server's
-  /// `max_compute_run_bytes` bound.
+  /// Compute hooks: run the paper's sample phase / §4 filter scan over this
+  /// dataset's runs and return the complete response payload (see
+  /// node_compute.h). Every `Export` overload binds them
+  /// (`ProviderExport`); a hand-built export that leaves them empty gets
+  /// Unimplemented for compute requests, which the client surfaces as the
+  /// error it is. `max_run_bytes` is the server's `max_compute_run_bytes`
+  /// bound.
   std::function<Result<std::vector<uint8_t>>(
       const WireSampleRunsRequest& request, uint64_t max_run_bytes)>
       sample_runs;
@@ -50,21 +50,21 @@ struct ExportedDataset {
       const WireExactPassRequest& request, PayloadReader& brackets,
       uint64_t max_run_bytes)>
       exact_pass;
-  /// Optional v4 extent hooks, bound when the export is stored as
+  /// Optional extent hooks, bound when the export is stored as
   /// compressed extents (io/extent.h): the geometry `kOpenExtents`
   /// discloses, the stored size of one logical extent, and a reader of its
   /// stored (packed) bytes into `out`, which holds that many — shipped
   /// verbatim, decoded client-side.
   /// `extent_elements == 0` means "not an extent export"; the node then
-  /// answers `kOpenExtents` with Unimplemented and a v4 client falls back
+  /// answers `kOpenExtents` with Unimplemented and the client falls back
   /// to `kReadRange` streaming (extent exports keep a `read` hook too, so
-  /// v1-v3 clients are served decoded ranges as always).
+  /// a client may still ask for decoded ranges).
   uint64_t extent_elements = 0;
   uint64_t num_extents = 0;
   uint16_t extent_codec = 0;
   std::function<uint64_t(uint64_t extent)> stored_extent_bytes;
   std::function<Status(uint64_t extent, void* out)> read_stored_extent;
-  /// Optional v5 ingest hooks, bound for live (appendable) dataset exports
+  /// Optional ingest hooks, bound for live (appendable) dataset exports
   /// (`opaq_noded --live`). `append` durably commits `count` elements as
   /// one new segment and returns the dataset's new totals (the ack IS the
   /// commit receipt); empty means the export is static and the node
@@ -84,7 +84,7 @@ struct ExportedDataset {
   std::shared_ptr<void> owner;
 };
 
-/// A typed export whose `read` and v2 compute hooks (`sample_runs`,
+/// A typed export whose `read` and compute hooks (`sample_runs`,
 /// `exact_pass` — the paper's sample phase and §4 filter scan, run
 /// node-side) go through the `RunProvider<K>` that `current()` returns when
 /// each request arrives: one fixed provider for a static export, the newest
@@ -111,7 +111,7 @@ ExportedDataset ProviderExport(Current current) {
 }
 
 /// Binds `source` as a typed export over its provider (`ProviderExport`);
-/// a source on a local extent file also gets the v4 extent hooks, so
+/// a source on a local extent file also gets the extent hooks, so
 /// packed extents ship verbatim and the client decodes. The export keeps
 /// the source (and whatever it owns) alive in `owner`.
 template <typename K>
@@ -134,8 +134,8 @@ ExportedDataset MakeExport(Source<K> source) {
   return dataset;
 }
 
-/// The transport options (bind address, port, response delay, wire
-/// version cap, metrics registry) come from `FrameServerOptions`.
+/// The transport options (bind address, port, response delay, metrics
+/// registry) come from `FrameServerOptions`.
 struct NodeServerOptions : FrameServerOptions {
   /// Per-request read bound: a `kReadRange` may ask for at most this many
   /// bytes of elements (at least one element is always readable, so tiny
@@ -153,7 +153,7 @@ struct NodeServerOptions : FrameServerOptions {
 };
 
 /// `opaq_noded`'s engine: serves exported datasets over the wire protocol
-/// (v1 range streaming, and — for typed exports — the v2 compute ops) with
+/// (range and extent streaming, and the compute ops) with
 /// one thread per connection (the paper's workload is few long sequential
 /// streams per node, not thousands of short ones). The transport half —
 /// accept loop, frame validation, counters, ordered shutdown — lives in
@@ -192,19 +192,13 @@ class NodeServer : public FrameServer {
   }
 
   /// Exports a compressed extent file of key type `K`, borrowed; it also
-  /// answers v4 `kReadExtents` with the stored extents.
+  /// answers `kReadExtents` with the stored extents.
   template <typename K>
   void Export(const std::string& name, const ExtentFile* file) {
     auto source = Source<K>::FromFile(file);
     OPAQ_CHECK(source.ok()) << source.status().ToString();
     Export(name, MakeExport(std::move(source).value()));
   }
-
-  /// Exports an untyped data file, borrowed: range reads only, no compute
-  /// hooks, so v2 clients fall back to streaming. Tests of that fallback
-  /// and `bench/remote_comparison` use it; `opaq_noded` exports typed
-  /// sources (`MakeExport`).
-  void Export(const std::string& name, const DataFile* file);
 
  protected:
   Status ValidateStart() override;

@@ -16,7 +16,7 @@
 namespace opaq {
 
 /// One client connection to a query daemon (`opaq_queryd`): opens a named
-/// session, then fires batched v3 `kQuery` requests at it. Single-owner,
+/// session, then fires batched `kQuery` requests at it. Single-owner,
 /// single-thread use, like `NodeClient` underneath — the loadgen dials one
 /// per worker thread.
 template <typename K>

@@ -19,12 +19,6 @@ Status QueryServer::ValidateStart() {
         "a query daemon with nothing to serve serves no purpose; call "
         "Serve before Start");
   }
-  if (options_.max_wire_version < kQueryWireVersion) {
-    return Status::InvalidArgument(
-        "max_wire_version of " + std::to_string(options_.max_wire_version) +
-        " cannot carry the query ops; they need version " +
-        std::to_string(kQueryWireVersion));
-  }
   if (options_.exact_admission_delay_seconds < 0) {
     return Status::InvalidArgument(
         "exact_admission_delay_seconds must be non-negative");
@@ -63,17 +57,6 @@ bool QueryServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
   switch (static_cast<WireOp>(frame.op)) {
     case WireOp::kPing:
       return SendCounted(conn, WireOp::kPong, nullptr, 0);
-
-    case WireOp::kHello: {
-      Status framed = PayloadReader(frame).Skip(sizeof(WireHello));
-      if (!framed.ok()) {
-        SendErrorCounted(conn, framed);
-        return false;  // framing is off; close
-      }
-      WireHello ack;
-      ack.max_version = options_.max_wire_version;
-      return SendCounted(conn, WireOp::kHelloAck, &ack, sizeof(ack));
-    }
 
     case WireOp::kOpenSession: {
       const std::string name(frame.payload.begin(), frame.payload.end());
@@ -128,7 +111,7 @@ bool QueryServer::HandleFrame(TcpConnection* conn, const WireFrame& frame) {
                                              "op ") +
                                  WireOpName(frame.op) + " (" +
                                  std::to_string(frame.op) + ")"));
-      return false;  // unknown op: assume version skew and close
+      return false;  // unknown op: the peer does not speak it; close
   }
 }
 

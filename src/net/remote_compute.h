@@ -17,7 +17,7 @@
 
 namespace opaq {
 
-/// Client half of the v2 compute ops: asks a data node to run the paper's
+/// Client half of the compute ops: asks a data node to run the paper's
 /// sample phase (`SampleRuns`) or §4 filter scan (`ExactPass`) over one of
 /// its exported datasets, and decodes the O(s) response — the counterpart
 /// of `RemoteRunProvider`, which ships the O(n) raw runs instead.
@@ -29,17 +29,16 @@ namespace opaq {
 ///
 /// Each call dials its own connection, like `RemoteRunProvider::OpenRuns`
 /// — the methods are const and safe to call concurrently from the engine's
-/// shard threads. Failure semantics: a node that answers Unimplemented
-/// (untyped export, or a dataset it cannot compute over) surfaces that code
-/// verbatim, which callers treat as "fall back to v1 range streaming";
-/// every other error (node death mid-request, corrupt response payloads,
-/// the node's own disk failing) propagates as the `Status` it is.
+/// shard threads. Failure semantics: every error (an export without compute
+/// hooks answering Unimplemented, node death mid-request, corrupt response
+/// payloads, the node's own disk failing) propagates as the `Status` it
+/// is; nothing falls back to streaming.
 template <typename K>
 class RemoteComputeClient {
  public:
   /// `spec`/`options` as validated by `RemoteRunProvider::Connect` (the
   /// facade constructs this only after the handshake admitted the dataset's
-  /// key type and a `kHello` probe negotiated version >= 2).
+  /// key type).
   RemoteComputeClient(RemoteSpec spec, NodeClientOptions options)
       : spec_(std::move(spec)), options_(std::move(options)) {}
 

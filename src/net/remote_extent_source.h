@@ -20,7 +20,7 @@
 
 namespace opaq {
 
-/// The extent-streaming lane of a remote source (wire v4): the node ships
+/// The extent-streaming lane of a remote source: the node ships
 /// each stored extent verbatim — packed payload, CRC and all — and this lane
 /// validates and decodes it CLIENT-SIDE, so the wire carries the packed
 /// byte count, not the logical one. Like `RemoteRangeLane` it keeps its own
@@ -80,7 +80,7 @@ class RemoteExtentLane : public ChunkLane<K> {
   std::vector<K> extent_buf_;    // a whole decoded extent, for clipped ones
 };
 
-/// A compressed remote dataset as a `RunProvider`: the wire-v4 network
+/// A compressed remote dataset as a `RunProvider`: the extent-streaming network
 /// storage backend. `Connect` fetches the extent geometry (`kOpenExtents`)
 /// and validates the node's key type against `K`; a node that answers
 /// Unimplemented is simply not serving extents for that dataset — the

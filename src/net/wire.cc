@@ -11,8 +11,6 @@ const char* WireOpName(uint16_t op) {
     case WireOp::kReadRange: return "READ_RANGE";
     case WireOp::kRangeData: return "RANGE_DATA";
     case WireOp::kError: return "ERROR";
-    case WireOp::kHello: return "HELLO";
-    case WireOp::kHelloAck: return "HELLO_ACK";
     case WireOp::kSampleRuns: return "SAMPLE_RUNS";
     case WireOp::kSampleListData: return "SAMPLE_LIST_DATA";
     case WireOp::kExactPass: return "EXACT_PASS";
@@ -33,51 +31,9 @@ const char* WireOpName(uint16_t op) {
   return "?";
 }
 
-uint16_t WireOpVersion(WireOp op) {
-  // Explicit per-op mapping: the version an op stamps is fixed at the
-  // protocol revision that introduced it, so bumping kMaxWireVersion never
-  // re-stamps older frames (goldens wire_v1.bin / wire_v2.bin stay
-  // byte-stable).
-  switch (op) {
-    case WireOp::kPing:
-    case WireOp::kPong:
-    case WireOp::kOpenDataset:
-    case WireOp::kDatasetInfo:
-    case WireOp::kReadRange:
-    case WireOp::kRangeData:
-    case WireOp::kError:
-      return kWireVersion;
-    case WireOp::kHello:
-    case WireOp::kHelloAck:
-    case WireOp::kSampleRuns:
-    case WireOp::kSampleListData:
-    case WireOp::kExactPass:
-    case WireOp::kExactPassData:
-      return kComputeWireVersion;
-    case WireOp::kOpenSession:
-    case WireOp::kSessionInfo:
-    case WireOp::kQuery:
-    case WireOp::kQueryResult:
-      return kQueryWireVersion;
-    case WireOp::kOpenExtents:
-    case WireOp::kExtentInfo:
-    case WireOp::kReadExtents:
-    case WireOp::kExtentData:
-      return kExtentWireVersion;
-    case WireOp::kAppend:
-    case WireOp::kAppendAck:
-      return kAppendWireVersion;
-    case WireOp::kStats:
-    case WireOp::kStatsData:
-      return kStatsWireVersion;
-  }
-  return kMaxWireVersion;
-}
-
 WireFrameHeader EncodeFrameHeader(WireOp op, const void* payload, size_t len) {
   OPAQ_CHECK_LE(len, static_cast<size_t>(kMaxWirePayload));
   WireFrameHeader header;
-  header.version = WireOpVersion(op);
   header.op = static_cast<uint16_t>(op);
   header.payload_len = static_cast<uint32_t>(len);
   header.payload_crc = Crc32(payload, len);
@@ -136,12 +92,11 @@ Status ValidateFrameHeader(const WireFrameHeader& header) {
   if (header.magic != WireFrameHeader::kMagic) {
     return Status::IoError("bad frame magic: not OPAQ node traffic");
   }
-  if (header.version < kWireVersion || header.version > kMaxWireVersion) {
+  if (header.version != kWireVersion) {
     return Status::IoError("unsupported wire protocol version " +
                            std::to_string(header.version) +
-                           " (this build speaks " +
-                           std::to_string(kWireVersion) + ".." +
-                           std::to_string(kMaxWireVersion) + ")");
+                           " (this build speaks only version " +
+                           std::to_string(kWireVersion) + ")");
   }
   if (header.payload_len > kMaxWirePayload) {
     return Status::IoError("frame payload of " +

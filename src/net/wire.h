@@ -15,7 +15,11 @@
 
 namespace opaq {
 
-/// OPAQ data-node wire protocol, versions 1 through 6.
+/// The one protocol version this build speaks; every frame stamps it.
+/// Versions 1-6 (one per op family, plus a HELLO negotiation) are retired.
+inline constexpr uint16_t kWireVersion = 7;
+
+/// OPAQ data-node wire protocol, version 7.
 ///
 /// Every message is one length-prefixed frame: a fixed 16-byte header
 /// followed by `payload_len` payload bytes. The header carries a magic, the
@@ -23,40 +27,32 @@ namespace opaq {
 /// so a receiver can reject foreign traffic, version skew, truncation and
 /// corruption before interpreting a single payload byte. Multi-byte fields
 /// are little-endian on the wire (the repo's on-disk headers share this
-/// convention); the frame layouts are pinned by committed golden byte
-/// streams (`tests/golden/wire_v1.bin` .. `wire_v6.bin`).
+/// convention); the frame layouts are pinned by a committed golden byte
+/// stream (`tests/golden/wire.bin`).
 ///
-/// Version 1 is the byte-serving protocol: open a dataset, stream element
-/// ranges. Version 2 adds COMPUTE ops that push the paper's work to the
-/// data node: `kSampleRuns` runs the one-pass sample phase node-side and
-/// returns only the O(s) serialized sample list, and `kExactPass` runs the
-/// §4 bracket filter scan node-side and returns per-bracket counts plus
-/// candidates — turning O(n) bytes on the wire into O(s). Version 3 adds
-/// QUERY ops for the long-lived serving daemon (`opaq_queryd` /
-/// `QueryServer`): `kOpenSession` resolves a named, already-built
-/// `QuerySession` and `kQuery` answers a whole batch of phi-quantile /
-/// rank-bracket / equi-depth requests against it — sketch once, serve
-/// millions, each answer O(1) off the sample list. Version 4 adds EXTENT
-/// ops for datasets stored as compressed extents (io/extent.h):
-/// `kReadExtents` ships stored extents verbatim — packed payloads, CRCs
-/// and all — so the client decodes and verifies on its own streaming
-/// thread and the wire carries the packed byte count, not the logical
-/// one. Version 5 adds the INGEST op pair for live (appendable) datasets
-/// (src/ingest/live_dataset.h): `kAppend` ships a batch of raw elements
-/// the node durably appends as one new segment of a live dataset, and
-/// `kAppendAck` answers with the dataset's new totals — turning a data
-/// node from a read-only byte/compute server into a continuously
-/// ingesting one. Version 6 adds the STATS op pair (observability):
-/// `kStats` asks any daemon built on `FrameServer` for a versioned
-/// snapshot of its live metrics registry (src/telemetry/), and
-/// `kStatsData` answers with per-metric records — counters, gauges, and
-/// latency histograms self-hosted on the paper's own sample-list sketch
-/// (see net/wire_stats.h for the payload codec). Each op's frame header
-/// carries the op's own minimum version (v1 ops stay version 1, compute
-/// ops stay version 2), so an older peer rejects exactly the frames it
-/// cannot serve: a newer client probes with `kHello` and downgrades when
-/// the node answers with a version error (see README's compatibility
-/// matrix).
+/// The protocol carries six op families. BYTE ops open a dataset and
+/// stream element ranges. COMPUTE ops push the paper's work to the data
+/// node: `kSampleRuns` runs the one-pass sample phase node-side and returns
+/// only the O(s) serialized sample list, and `kExactPass` runs the §4
+/// bracket filter scan node-side and returns per-bracket counts plus
+/// candidates — turning O(n) bytes on the wire into O(s). QUERY ops serve
+/// the long-lived serving daemon (`opaq_queryd` / `QueryServer`):
+/// `kOpenSession` resolves a named, already-built `QuerySession` and
+/// `kQuery` answers a whole batch of phi-quantile / rank-bracket /
+/// equi-depth requests against it. EXTENT ops serve datasets stored as
+/// compressed extents (io/extent.h): `kReadExtents` ships stored extents
+/// verbatim — packed payloads, CRCs and all — so the client decodes and
+/// verifies on its own streaming thread and the wire carries the packed
+/// byte count, not the logical one. INGEST ops (`kAppend`/`kAppendAck`)
+/// append a batch of raw elements as one new segment of a live dataset
+/// (src/ingest/live_dataset.h), and STATS ops (`kStats`/`kStatsData`) ask
+/// any daemon built on `FrameServer` for a snapshot of its live metrics
+/// registry (src/telemetry/; payload codec in net/wire_stats.h).
+///
+/// Every frame of every op carries `kWireVersion`. Only binaries of this
+/// build speak the protocol, so there is no negotiation: a frame of any
+/// other version is answered with one error frame naming both versions,
+/// and the connection closes.
 ///
 /// The protocol is a strict request/response alternation per frame, but
 /// clients may PIPELINE requests: send k `kReadRange` frames back to back,
@@ -83,43 +79,13 @@ namespace opaq {
 struct WireFrameHeader {
   static constexpr uint32_t kMagic = 0x4e51504f;  // "OPQN" little-endian
   uint32_t magic = kMagic;
-  uint16_t version = 1;
+  uint16_t version = kWireVersion;
   uint16_t op = 0;
   uint32_t payload_len = 0;
   uint32_t payload_crc = 0;  // CRC-32 (IEEE 802.3) of the payload bytes
 };
 static_assert(sizeof(WireFrameHeader) == 16);
 static_assert(std::is_trivially_copyable_v<WireFrameHeader>);
-
-/// The baseline (byte-serving) protocol version every build speaks.
-inline constexpr uint16_t kWireVersion = 1;
-
-/// The version that introduced the compute ops (`kHello`..`kExactPassData`)
-/// — their frames stamp this forever, keeping `wire_v2.bin` byte-stable.
-inline constexpr uint16_t kComputeWireVersion = 2;
-
-/// The version that introduced the query-serving ops
-/// (`kOpenSession`..`kQueryResult`).
-inline constexpr uint16_t kQueryWireVersion = 3;
-
-/// The version that introduced the compressed-extent streaming ops
-/// (`kOpenExtents`..`kExtentData`): datasets stored as compressed extents
-/// (io/extent.h) ship PACKED over the wire and decode client-side, so the
-/// network sees the same bytes-from-disk cut the codecs buy locally.
-inline constexpr uint16_t kExtentWireVersion = 4;
-
-/// The version that introduced the streaming-ingest ops
-/// (`kAppend`/`kAppendAck`): remote writers append element batches that a
-/// node persists as new segments of a live dataset.
-inline constexpr uint16_t kAppendWireVersion = 5;
-
-/// The version that introduced the observability ops
-/// (`kStats`/`kStatsData`): any daemon serves a snapshot of its live
-/// metrics registry to `opaq_cli stats`.
-inline constexpr uint16_t kStatsWireVersion = 6;
-
-/// The newest protocol version this build speaks.
-inline constexpr uint16_t kMaxWireVersion = kStatsWireVersion;
 
 /// Hard cap on a frame payload: protects both sides from allocation bombs
 /// when a corrupted or hostile header claims an absurd length. The server's
@@ -129,9 +95,8 @@ inline constexpr uint32_t kMaxWirePayload = 64u << 20;
 
 /// Operation codes. Requests flow client -> node, responses node -> client.
 /// `kError` may answer any request; its payload carries a `Status` the
-/// client latches as a sticky stream error. Ops 1-7 are protocol v1; ops
-/// 8+ are the v2 compute extension and travel in version-2 frames (see
-/// `WireOpVersion`).
+/// client latches as a sticky stream error. Codes 8 and 9 (the retired
+/// HELLO / HELLO_ACK) are unknown ops, answered like any other.
 enum class WireOp : uint16_t {
   kPing = 1,         // -> empty; liveness probe
   kPong = 2,         // <- empty
@@ -140,9 +105,7 @@ enum class WireOp : uint16_t {
   kReadRange = 5,    // -> payload: WireReadRange + dataset name bytes
   kRangeData = 6,    // <- payload: count * element_size raw element bytes
   kError = 7,        // <- payload: u32 StatusCode + message bytes
-  // ----- v2: compute ops -----
-  kHello = 8,           // -> payload: WireHello (client's newest version)
-  kHelloAck = 9,        // <- payload: WireHello (node's newest version)
+  // ----- compute ops (8 and 9 are retired) -----
   kSampleRuns = 10,     // -> payload: WireSampleRunsRequest + dataset name
   kSampleListData = 11, // <- payload: WireSampleListHeader + sorted samples
   kExactPass = 12,      // -> payload: WireExactPassRequest + dataset name
@@ -150,7 +113,7 @@ enum class WireOp : uint16_t {
                         //    upper) element pairs)
   kExactPassData = 13,  // <- payload: WireExactPassHeader + u64 below[] +
                         //    u64 kept_count[] + kept element bytes
-  // ----- v3: query-serving ops (opaq_queryd / QueryServer) -----
+  // ----- query-serving ops (opaq_queryd / QueryServer) -----
   kOpenSession = 14,  // -> payload: session name (raw bytes)
   kSessionInfo = 15,  // <- payload: WireSessionInfo
   kQuery = 16,        // -> payload: WireQueryHeader + session name +
@@ -158,19 +121,19 @@ enum class WireOp : uint16_t {
   kQueryResult = 17,  // <- payload: WireQueryResultHeader + per result
                       //    (WireQueryResultRecord + estimates + exact
                       //    values); see net/wire_query.h
-  // ----- v4: compressed-extent streaming ops -----
+  // ----- compressed-extent streaming ops -----
   kOpenExtents = 18,  // -> payload: dataset name (raw bytes)
   kExtentInfo = 19,   // <- payload: WireExtentInfo
   kReadExtents = 20,  // -> payload: WireReadExtents + dataset name bytes
   kExtentData = 21,   // <- payload: `count` stored extents back to back,
                       //    each self-describing (40-byte ExtentHeader +
                       //    packed payload; decode with DecodeStoredExtent)
-  // ----- v5: streaming-ingest ops (live datasets) -----
+  // ----- streaming-ingest ops (live datasets) -----
   kAppend = 22,     // -> payload: WireAppendRequest + dataset name
                     //    (name_len bytes) + count * element_size raw
                     //    element bytes, appended as ONE new segment
   kAppendAck = 23,  // <- payload: WireAppendAck (new dataset totals)
-  // ----- v6: observability ops (stats snapshot) -----
+  // ----- observability ops (stats snapshot) -----
   kStats = 24,      // -> empty payload: request a stats snapshot
   kStatsData = 25,  // <- payload: WireStatsHeader + per-metric records
                     //    (see net/wire_stats.h)
@@ -179,13 +142,6 @@ enum class WireOp : uint16_t {
 /// Stable short name for an op ("PING", "READ_RANGE", ...); "?" when
 /// unknown.
 const char* WireOpName(uint16_t op);
-
-/// The minimum protocol version that carries `op` — and the version
-/// `EncodeFrame` stamps into the frame header, so v1 ops stay byte-stable
-/// (golden `wire_v1.bin`), compute ops stamp exactly 2 forever (golden
-/// `wire_v2.bin`), and query ops announce themselves as v3 — each cleanly
-/// rejected by peers too old to speak it.
-uint16_t WireOpVersion(WireOp op);
 
 /// `kDatasetInfo` payload: what a node discloses about one exported
 /// dataset. `max_read_elements` is the node's per-request read bound for
@@ -239,18 +195,6 @@ struct WireReadExtents {
 };
 static_assert(sizeof(WireReadExtents) == 16);
 static_assert(std::is_trivially_copyable_v<WireReadExtents>);
-
-/// `kHello` / `kHelloAck` payload: each side announces the newest protocol
-/// version it speaks; the effective version is the minimum of the two. A
-/// v1-only node never parses this — it rejects the version-2 frame header
-/// itself with an error frame mentioning "version", which a v2 client
-/// treats as "speak v1" (fallback to range streaming).
-struct WireHello {
-  uint16_t max_version = kMaxWireVersion;
-  uint16_t reserved = 0;
-};
-static_assert(sizeof(WireHello) == 4);
-static_assert(std::is_trivially_copyable_v<WireHello>);
 
 /// Fixed prefix of a `kSampleRuns` payload (the dataset name follows): the
 /// full `OpaqConfig` of the sample phase the node must run, so the node-side
@@ -617,8 +561,7 @@ Result<T> DecodeRecordPayload(const WireFrame& frame) {
 }
 
 /// The header of the frame carrying `payload` as op `op`: its version field
-/// is `WireOpVersion(op)` (v1 ops encode exactly as they always have, v2 ops
-/// stamp version 2), its CRC the payload's. The senders put it and the
+/// is `kWireVersion`, its CRC the payload's. The senders put it and the
 /// payload on the wire in one gather write (`SendFrame`).
 WireFrameHeader EncodeFrameHeader(WireOp op, const void* payload, size_t len);
 
@@ -637,8 +580,8 @@ std::vector<uint8_t> EncodeErrorFrame(const Status& status);
 /// Never returns OK (error frames carry errors by construction).
 Status DecodeErrorPayload(const uint8_t* payload, size_t len);
 
-/// Validates a received header: magic, version (1..kMaxWireVersion), and
-/// payload-length cap. (Op codes are NOT validated here — an unknown op is
+/// Validates a received header: magic, version (exactly `kWireVersion`),
+/// and payload-length cap. (Op codes are NOT validated here — an unknown op is
 /// a dispatch-level error so that the receiver can answer it with a clean
 /// error frame.)
 Status ValidateFrameHeader(const WireFrameHeader& header);

@@ -15,7 +15,7 @@
 
 namespace opaq {
 
-/// Payload codecs of the v2 compute ops (`kSampleRuns` / `kSampleListData`
+/// Payload codecs of the compute ops (`kSampleRuns` / `kSampleListData`
 /// / `kExactPass` / `kExactPassData`): the typed layer both sides of the
 /// wire share. Every decoder validates structurally (sizes, accounting
 /// invariants, sortedness) and fails with a `Status` — a corrupt or hostile

@@ -13,7 +13,7 @@
 
 namespace opaq {
 
-/// Payload codecs of the v3 query-serving ops (`kOpenSession` /
+/// Payload codecs of the query-serving ops (`kOpenSession` /
 /// `kSessionInfo` / `kQuery` / `kQueryResult`): the typed layer
 /// `QueryServer`, `QueryClient`, and the loadgen share. Every decoder
 /// validates structurally and fails with a `Status` — a corrupt or hostile

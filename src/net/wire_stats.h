@@ -13,15 +13,15 @@
 
 namespace opaq {
 
-/// Payload codec of the v6 observability ops (`kStats` / `kStatsData`):
+/// Payload codec of the observability ops (`kStats` / `kStatsData`):
 /// a `MetricsSnapshot` flattened into one frame. The decoder validates
 /// structurally and fails with a `Status` — a corrupt or hostile payload
 /// must surface as a sticky stream error, never a CHECK-abort — matching
-/// the v1–v5 codec discipline (net/wire_query.h is the exemplar).
+/// the other codecs' discipline (net/wire_query.h is the exemplar).
 ///
 /// The encoder is deterministic byte-for-byte (fixed-layout structs,
 /// metrics in registry order = sorted by name), which is what lets the
-/// golden `wire_v6.bin` pin the layout.
+/// golden `wire.bin` pin the layout.
 
 /// Decode-side cap on metrics per snapshot: far above any sane registry,
 /// far below what could amplify into trouble.

@@ -11,7 +11,7 @@
 //   opaq rank     --sketch=data.sketch --value=123456
 //   opaq merge    --out=all.sketch a.sketch b.sketch
 //   opaq inspect  --sketch=data.sketch
-//   opaq stats    127.0.0.1:34602        # live daemon metrics (wire v6)
+//   opaq stats    127.0.0.1:34602        # live daemon metrics
 //   opaq <command> --help
 //
 // Sketches persist the sorted sample list, so `sketch` once and query
@@ -118,13 +118,8 @@ std::vector<FlagSpec> RemoteFlags() {
       {"remote", "", "remote data-node shards",
        "comma-separated host:port/dataset specs (replaces --data; several "
        "specs = one Engine shard per node)"},
-      {"wire-version", "4", "NodeClientOptions::max_wire_version",
-       "newest wire version to speak: 2+ = node-side compute when the node "
-       "supports it, 4 = stream packed extents, 1 = force v1 range "
-       "streaming",
-       false, FlagType::kInt},
       {"node-compute", "1", "NodeClientOptions::node_compute",
-       "0 = skip v2 node-side compute and stream the dataset instead "
+       "0 = skip node-side compute and stream the dataset instead "
        "(packed extents when the node stores it compressed)",
        false, FlagType::kInt},
   };
@@ -210,8 +205,8 @@ const std::vector<CommandSpec>& Commands() {
            {"live", "", "live dataset directory",
             "local live dataset directory (created on first append)"},
            {"remote", "", "remote live dataset",
-            "host:port/dataset of an opaq_noded --live export (wire v5 "
-            "APPEND; replaces --live)"},
+            "host:port/dataset of an opaq_noded --live export (appends "
+            "over the wire; replaces --live)"},
            {"n", "100000", "DatasetSpec::n", "number of keys to append",
             false, FlagType::kInt},
            {"dist", "uniform", "DatasetSpec::distribution",
@@ -306,7 +301,7 @@ const std::vector<CommandSpec>& Commands() {
        },
        CmdInspect},
       {"stats",
-       "fetch a live daemon's metrics snapshot over the wire (v6 STATS)",
+       "fetch a live daemon's metrics snapshot over the wire (STATS)",
        "HOST:PORT",
        {
            {"format", "text", "output rendering",
@@ -556,14 +551,7 @@ Result<std::vector<Source<Key>>> OpenDataSources(const CommandFlags& flags) {
   }
   std::vector<Source<Key>> sources;
   if (remote) {
-    const int64_t wire_version = flags.GetInt("wire-version");
-    if (wire_version < kWireVersion || wire_version > kMaxWireVersion) {
-      return Status::InvalidArgument(
-          "--wire-version must be in [" + std::to_string(kWireVersion) +
-          ", " + std::to_string(kMaxWireVersion) + "]");
-    }
     NodeClientOptions client_options;
-    client_options.max_wire_version = static_cast<uint16_t>(wire_version);
     client_options.node_compute = flags.GetInt("node-compute") != 0;
     std::stringstream ss(flags.GetString("remote"));
     std::string spec;

@@ -1,17 +1,17 @@
 // opaq_noded — the OPAQ data-node daemon: exports local datasets (plain,
 // striped, or compressed-extent files, any key type) over the wire
 // protocol so remote `Engine`s can consume them as shards via
-// `Source::OpenRemote`. Every export is typed, so the node is a full v2
+// `Source::OpenRemote`. Every export is typed, so the node is a full
 // COMPUTE node: it answers `SampleRuns` / `ExactPass` by running the
 // paper's sample phase and §4 filter scan over its own disks and shipping
-// only the O(s) results; v1 clients (and `--max-wire-version=1` nodes)
-// still stream raw ranges. Extent exports additionally answer the v4
-// `kReadExtents` op: the stored (packed) extents ship verbatim and the
-// client decodes, so compression cuts bytes-on-wire too. The on-disk
+// only the O(s) results; clients with node compute off stream raw ranges
+// instead. Extent exports additionally answer the `kReadExtents` op: the
+// stored (packed) extents ship verbatim and the client decodes, so
+// compression cuts bytes-on-wire too. The on-disk
 // format is sniffed per export — point --export at any OPAQ file set: a
 // plain file, the stripes of a striped file, or an extent file of one or
 // more stripes. A live (appendable) dataset directory is served with
-// --live, which also accepts wire v5 appends; --export refuses a
+// --live, which also accepts APPEND frames; --export refuses a
 // directory and says so.
 //
 //   opaq_noded --export=sales=/data/sales.opaq --port=34601
@@ -110,7 +110,7 @@ struct LiveBundle {
 };
 
 /// Binds the live dataset directory as a typed appendable export: all the
-/// usual read/compute hooks over the current snapshot, plus the v5
+/// usual read/compute hooks over the current snapshot, plus the
 /// `append` hook and a `live_count` that tracks growth.
 template <typename K>
 Result<ExportedDataset> MakeLiveExport(const std::string& dir) {
@@ -156,7 +156,9 @@ int Usage(std::ostream& os, int code) {
   os << "usage: opaq_noded --export=NAME=PATH[+PATH...][,NAME=PATH...] "
         "[flags]\n\n"
         "serves local OPAQ datasets to remote engines over TCP (wire "
-        "protocol v1 range\nstreaming + v2 node-side compute).\n\nflags:\n"
+        "protocol version "
+     << kWireVersion
+     << ":\nrange and extent streaming + node-side compute).\n\nflags:\n"
         "  --export=...        datasets to serve: name=path for one file,\n"
         "                      name=p0+p1+... for the stripes of one file;\n"
         "                      plain, striped and extent files (single or\n"
@@ -165,7 +167,7 @@ int Usage(std::ostream& os, int code) {
         "                      name; duplicate names are an error)\n"
         "  --live=NAME=DIR     live (appendable) dataset directories to "
         "serve; the\n"
-        "                      node additionally accepts wire v5 APPEND "
+        "                      node additionally accepts APPEND frames "
         "for these\n"
         "                      (create one first with `opaq_cli append "
         "--live=DIR`)\n"
@@ -178,9 +180,6 @@ int Usage(std::ostream& os, int code) {
      << NodeServerOptions{}.max_compute_run_bytes
      << "  per-request bound on the node-side\n"
         "                      run buffer of SAMPLE_RUNS / EXACT_PASS\n"
-        "  --max-wire-version="
-     << kMaxWireVersion
-     << "  cap the protocol (1 = emulate a v1-only node)\n"
         "  --delay-ms=0        artificial response latency (bench/testing)\n"
         "  --duration=0        serve this many seconds, then exit (0 = "
         "until\n"
@@ -214,7 +213,6 @@ int Main(int argc, char** argv) {
   for (const std::string& key : flags->keys()) {
     if (key != "export" && key != "live" && key != "bind" && key != "port" &&
         key != "max-read-bytes" && key != "max-compute-run-bytes" &&
-        key != "max-wire-version" &&
         key != "delay-ms" && key != "duration" &&
         key != "stats-interval" && key != "help") {
       std::cerr << "opaq_noded: unknown flag --" << key << "\n";
@@ -281,15 +279,6 @@ int Main(int argc, char** argv) {
         Status::InvalidArgument("--max-compute-run-bytes must be >= 1"));
   }
   options.max_compute_run_bytes = static_cast<uint64_t>(*max_compute_run);
-  const auto max_version =
-      flags->TryGetInt("max-wire-version", kMaxWireVersion);
-  if (!max_version.ok()) return BadFlag(max_version.status());
-  if (*max_version < kWireVersion || *max_version > kMaxWireVersion) {
-    return BadFlag(Status::InvalidArgument(
-        "--max-wire-version must be in [" + std::to_string(kWireVersion) +
-        ", " + std::to_string(kMaxWireVersion) + "]"));
-  }
-  options.max_wire_version = static_cast<uint16_t>(*max_version);
   const auto delay_ms = flags->TryGetDouble("delay-ms", 0);
   if (!delay_ms.ok()) return BadFlag(delay_ms.status());
   options.response_delay_seconds = *delay_ms / 1000.0;
@@ -340,9 +329,9 @@ int Main(int argc, char** argv) {
   if (!signals.ok()) return Fail(signals);
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
-  std::cout << "serving on " << server.address() << " (protocol v1.."
-            << options.max_wire_version
-            << ", unauthenticated; trusted networks only)" << std::endl;
+  std::cout << "serving on " << server.address() << " (protocol version "
+            << kWireVersion << ", unauthenticated; trusted networks only)"
+            << std::endl;
 
   // Serve until --duration elapses or a signal arrives, whichever first
   // (printing stats every --stats-interval seconds on the way); either way

@@ -120,8 +120,9 @@ int Usage(std::ostream& os, int code) {
   os << "usage: opaq_queryd --serve=NAME=PATH[+PATH...][,NAME=PATH...] "
         "[flags]\n\n"
         "sketches local OPAQ datasets once at startup, then serves batched "
-        "quantile /\nrank / equi-depth queries over TCP (wire protocol v3) "
-        "off the in-memory\nsample lists.\n\nflags:\n"
+        "quantile /\nrank / equi-depth queries over TCP (wire protocol version "
+     << kWireVersion
+     << ")\noff the in-memory sample lists.\n\nflags:\n"
         "  --serve=...         sessions to build and serve: name=path for one\n"
         "                      file, name=p0+p1+... for the stripes of one "
         "file;\n"
@@ -302,8 +303,8 @@ int Main(int argc, char** argv) {
   if (!signals.ok()) return Fail(signals);
   Status started = server.Start();
   if (!started.ok()) return Fail(started);
-  std::cout << "serving on " << server.address()
-            << " (protocol v3, unauthenticated; trusted networks only)"
+  std::cout << "serving on " << server.address() << " (protocol version "
+            << kWireVersion << ", unauthenticated; trusted networks only)"
             << std::endl;
 
   // Background epoch refresher: rebuild every session each interval and

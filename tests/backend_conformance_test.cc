@@ -286,7 +286,7 @@ void ExpectAllBackendsAgree(const SweepCase& c) {
                 reference)
           << c.Describe() << " Engine/Source remote (wire v2)";
       NodeClientOptions v1_only;
-      v1_only.max_wire_version = 1;
+      v1_only.node_compute = false;
       auto remote_v1 =
           Source<Key>::OpenRemote(node.address() + "/plain", v1_only);
       OPAQ_CHECK_OK(remote_v1.status());
@@ -563,12 +563,12 @@ TEST(BackendConformanceTest, QuantilesAndExactPassAgreeAcrossBackends) {
   // forced v1 (range streaming) answer the identical batch, exact values
   // included — the wire moves the work OR the data, never the answers.
   NodeClientOptions client_options;
-  for (uint16_t version : {uint16_t{2}, uint16_t{1}}) {
-    client_options.max_wire_version = version;
+  for (bool node_compute : {true, false}) {
+    client_options.node_compute = node_compute;
     auto remote_source =
         Source<Key>::OpenRemote(node.address() + "/data", client_options);
     ASSERT_TRUE(remote_source.ok()) << remote_source.status().ToString();
-    EXPECT_EQ(remote_source->remote_compute() != nullptr, version >= 2);
+    EXPECT_EQ(remote_source->remote_compute() != nullptr, node_compute);
     auto remote_session =
         Engine<Key>(striped_config, *remote_source).Build();
     ASSERT_TRUE(remote_session.ok()) << remote_session.status().ToString();
@@ -580,12 +580,12 @@ TEST(BackendConformanceTest, QuantilesAndExactPassAgreeAcrossBackends) {
     ASSERT_EQ(wire_estimates.size(), reference_estimates.size());
     for (size_t i = 0; i < reference_estimates.size(); ++i) {
       EXPECT_EQ(wire_estimates[i].lower, reference_estimates[i].lower)
-          << "wire v" << version;
+          << "node_compute " << node_compute;
       EXPECT_EQ(wire_estimates[i].upper, reference_estimates[i].upper)
-          << "wire v" << version;
+          << "node_compute " << node_compute;
     }
     EXPECT_EQ(remote_batch->results[0].exact, *exact_plain)
-        << "wire v" << version;
+        << "node_compute " << node_compute;
   }
 }
 

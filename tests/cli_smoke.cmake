@@ -49,6 +49,24 @@ endif()
 run_cli(force_out generate --out=${DATA} --n=10000 --dist=sequential --seed=7
         --force)
 
+# The wire has one version, so the client has no version knob: the flag
+# that once capped it is refused as unknown (usage, exit 2), not ignored.
+execute_process(
+  COMMAND "${OPAQ_CLI}" sketch --data=${DATA} --out=${SKETCH}
+          --run-size=1000 --samples=100 --wire-version=1
+  OUTPUT_VARIABLE wire_out
+  ERROR_VARIABLE wire_err
+  RESULT_VARIABLE wire_code
+)
+if(NOT wire_code EQUAL 2)
+  message(FATAL_ERROR "--wire-version=1 exited ${wire_code}, not 2:\n"
+                      "${wire_out}${wire_err}")
+endif()
+if(NOT "${wire_out}${wire_err}" MATCHES "unknown flag --wire-version")
+  message(FATAL_ERROR "--wire-version refusal lacks 'unknown flag':\n"
+                      "${wire_out}${wire_err}")
+endif()
+
 # Live ingest: two CLI appends build a live dataset a sketch can read.
 set(LIVE "${WORK_DIR}/live")
 run_cli(append_out append --live=${LIVE} --n=3000 --dist=uniform --seed=11)

@@ -441,7 +441,7 @@ TEST(LiveDatasetReaderTest, RunSourceErrorIsSticky) {
   EXPECT_EQ(again.status().code(), first.code());
 }
 
-// ------------------------------------------------------- wire v5 append ----
+// ------------------------------------------------------- wire append ----
 
 // A minimal live export: what opaq_noded --live builds, reduced to the
 // hooks (serialised appends + a refreshing element count).

@@ -1,10 +1,10 @@
-// The v2 compute path end to end: version negotiation (v2 <-> v2, v2 <->
-// v1-capped node, v1-forced client), node-side sampling and §4 exact scans
-// answering byte-identically to the local pipeline over the same data,
-// Unimplemented fallback for untyped exports, hostile/corrupt compute
-// payloads surfacing as Status (never aborts), node death mid-RPC, and the
-// whole point of the extension: an Engine over v2 sources moving an order
-// of magnitude fewer bytes than v1 range streaming.
+// The compute path end to end: node-side sampling and §4 exact scans
+// answering byte-identically to the local pipeline over the same data, a
+// node that cannot compute surfacing its error instead of a silent switch
+// to streaming, hostile/corrupt compute payloads surfacing as Status (never
+// aborts), node death mid-RPC, and the whole point of the compute ops: an
+// Engine with node compute moving an order of magnitude fewer bytes than
+// one streaming ranges.
 
 #include <gtest/gtest.h>
 
@@ -46,13 +46,11 @@ std::vector<Key> ZipfKeys(uint64_t n) {
 }
 
 /// One loopback compute node: typed plain export "data" (plus a striped
-/// export "striped" when `stripes` > 1, and the same file re-exported
-/// untyped as "raw" — the node that can only serve bytes for it).
+/// export "striped" when `stripes` > 1).
 struct ComputeNode {
   std::vector<Key> data;
   std::vector<std::unique_ptr<MemoryBlockDevice>> devices;
   std::unique_ptr<TypedDataFile<Key>> file;
-  std::unique_ptr<DataFile> untyped;
   std::unique_ptr<StripedDataFile<Key>> striped;
   NodeServer server;
 
@@ -69,10 +67,6 @@ struct ComputeNode {
     OPAQ_CHECK_OK(opened.status());
     file = std::make_unique<TypedDataFile<Key>>(std::move(opened).value());
     server.Export("data", file.get());
-    auto raw = DataFile::Open(devices.back().get());
-    OPAQ_CHECK_OK(raw.status());
-    untyped = std::make_unique<DataFile>(std::move(raw).value());
-    server.Export("raw", static_cast<const DataFile*>(untyped.get()));
     if (stripes > 1) {
       std::vector<BlockDevice*> raw_devices;
       for (int s = 0; s < stripes; ++s) {
@@ -125,59 +119,6 @@ void ExpectListsEqual(const SampleList<Key>& got, const SampleList<Key>& want,
   EXPECT_EQ(got.accounting().total_elements,
             want.accounting().total_elements)
       << what;
-}
-
-// ------------------------------------------------ version negotiation ----
-
-TEST(NegotiateWireVersionTest, DefaultPeersSpeakTheNewestVersion) {
-  ComputeNode node(100);
-  auto version = NegotiateWireVersion(node.spec(), NodeClientOptions());
-  ASSERT_TRUE(version.ok()) << version.status().ToString();
-  EXPECT_EQ(*version, kMaxWireVersion);
-  EXPECT_GE(*version, kComputeWireVersion);  // compute ops stay available
-}
-
-TEST(NegotiateWireVersionTest, V1CappedNodeNegotiatesDownToV1) {
-  // A node capped at v1 rejects the version-2 kHello header itself —
-  // exactly what a real pre-compute build does — and the client reads that
-  // as "speak v1", not as an error.
-  NodeServerOptions options;
-  options.max_wire_version = 1;
-  ComputeNode node(100, options);
-  auto version = NegotiateWireVersion(node.spec(), NodeClientOptions());
-  ASSERT_TRUE(version.ok()) << version.status().ToString();
-  EXPECT_EQ(*version, 1);
-}
-
-TEST(NegotiateWireVersionTest, V1ForcedClientSkipsTheProbe) {
-  // With the client capped at v1 no probe is sent at all — negotiation
-  // succeeds even against a port nobody listens on.
-  auto listener = TcpListener::Bind("127.0.0.1", 0);
-  ASSERT_TRUE(listener.ok());
-  const uint16_t dead_port = listener->port();
-  listener->Close();
-  RemoteSpec spec;
-  spec.host = "127.0.0.1";
-  spec.port = dead_port;
-  spec.dataset = "data";
-  NodeClientOptions v1_only;
-  v1_only.max_wire_version = 1;
-  auto version = NegotiateWireVersion(spec, v1_only);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 1);
-  // A v2 client, by contrast, must surface the unreachable node.
-  EXPECT_FALSE(NegotiateWireVersion(spec, NodeClientOptions()).ok());
-}
-
-TEST(NegotiateWireVersionTest, HelloRoundTripReportsNodeMax) {
-  ComputeNode node(100);
-  auto client = NodeClient::Connect(node.spec().host, node.spec().port);
-  ASSERT_TRUE(client.ok());
-  auto node_max = client->Hello();
-  ASSERT_TRUE(node_max.ok()) << node_max.status().ToString();
-  EXPECT_EQ(*node_max, kMaxWireVersion);
-  // The same connection keeps serving v1 ops after the probe.
-  EXPECT_TRUE(client->Ping().ok());
 }
 
 // ------------------------------------- node-side sampling conformance ----
@@ -257,75 +198,56 @@ TEST(NodeExactPassTest, NestedBracketsCannotOutgrowTheNodeBudget) {
   EXPECT_EQ(scan.status().code(), StatusCode::kResourceExhausted);
 }
 
-// ------------------------------------------------- fallback behaviour ----
+// ------------------------------------------------ no silent downgrade ----
 
-TEST(ComputeFallbackTest, UntypedExportAnswersUnimplemented) {
-  ComputeNode node(5000);
-  RemoteComputeClient<Key> compute(node.spec("raw"), NodeClientOptions());
-  auto list = compute.SampleRuns(SmallConfig());
-  ASSERT_FALSE(list.ok());
-  EXPECT_EQ(list.status().code(), StatusCode::kUnimplemented);
-  auto scan = compute.ExactPass({}, ReadOptions(), 1000);
-  EXPECT_EQ(scan.status().code(), StatusCode::kUnimplemented);
-}
-
-TEST(ComputeFallbackTest, EngineFallsBackToStreamingForUntypedExports) {
-  // The node speaks v2, so OpenRemote attaches a compute client — but the
-  // dataset is exported untyped, so every compute RPC answers
-  // Unimplemented and the engine must quietly stream ranges instead,
-  // with identical results.
-  ComputeNode node(12000);
-  auto typed = Source<Key>::OpenRemote(node.spec().ToString());
-  auto raw = Source<Key>::OpenRemote(node.spec("raw").ToString());
-  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-  EXPECT_NE(typed->remote_compute(), nullptr);
-  EXPECT_NE(raw->remote_compute(), nullptr);
+TEST(ComputeErrorTest, NodeThatCannotComputeFailsTheBuildAndTheExactPass) {
+  // A node whose exports lack compute hooks answers SAMPLE_RUNS /
+  // EXACT_PASS with Unimplemented. The client asked for node compute, so
+  // that is the answer: the engine and the exact pass return it instead of
+  // quietly streaming O(n) bytes in its place.
+  auto provider =
+      std::make_shared<const MemoryRunProvider<Key>>(ZipfKeys(12000));
+  NodeServer server;
+  // "bare": range reads only, no compute hooks at all.
+  ExportedDataset bare;
+  bare.key_type = static_cast<uint32_t>(KeyTraits<Key>::kType);
+  bare.element_size = sizeof(Key);
+  bare.element_count = provider->size();
+  bare.read = [provider](uint64_t first, uint64_t count, void* out) {
+    return provider->Read(first, count, static_cast<Key*>(out));
+  };
+  server.Export("bare", bare);
+  // "no_exact": samples node-side but has no exact-pass hook.
+  ExportedDataset no_exact =
+      ProviderExport<Key>([provider] { return provider; });
+  no_exact.exact_pass = nullptr;
+  server.Export("no_exact", std::move(no_exact));
+  ASSERT_TRUE(server.Start().ok());
 
   const OpaqConfig config = SmallConfig(IoMode::kAsync);
-  auto typed_session = Engine<Key>(config, *typed).Build();
-  auto raw_session = Engine<Key>(config, *raw).Build();
-  ASSERT_TRUE(typed_session.ok()) << typed_session.status().ToString();
-  ASSERT_TRUE(raw_session.ok()) << raw_session.status().ToString();
-  ExpectListsEqual(raw_session->sample_list(), typed_session->sample_list(),
-                   "untyped-export fallback");
+  auto bare_source = Source<Key>::OpenRemote(server.address() + "/bare");
+  ASSERT_TRUE(bare_source.ok()) << bare_source.status().ToString();
+  ASSERT_NE(bare_source->remote_compute(), nullptr);
+  auto build = Engine<Key>(config, *bare_source).Build();
+  ASSERT_FALSE(build.ok());
+  EXPECT_EQ(build.status().code(), StatusCode::kUnimplemented)
+      << build.status().ToString();
 
-  auto query = [](QuerySession<Key>& session) {
-    auto batch = session.Query({
-        QueryRequest<Key>::EquiQuantiles(10),
-        QueryRequest<Key>::Quantile(0.5, /*exact=*/true),
-    });
-    OPAQ_CHECK_OK(batch.status());
-    return std::move(batch).value();
-  };
-  auto typed_batch = query(*typed_session);
-  auto raw_batch = query(*raw_session);
-  EXPECT_EQ(typed_batch.results[1].exact, raw_batch.results[1].exact);
-}
-
-TEST(ComputeFallbackTest, V1PathsCarryNoComputeClient) {
-  NodeServerOptions v1_node;
-  v1_node.max_wire_version = 1;
-  ComputeNode old_node(3000, v1_node);
-  auto against_old = Source<Key>::OpenRemote(old_node.spec().ToString());
-  ASSERT_TRUE(against_old.ok()) << against_old.status().ToString();
-  EXPECT_EQ(against_old->remote_compute(), nullptr);
-
-  ComputeNode new_node(3000);
-  NodeClientOptions v1_client;
-  v1_client.max_wire_version = 1;
-  auto forced_v1 = Source<Key>::OpenRemote(new_node.spec().ToString(),
-                                           v1_client);
-  ASSERT_TRUE(forced_v1.ok());
-  EXPECT_EQ(forced_v1->remote_compute(), nullptr);
-
-  // Both still answer correctly through v1 range streaming.
-  const OpaqConfig config = SmallConfig();
-  FileRunProvider<Key> local(old_node.file.get());
-  SampleList<Key> reference = LocalList(local, config);
-  auto session = Engine<Key>(config, *against_old).Build();
-  ASSERT_TRUE(session.ok());
-  ExpectListsEqual(session->sample_list(), reference, "v1 node");
+  auto no_exact_source =
+      Source<Key>::OpenRemote(server.address() + "/no_exact");
+  ASSERT_TRUE(no_exact_source.ok()) << no_exact_source.status().ToString();
+  auto session = Engine<Key>(config, *no_exact_source).Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ExpectListsEqual(session->sample_list(),
+                   LocalList(*provider, config),
+                   "node-side sample list");
+  auto exact =
+      session->Query({QueryRequest<Key>::Quantile(0.5, /*exact=*/true)});
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), StatusCode::kUnimplemented)
+      << exact.status().ToString();
+  // The estimate needs no pass over the data, so it still answers.
+  EXPECT_TRUE(session->Query({QueryRequest<Key>::Quantile(0.5)}).ok());
 }
 
 // --------------------------------------- distributed engine + savings ----
@@ -366,7 +288,7 @@ TEST(EngineComputeTest, DistributedAnswersMatchLocalAndSaveWireBytes) {
 
   // v2 (default) and forced-v1 engines leave identical sample lists...
   NodeClientOptions v1_client;
-  v1_client.max_wire_version = 1;
+  v1_client.node_compute = false;
   const uint64_t v2_bytes =
       SamplePhaseBytes(a, b, NodeClientOptions(), config, &*local_session);
   const uint64_t v1_bytes =
@@ -449,7 +371,7 @@ TEST(EngineComputeTest, ExactBudgetBoundsTheTotalAcrossNodeComputedShards) {
 // ------------------------------------------------ hostile peers/faults ----
 
 /// A fake node that runs one script per accepted connection, in order —
-/// enough to scriptedly survive OpenRemote's handshake + kHello probe and
+/// enough to scriptedly survive OpenRemote's handshake + extent probe and
 /// then misbehave on the compute RPC itself.
 class ScriptedNode {
  public:
@@ -706,10 +628,9 @@ TEST(ComputeFaultTest, NodeValidatesComputeRequests) {
 }
 
 TEST(ComputeFaultTest, EngineSurfacesNodeDeathMidSampleRuns) {
-  // A scripted node that passes OpenRemote's handshake and negotiates v2,
+  // A scripted node that passes OpenRemote's handshake and extent probe,
   // then dies after consuming the SAMPLE_RUNS request: the engine must
-  // report the failure (a non-Unimplemented compute error is NOT silently
-  // retried as v1 — the node is misbehaving, not old).
+  // report the failure, not retry it as range streaming.
   auto handshake = [](TcpConnection& conn) {
     ConsumeFrame(conn);  // OPEN_DATASET
     WireDatasetInfo info;
@@ -721,19 +642,17 @@ TEST(ComputeFaultTest, EngineSurfacesNodeDeathMidSampleRuns) {
         EncodeFrame(WireOp::kDatasetInfo, &info, sizeof(info));
     conn.WriteFull(frame.data(), frame.size());
   };
-  auto hello = [](TcpConnection& conn) {
-    ConsumeFrame(conn);  // HELLO
-    WireHello ack;
-    ack.max_version = 2;
+  auto no_extents = [](TcpConnection& conn) {
+    ConsumeFrame(conn);  // OPEN_EXTENTS: the dataset is stored plain
     std::vector<uint8_t> frame =
-        EncodeFrame(WireOp::kHelloAck, &ack, sizeof(ack));
+        EncodeErrorFrame(Status::Unimplemented("not stored as extents"));
     conn.WriteFull(frame.data(), frame.size());
   };
   auto die_mid_compute = [](TcpConnection& conn) {
     ConsumeFrame(conn);  // SAMPLE_RUNS — then hang up without answering
   };
   ScriptedNode fake(std::vector<std::function<void(TcpConnection&)>>{
-      handshake, hello, die_mid_compute});
+      handshake, no_extents, die_mid_compute});
 
   auto source = Source<Key>::OpenRemote(fake.spec().ToString());
   ASSERT_TRUE(source.ok()) << source.status().ToString();

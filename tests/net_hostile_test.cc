@@ -1,8 +1,8 @@
 // Hostile-payload sweep over every wire codec and every node request op.
 //
-// Decoders: each frame of the committed golden streams (wire_v1.bin ..
-// wire_v6.bin) is fed to its decoder truncated at every length and with
-// every single byte flipped. The answer must be a `Status` or a value,
+// Decoders: each frame of the committed golden stream (wire.bin) is fed to
+// its decoder truncated at every length and with every single byte
+// flipped. The answer must be a `Status` or a value,
 // never a crash (the ASan+UBSan job runs this suite), and decoders whose
 // payload length is fixed by its own header must reject every proper
 // prefix.
@@ -12,6 +12,10 @@
 // error frame; the connection must close exactly when the request's fixed
 // prefix or its dataset name does not fit, and the node must serve a
 // fresh connection afterwards.
+//
+// Versions and retired ops: a data node and a query daemon answer a frame
+// of any version but the one, and a frame of a retired op, with exactly
+// one error frame and then close.
 //
 // Extent stream: the client receives every EXTENT_DATA frame into one
 // reused buffer, so a short frame after a long one must be decoded at its
@@ -37,19 +41,21 @@
 #include "net/client.h"
 #include "net/frame_io.h"
 #include "net/node_server.h"
+#include "net/query_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "net/wire_compute.h"
 #include "net/wire_query.h"
 #include "net/wire_stats.h"
+#include "opaq/engine.h"
 
 namespace opaq {
 namespace {
 
 using Key = uint64_t;
 
-std::vector<uint8_t> GoldenBlob(const std::string& name) {
-  const std::string path = std::string(OPAQ_GOLDEN_DIR) + "/" + name;
+std::vector<uint8_t> GoldenBlob() {
+  const std::string path = std::string(OPAQ_GOLDEN_DIR) + "/wire.bin";
   std::ifstream in(path, std::ios::binary);
   OPAQ_CHECK(in.good()) << "missing golden blob " << path;
   return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
@@ -58,30 +64,25 @@ std::vector<uint8_t> GoldenBlob(const std::string& name) {
 
 /// One golden frame: its encoded bytes and its decoded payload.
 struct GoldenFrame {
-  std::string blob;
   std::vector<uint8_t> bytes;
   WireFrame frame;
 };
 
 std::vector<GoldenFrame> AllGoldenFrames() {
   std::vector<GoldenFrame> frames;
-  for (int version = 1; version <= kMaxWireVersion; ++version) {
-    const std::string name = "wire_v" + std::to_string(version) + ".bin";
-    const std::vector<uint8_t> blob = GoldenBlob(name);
-    size_t offset = 0;
-    while (offset < blob.size()) {
-      size_t consumed = 0;
-      auto frame =
-          DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
-      OPAQ_CHECK_OK(frame.status());
-      GoldenFrame golden;
-      golden.blob = name;
-      golden.bytes.assign(blob.begin() + offset,
-                          blob.begin() + offset + consumed);
-      golden.frame = std::move(frame).value();
-      frames.push_back(std::move(golden));
-      offset += consumed;
-    }
+  const std::vector<uint8_t> blob = GoldenBlob();
+  size_t offset = 0;
+  while (offset < blob.size()) {
+    size_t consumed = 0;
+    auto frame =
+        DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
+    OPAQ_CHECK_OK(frame.status());
+    GoldenFrame golden;
+    golden.bytes.assign(blob.begin() + offset,
+                        blob.begin() + offset + consumed);
+    golden.frame = std::move(frame).value();
+    frames.push_back(std::move(golden));
+    offset += consumed;
   }
   return frames;
 }
@@ -157,7 +158,7 @@ TEST(HostileFrameTest, EveryGoldenFrameRejectsEveryTruncationAndFlip) {
   const std::vector<GoldenFrame> frames = AllGoldenFrames();
   ASSERT_GE(frames.size(), 20u);
   for (const GoldenFrame& golden : frames) {
-    SCOPED_TRACE(golden.blob + " " + WireOpName(golden.frame.op));
+    SCOPED_TRACE(WireOpName(golden.frame.op));
     const std::vector<uint8_t>& bytes = golden.bytes;
     for (size_t len = 0; len < bytes.size(); ++len) {
       size_t consumed = 0;
@@ -170,10 +171,12 @@ TEST(HostileFrameTest, EveryGoldenFrameRejectsEveryTruncationAndFlip) {
         flipped[at] ^= mask;
         size_t consumed = 0;
         auto frame = DecodeFrame(flipped.data(), flipped.size(), &consumed);
-        // A flip in the CRC or the payload is always caught; one in the
-        // op field (not validated at frame level) or a still-supported
-        // version field may decode.
-        if (at >= offsetof(WireFrameHeader, payload_crc)) {
+        // A flip in the magic, the version (this build speaks one), the
+        // length, the CRC or the payload is always caught; only one in the
+        // op field (not validated at frame level) may decode.
+        const bool in_op = at >= offsetof(WireFrameHeader, op) &&
+                           at < offsetof(WireFrameHeader, payload_len);
+        if (!in_op) {
           EXPECT_FALSE(frame.ok()) << "flip at byte " << at;
         }
       }
@@ -187,7 +190,7 @@ TEST(HostileFrameTest, EveryGoldenPayloadSurvivesTruncationAndFlips) {
     PayloadDecoder decoder;
     if (!FindDecoder(golden.frame, &decoder)) continue;
     swept.insert(golden.frame.op);
-    SCOPED_TRACE(golden.blob + " " + WireOpName(golden.frame.op));
+    SCOPED_TRACE(WireOpName(golden.frame.op));
     const std::vector<uint8_t>& payload = golden.frame.payload;
     EXPECT_TRUE(decoder.decode(payload.data(), payload.size()).ok());
     for (size_t len = 0; len < payload.size(); ++len) {
@@ -207,7 +210,7 @@ TEST(HostileFrameTest, EveryGoldenPayloadSurvivesTruncationAndFlips) {
     }
   }
   // ERROR, SAMPLE_LIST_DATA, EXACT_PASS_DATA, QUERY, QUERY_RESULT,
-  // EXTENT_DATA and STATS_DATA all appear in the goldens.
+  // EXTENT_DATA and STATS_DATA all appear in the golden stream.
   EXPECT_EQ(swept.size(), 7u);
 }
 
@@ -228,7 +231,7 @@ TEST(HostileFrameTest, OneRecordPayloadsAcceptExactlyTheirSize) {
       default: continue;
     }
     swept.insert(golden.frame.op);
-    SCOPED_TRACE(golden.blob + " " + WireOpName(golden.frame.op));
+    SCOPED_TRACE(WireOpName(golden.frame.op));
     EXPECT_TRUE(decode(golden.frame).ok());
     WireFrame cut = golden.frame;
     while (!cut.payload.empty()) {
@@ -341,14 +344,6 @@ std::vector<HostileRequest> HostileRequests() {
   requests.push_back({WireOp::kAppend,
                       PrefixAndName(append, "live", 3 * sizeof(Key)),
                       sizeof(append) + 4});
-
-  WireHello hello;
-  requests.push_back({WireOp::kHello,
-                      std::vector<uint8_t>(
-                          reinterpret_cast<const uint8_t*>(&hello),
-                          reinterpret_cast<const uint8_t*>(&hello) +
-                              sizeof(hello)),
-                      sizeof(hello)});
   return requests;
 }
 
@@ -385,6 +380,102 @@ TEST(HostileNodeTest, EveryTruncatedRequestDrawsAnErrorFrame) {
   }
   TcpConnection fresh = node.Dial();
   EXPECT_TRUE(StillServes(fresh));
+}
+
+// ------------------------------------- other versions and retired ops ----
+
+/// A query daemon serving one small u64 session "s".
+struct HostileQueryDaemon {
+  QueryServer server;
+
+  HostileQueryDaemon() {
+    OPAQ_CHECK_OK(server.Serve<Key>("s", []() -> Result<QuerySession<Key>> {
+      DatasetSpec spec;
+      spec.n = 4096;
+      spec.seed = 11;
+      OpaqConfig config;
+      config.run_size = 1024;
+      config.samples_per_run = 32;
+      return Engine<Key>(config,
+                         Source<Key>::FromVector(GenerateDataset<Key>(spec)))
+          .Build();
+    }));
+    OPAQ_CHECK_OK(server.Start());
+  }
+};
+
+/// Sends one frame of `op` stamped with `version` on a fresh connection to
+/// `port` and returns every frame the server answers before it closes.
+std::vector<WireFrame> AnswersUntilClose(uint16_t port, uint16_t version,
+                                         uint16_t op,
+                                         const std::vector<uint8_t>& payload) {
+  auto conn = TcpConnection::Connect("127.0.0.1", port,
+                                     /*receive_timeout_seconds=*/10);
+  OPAQ_CHECK_OK(conn.status());
+  WireFrameHeader header = EncodeFrameHeader(static_cast<WireOp>(op),
+                                             payload.data(), payload.size());
+  header.version = version;
+  OPAQ_CHECK_OK(conn->WriteFull(&header, sizeof(header), payload.data(),
+                                payload.size()));
+  std::vector<WireFrame> answers;
+  for (;;) {
+    auto frame = ReceiveFrame(*conn);
+    if (!frame.ok()) break;
+    answers.push_back(std::move(frame).value());
+  }
+  return answers;
+}
+
+/// Expects `answers` to be exactly one error frame whose status has `code`
+/// and whose message contains `text`.
+void ExpectOneErrorFrame(const std::vector<WireFrame>& answers,
+                         StatusCode code, const std::string& text) {
+  ASSERT_EQ(answers.size(), 1u);
+  ASSERT_EQ(answers[0].op, static_cast<uint16_t>(WireOp::kError));
+  const Status carried = DecodeErrorPayload(answers[0].payload.data(),
+                                            answers[0].payload.size());
+  EXPECT_EQ(carried.code(), code);
+  EXPECT_NE(carried.message().find(text), std::string::npos)
+      << carried.ToString();
+}
+
+TEST(HostileVersionTest, EveryOtherVersionDrawsOneErrorFrameThenClose) {
+  HostileNode node;
+  HostileQueryDaemon daemon;
+  const uint16_t ping = static_cast<uint16_t>(WireOp::kPing);
+  for (uint16_t port : {node.server.port(), daemon.server.port()}) {
+    for (uint16_t version : {0, 1, 2, 3, 4, 5, 6, 8, 0xFFFF}) {
+      SCOPED_TRACE("port " + std::to_string(port) + ", version " +
+                   std::to_string(version));
+      // An empty PING, so the server has read every byte sent before it
+      // hangs up.
+      ExpectOneErrorFrame(AnswersUntilClose(port, version, ping, {}),
+                          StatusCode::kIoError,
+                          "version " + std::to_string(version) +
+                              " (this build speaks only version " +
+                              std::to_string(kWireVersion) + ")");
+    }
+    auto fresh = TcpConnection::Connect("127.0.0.1", port,
+                                        /*receive_timeout_seconds=*/10);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_TRUE(StillServes(*fresh));
+  }
+}
+
+TEST(HostileVersionTest, RetiredHelloOpsAreUnknownOps) {
+  HostileNode node;
+  HostileQueryDaemon daemon;
+  // The 4-byte payload an old HELLO / HELLO_ACK carried.
+  const std::vector<uint8_t> hello = {6, 0, 0, 0};
+  for (uint16_t port : {node.server.port(), daemon.server.port()}) {
+    for (uint16_t op : {8, 9}) {
+      SCOPED_TRACE("port " + std::to_string(port) + ", op " +
+                   std::to_string(op));
+      ExpectOneErrorFrame(AnswersUntilClose(port, kWireVersion, op, hello),
+                          StatusCode::kUnimplemented,
+                          "does not speak op ? (" + std::to_string(op) + ")");
+    }
+  }
 }
 
 TEST(HostileExtentStreamTest, ShortFrameAfterALongOneIsReadAtItsOwnLength) {

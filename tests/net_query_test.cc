@@ -1,4 +1,4 @@
-// Query-serving path tests (wire v3): hostile-byte rejection in the
+// Query-serving path tests: hostile-byte rejection in the
 // query codecs, end-to-end QueryServer/QueryClient round trips asserted
 // byte-identical to a single-process QuerySession, the error policy
 // (recoverable errors keep the connection; framing lies close it), exact
@@ -788,12 +788,34 @@ TEST(DaemonOpenerMatrixTest, NodedExportOfADirectoryPointsAtLive) {
 }
 
 TEST(DaemonHelpTest, NodedHelpShowsTheBuildsDefaultWireVersion) {
+  // One wire version and no knob to cap it: the help names the version,
+  // the flag is gone, and the serving banner prints the one version.
   DaemonRun run = RunDaemonUntilSigterm(OPAQ_NODED_BIN, {"--help"}, nullptr);
   EXPECT_EQ(run.exit_code, 0) << run.output;
-  EXPECT_NE(run.output.find("--max-wire-version=" +
-                            std::to_string(kMaxWireVersion) + " "),
-            std::string::npos)
+  const std::string version =
+      "protocol version " + std::to_string(kWireVersion);
+  EXPECT_NE(run.output.find(version), std::string::npos) << run.output;
+  EXPECT_EQ(run.output.find("wire-version"), std::string::npos)
       << run.output;
+
+  auto dir = TempDir::Make("noded_banner");
+  OPAQ_CHECK_OK(dir.status());
+  const std::string path = WriteTestDataFile(*dir, "d.opaq", 1000);
+  DaemonRun serving = RunDaemonUntilSigterm(
+      OPAQ_NODED_BIN, {"--export=d=" + path, "--port=0"}, nullptr);
+  ASSERT_FALSE(serving.address.empty()) << serving.output;
+  EXPECT_NE(serving.output.find("serving on " + serving.address + " (" +
+                                version + ", "),
+            std::string::npos)
+      << serving.output;
+
+  DaemonRun capped = RunDaemonUntilSigterm(
+      OPAQ_NODED_BIN,
+      {"--export=d=" + path, "--port=0", "--max-wire-version=1"}, nullptr);
+  EXPECT_EQ(capped.exit_code, 2) << capped.output;
+  EXPECT_NE(capped.output.find("unknown flag --max-wire-version"),
+            std::string::npos)
+      << capped.output;
 }
 
 TEST(DaemonHelpTest, NodedBoundsComputeRunsWithMaxComputeRunBytes) {

@@ -1,7 +1,7 @@
 // Wire-protocol codec tests: CRC correctness, frame round trips, rejection
-// of truncation/corruption/foreign traffic, and the committed golden byte
-// streams (`tests/golden/wire_v1.bin` .. `wire_v5.bin`) that pin frame
-// formats v1 through v5 — if the header layout, op codes, CRC polynomial
+// of truncation/corruption/foreign traffic and of every version but the
+// one, and the committed golden byte stream (`tests/golden/wire.bin`) that
+// pins every frame format — if the header layout, op codes, CRC polynomial
 // or payload encodings ever drift, these fail in tier-1 instead of
 // silently orphaning every deployed node.
 
@@ -39,27 +39,22 @@ TEST(WireFrameTest, HeaderLayoutIsPinned) {
   static_assert(sizeof(WireDatasetInfo) == 24);
   static_assert(sizeof(WireReadRange) == 16);
   EXPECT_EQ(WireFrameHeader::kMagic, 0x4e51504fu);
-  EXPECT_EQ(kWireVersion, 1);
+  EXPECT_EQ(kWireVersion, 7);
 }
 
-TEST(WireFrameTest, V2LayoutIsPinned) {
-  EXPECT_EQ(kComputeWireVersion, 2);
-  static_assert(sizeof(WireHello) == 4);
+TEST(WireFrameTest, ComputeLayoutIsPinned) {
   static_assert(sizeof(WireSampleRunsRequest) == 40);
   static_assert(sizeof(WireSampleListHeader) == 40);
   static_assert(sizeof(WireExactPassRequest) == 32);
   static_assert(offsetof(WireExactPassRequest, name_len) == 28);
   static_assert(sizeof(WireExactPassHeader) == 16);
-  EXPECT_EQ(static_cast<uint16_t>(WireOp::kHello), 8);
-  EXPECT_EQ(static_cast<uint16_t>(WireOp::kHelloAck), 9);
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kSampleRuns), 10);
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kSampleListData), 11);
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kExactPass), 12);
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kExactPassData), 13);
 }
 
-TEST(WireFrameTest, V3LayoutIsPinned) {
-  EXPECT_EQ(kQueryWireVersion, 3);
+TEST(WireFrameTest, QueryLayoutIsPinned) {
   static_assert(sizeof(WireSessionInfo) == 48);
   static_assert(sizeof(WireQueryHeader) == 16);
   static_assert(sizeof(WireQueryRequest) == 32);
@@ -72,8 +67,7 @@ TEST(WireFrameTest, V3LayoutIsPinned) {
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kQueryResult), 17);
 }
 
-TEST(WireFrameTest, V4LayoutIsPinned) {
-  EXPECT_EQ(kExtentWireVersion, 4);
+TEST(WireFrameTest, ExtentLayoutIsPinned) {
   static_assert(sizeof(WireExtentInfo) == 48);
   static_assert(offsetof(WireExtentInfo, max_extents_per_read) == 32);
   static_assert(offsetof(WireExtentInfo, default_codec) == 40);
@@ -84,8 +78,7 @@ TEST(WireFrameTest, V4LayoutIsPinned) {
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kExtentData), 21);
 }
 
-TEST(WireFrameTest, V5LayoutIsPinned) {
-  EXPECT_EQ(kAppendWireVersion, 5);
+TEST(WireFrameTest, AppendLayoutIsPinned) {
   static_assert(sizeof(WireAppendRequest) == 16);
   static_assert(offsetof(WireAppendRequest, count) == 0);
   static_assert(offsetof(WireAppendRequest, name_len) == 8);
@@ -97,9 +90,7 @@ TEST(WireFrameTest, V5LayoutIsPinned) {
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kAppendAck), 23);
 }
 
-TEST(WireFrameTest, V6LayoutIsPinned) {
-  EXPECT_EQ(kStatsWireVersion, 6);
-  EXPECT_EQ(kMaxWireVersion, 6);
+TEST(WireFrameTest, StatsLayoutIsPinned) {
   EXPECT_EQ(kWireStatsVersion, 1u);
   static_assert(sizeof(WireStatsHeader) == 8);
   static_assert(offsetof(WireStatsHeader, stats_version) == 0);
@@ -119,45 +110,49 @@ TEST(WireFrameTest, V6LayoutIsPinned) {
   EXPECT_EQ(static_cast<uint16_t>(WireOp::kStatsData), 25);
 }
 
-TEST(WireFrameTest, FramesCarryPerOpVersions) {
-  // v1 ops must keep encoding version 1 forever (that is what keeps the
-  // committed wire_v1.bin stable and lets old nodes serve new clients);
-  // compute ops announce themselves as v2 so v1-only peers reject exactly
-  // the frames they cannot serve.
-  for (WireOp op : {WireOp::kPing, WireOp::kPong, WireOp::kOpenDataset,
-                    WireOp::kDatasetInfo, WireOp::kReadRange,
-                    WireOp::kRangeData, WireOp::kError}) {
-    EXPECT_EQ(WireOpVersion(op), 1u) << WireOpName(static_cast<uint16_t>(op));
+/// Every op this build speaks, in code order.
+const WireOp kAllOps[] = {
+    WireOp::kPing,        WireOp::kPong,           WireOp::kOpenDataset,
+    WireOp::kDatasetInfo, WireOp::kReadRange,      WireOp::kRangeData,
+    WireOp::kError,       WireOp::kSampleRuns,     WireOp::kSampleListData,
+    WireOp::kExactPass,   WireOp::kExactPassData,  WireOp::kOpenSession,
+    WireOp::kSessionInfo, WireOp::kQuery,          WireOp::kQueryResult,
+    WireOp::kOpenExtents, WireOp::kExtentInfo,     WireOp::kReadExtents,
+    WireOp::kExtentData,  WireOp::kAppend,         WireOp::kAppendAck,
+    WireOp::kStats,       WireOp::kStatsData,
+};
+
+TEST(WireFrameTest, EveryFrameCarriesTheOneVersion) {
+  for (WireOp op : kAllOps) {
+    std::vector<uint8_t> bytes = EncodeFrame(op, nullptr, 0);
+    WireFrameHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    EXPECT_EQ(header.version, kWireVersion)
+        << WireOpName(static_cast<uint16_t>(op));
+    EXPECT_TRUE(DecodeFrame(bytes.data(), bytes.size(), nullptr).ok());
   }
-  for (WireOp op : {WireOp::kHello, WireOp::kHelloAck, WireOp::kSampleRuns,
-                    WireOp::kSampleListData, WireOp::kExactPass,
-                    WireOp::kExactPassData}) {
-    EXPECT_EQ(WireOpVersion(op), 2u) << WireOpName(static_cast<uint16_t>(op));
+  // Codes 8 and 9 (the retired HELLO / HELLO_ACK) have no name.
+  EXPECT_STREQ(WireOpName(8), "?");
+  EXPECT_STREQ(WireOpName(9), "?");
+}
+
+TEST(WireFrameTest, EveryOtherVersionIsRejectedNamingBoth) {
+  const std::vector<uint8_t> good = EncodeFrame(WireOp::kPing, nullptr, 0);
+  for (uint16_t version : {0, 1, 2, 3, 4, 5, 6, 8, 0xFFFF}) {
+    std::vector<uint8_t> bytes = good;
+    std::memcpy(bytes.data() + offsetof(WireFrameHeader, version), &version,
+                sizeof(version));
+    auto frame = DecodeFrame(bytes.data(), bytes.size(), nullptr);
+    ASSERT_FALSE(frame.ok()) << "version " << version;
+    EXPECT_EQ(frame.status().code(), StatusCode::kIoError);
+    const std::string& message = frame.status().message();
+    EXPECT_NE(message.find("version " + std::to_string(version) + " "),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("only version " + std::to_string(kWireVersion)),
+              std::string::npos)
+        << message;
   }
-  for (WireOp op : {WireOp::kOpenSession, WireOp::kSessionInfo,
-                    WireOp::kQuery, WireOp::kQueryResult}) {
-    EXPECT_EQ(WireOpVersion(op), 3u) << WireOpName(static_cast<uint16_t>(op));
-  }
-  for (WireOp op : {WireOp::kOpenExtents, WireOp::kExtentInfo,
-                    WireOp::kReadExtents, WireOp::kExtentData}) {
-    EXPECT_EQ(WireOpVersion(op), 4u) << WireOpName(static_cast<uint16_t>(op));
-  }
-  for (WireOp op : {WireOp::kAppend, WireOp::kAppendAck}) {
-    EXPECT_EQ(WireOpVersion(op), 5u) << WireOpName(static_cast<uint16_t>(op));
-  }
-  for (WireOp op : {WireOp::kStats, WireOp::kStatsData}) {
-    EXPECT_EQ(WireOpVersion(op), 6u) << WireOpName(static_cast<uint16_t>(op));
-  }
-  // And EncodeFrame stamps that version into the header.
-  std::vector<uint8_t> v1 = EncodeFrame(WireOp::kPing, nullptr, 0);
-  std::vector<uint8_t> v2 = EncodeFrame(WireOp::kHello, nullptr, 0);
-  WireFrameHeader header;
-  std::memcpy(&header, v1.data(), sizeof(header));
-  EXPECT_EQ(header.version, 1);
-  std::memcpy(&header, v2.data(), sizeof(header));
-  EXPECT_EQ(header.version, 2);
-  size_t consumed = 0;
-  EXPECT_TRUE(DecodeFrame(v2.data(), v2.size(), &consumed).ok());
 }
 
 TEST(WireFrameTest, PayloadCapBoundaryIsExact) {
@@ -176,7 +171,7 @@ TEST(WireFrameTest, PayloadCapBoundaryIsExact) {
 TEST(WireFrameTest, ZeroLengthPayloadFrameIsWellFormed) {
   // CRC-32 of empty input is 0 by definition; an empty-payload frame must
   // encode that, survive the round trip, and consume exactly one header.
-  std::vector<uint8_t> bytes = EncodeFrame(WireOp::kHello, nullptr, 0);
+  std::vector<uint8_t> bytes = EncodeFrame(WireOp::kStats, nullptr, 0);
   WireFrameHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   EXPECT_EQ(header.payload_len, 0u);
@@ -280,542 +275,8 @@ TEST(WireFrameTest, RejectsOversizedPayloadClaim) {
 
 // ------------------------------------------------ Golden byte stream ----
 
-/// The canned request/response conversation committed as
-/// tests/golden/wire_v1.bin: every op of protocol v1, fixed payloads.
-/// `MakeGoldenStream` must keep producing these exact bytes forever (or
-/// the protocol version must be bumped and a new blob committed).
-std::vector<uint8_t> MakeGoldenStream() {
-  std::vector<uint8_t> stream;
-  auto append = [&stream](const std::vector<uint8_t>& frame) {
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  };
-  // 1. PING / 7. PONG bracket the conversation.
-  append(EncodeFrame(WireOp::kPing, nullptr, 0));
-  // 2. OPEN_DATASET "sales"
-  const std::string name = "sales";
-  append(EncodeFrame(WireOp::kOpenDataset, name.data(), name.size()));
-  // 3. DATASET_INFO: 1000 u64 elements, 4096-element read bound.
-  WireDatasetInfo info;
-  info.key_type = 2;  // KeyType::kU64
-  info.element_size = 8;
-  info.element_count = 1000;
-  info.max_read_elements = 4096;
-  append(EncodeFrame(WireOp::kDatasetInfo, &info, sizeof(info)));
-  // 4. READ_RANGE [40, +4) of "sales"
-  WireReadRange range;
-  range.first = 40;
-  range.count = 4;
-  std::vector<uint8_t> request(sizeof(range) + name.size());
-  std::memcpy(request.data(), &range, sizeof(range));
-  std::memcpy(request.data() + sizeof(range), name.data(), name.size());
-  append(EncodeFrame(WireOp::kReadRange, request.data(), request.size()));
-  // 5. RANGE_DATA: the four u64 values {2, 3, 5, 7}.
-  const uint64_t values[] = {2, 3, 5, 7};
-  append(EncodeFrame(WireOp::kRangeData, values, sizeof(values)));
-  // 6. ERROR: NOT_FOUND for a missing dataset.
-  append(EncodeErrorFrame(
-      Status::NotFound("node exports no dataset named 'tmp'")));
-  append(EncodeFrame(WireOp::kPong, nullptr, 0));
-  return stream;
-}
-
-std::vector<uint8_t> GoldenBlobBytes(const std::string& name = "wire_v1.bin") {
-  const std::string path = std::string(OPAQ_GOLDEN_DIR) + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  OPAQ_CHECK(in.good()) << "missing golden blob: " << path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>());
-}
-
-TEST(WireGoldenTest, EncoderProducesExactGoldenBytes) {
-  EXPECT_EQ(MakeGoldenStream(), GoldenBlobBytes())
-      << "the wire frame encoding changed; deployed nodes and clients "
-         "would no longer interoperate. If intentional, bump kWireVersion "
-         "and commit a new golden blob.";
-}
-
-TEST(WireGoldenTest, GoldenStreamDecodesFrameByFrame) {
-  const std::vector<uint8_t> blob = GoldenBlobBytes();
-  const uint16_t expected_ops[] = {
-      static_cast<uint16_t>(WireOp::kPing),
-      static_cast<uint16_t>(WireOp::kOpenDataset),
-      static_cast<uint16_t>(WireOp::kDatasetInfo),
-      static_cast<uint16_t>(WireOp::kReadRange),
-      static_cast<uint16_t>(WireOp::kRangeData),
-      static_cast<uint16_t>(WireOp::kError),
-      static_cast<uint16_t>(WireOp::kPong),
-  };
-  size_t offset = 0;
-  for (uint16_t expected : expected_ops) {
-    size_t consumed = 0;
-    auto frame =
-        DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    EXPECT_EQ(frame->op, expected);
-    offset += consumed;
-  }
-  EXPECT_EQ(offset, blob.size()) << "golden stream has trailing bytes";
-
-  // Spot-check decoded payload contents, not just op codes.
-  size_t consumed = 0;
-  auto info_frame = DecodeFrame(
-      blob.data() + 2 * sizeof(WireFrameHeader) + 5,  // past PING + OPEN
-      blob.size(), &consumed);
-  ASSERT_TRUE(info_frame.ok());
-  WireDatasetInfo info;
-  ASSERT_EQ(info_frame->payload.size(), sizeof(info));
-  std::memcpy(&info, info_frame->payload.data(), sizeof(info));
-  EXPECT_EQ(info.element_count, 1000u);
-  EXPECT_EQ(info.max_read_elements, 4096u);
-}
-
-// ------------------------------------------- v2 golden byte stream ----
-
-/// The canned compute conversation committed as tests/golden/wire_v2.bin:
-/// every v2 op once, fixed payloads, over a u64 dataset "sales". Must
-/// keep producing these exact bytes forever (or kMaxWireVersion must be
-/// bumped and a new blob committed).
-std::vector<uint8_t> MakeGoldenV2Stream() {
-  std::vector<uint8_t> stream;
-  auto append = [&stream](const std::vector<uint8_t>& frame) {
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  };
-  const std::string name = "sales";
-  // 1./2. HELLO / HELLO_ACK: both sides announce version 2.
-  WireHello hello;
-  hello.max_version = 2;
-  append(EncodeFrame(WireOp::kHello, &hello, sizeof(hello)));
-  append(EncodeFrame(WireOp::kHelloAck, &hello, sizeof(hello)));
-  // 3. SAMPLE_RUNS: m=8, s=2, seed 7, intro-select, sync.
-  WireSampleRunsRequest request;
-  request.run_size = 8;
-  request.samples_per_run = 2;
-  request.seed = 7;
-  request.select_algorithm = 3;  // SelectAlgorithm::kIntroSelect
-  request.io_mode = 0;
-  request.prefetch_depth = 2;
-  append(EncodeFrame(WireOp::kSampleRuns,
-                     EncodeSampleRunsPayload(request, name)));
-  // 4. SAMPLE_LIST_DATA: one run of 8 elements, samples {11, 22}.
-  WireSampleListHeader list_header;
-  list_header.subrun_size = 4;
-  list_header.num_runs = 1;
-  list_header.num_samples = 2;
-  list_header.num_uncovered = 0;
-  list_header.total_elements = 8;
-  const uint64_t samples[] = {11, 22};
-  std::vector<uint8_t> list_payload(sizeof(list_header) + sizeof(samples));
-  std::memcpy(list_payload.data(), &list_header, sizeof(list_header));
-  std::memcpy(list_payload.data() + sizeof(list_header), samples,
-              sizeof(samples));
-  append(EncodeFrame(WireOp::kSampleListData, list_payload));
-  // 5. EXACT_PASS: one bracket [10, 30], budget 64, m=8.
-  WireExactPassRequest exact;
-  exact.memory_budget = 64;
-  exact.run_size = 8;
-  exact.io_mode = 0;
-  exact.prefetch_depth = 2;
-  std::vector<QuantileEstimate<uint64_t>> brackets(1);
-  brackets[0].lower = 10;
-  brackets[0].upper = 30;
-  append(EncodeFrame(WireOp::kExactPass,
-                     EncodeExactPassPayload(exact, brackets, name)));
-  // 6. EXACT_PASS_DATA: 3 below, kept {11, 22}.
-  internal_exact::BracketAccumulator<uint64_t> scan;
-  scan.below = {3};
-  scan.kept = {{11, 22}};
-  auto scan_payload = EncodeExactScanPayload(scan);
-  OPAQ_CHECK_OK(scan_payload.status());
-  append(EncodeFrame(WireOp::kExactPassData, *scan_payload));
-  return stream;
-}
-
-TEST(WireGoldenTest, EncoderProducesExactGoldenV2Bytes) {
-  EXPECT_EQ(MakeGoldenV2Stream(), GoldenBlobBytes("wire_v2.bin"))
-      << "the v2 compute frame encoding changed; deployed v2 nodes and "
-         "clients would no longer interoperate. If intentional, bump "
-         "kMaxWireVersion and commit a new golden blob.";
-}
-
-TEST(WireGoldenTest, GoldenV2StreamDecodesFrameByFrame) {
-  const std::vector<uint8_t> blob = GoldenBlobBytes("wire_v2.bin");
-  const uint16_t expected_ops[] = {
-      static_cast<uint16_t>(WireOp::kHello),
-      static_cast<uint16_t>(WireOp::kHelloAck),
-      static_cast<uint16_t>(WireOp::kSampleRuns),
-      static_cast<uint16_t>(WireOp::kSampleListData),
-      static_cast<uint16_t>(WireOp::kExactPass),
-      static_cast<uint16_t>(WireOp::kExactPassData),
-  };
-  size_t offset = 0;
-  std::vector<WireFrame> frames;
-  for (uint16_t expected : expected_ops) {
-    WireFrameHeader header;
-    ASSERT_GE(blob.size() - offset, sizeof(header));
-    std::memcpy(&header, blob.data() + offset, sizeof(header));
-    EXPECT_EQ(header.version, 2) << WireOpName(expected);
-    size_t consumed = 0;
-    auto frame =
-        DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    EXPECT_EQ(frame->op, expected);
-    frames.push_back(std::move(frame).value());
-    offset += consumed;
-  }
-  EXPECT_EQ(offset, blob.size()) << "golden stream has trailing bytes";
-
-  // The payloads decode through the real codecs, not just frame-wise.
-  auto list = DecodeSampleListPayload<uint64_t>(frames[3].payload.data(),
-                                                frames[3].payload.size());
-  ASSERT_TRUE(list.ok()) << list.status().ToString();
-  EXPECT_EQ(list->samples(), (std::vector<uint64_t>{11, 22}));
-  EXPECT_EQ(list->accounting().total_elements, 8u);
-
-  WireExactPassRequest exact;
-  ASSERT_GE(frames[4].payload.size(), sizeof(exact));
-  std::memcpy(&exact, frames[4].payload.data(), sizeof(exact));
-  EXPECT_EQ(exact.name_len, 5u);  // "sales"
-  EXPECT_EQ(exact.num_brackets, 1u);
-  EXPECT_EQ(frames[4].payload.size(),
-            sizeof(exact) + exact.name_len + 2 * sizeof(uint64_t));
-
-  auto scan = DecodeExactScanPayload<uint64_t>(frames[5].payload.data(),
-                                               frames[5].payload.size(),
-                                               /*expected_brackets=*/1);
-  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  EXPECT_EQ(scan->below, (std::vector<uint64_t>{3}));
-  EXPECT_EQ(scan->kept[0], (std::vector<uint64_t>{11, 22}));
-}
-
-// ------------------------------------------- v3 golden byte stream ----
-
-/// The canned query-serving conversation committed as
-/// tests/golden/wire_v3.bin: every v3 op once, fixed payloads, over a u64
-/// session "sales". Must keep producing these exact bytes forever (or
-/// kMaxWireVersion must be bumped and a new blob committed).
-std::vector<uint8_t> MakeGoldenV3Stream() {
-  std::vector<uint8_t> stream;
-  auto append = [&stream](const std::vector<uint8_t>& frame) {
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  };
-  const std::string name = "sales";
-  // 1. OPEN_SESSION "sales" (payload is the bare name).
-  append(EncodeFrame(WireOp::kOpenSession, name.data(), name.size()));
-  // 2. SESSION_INFO: 1000 u64 elements, 125 samples, epoch 1.
-  WireSessionInfo info;
-  info.key_type = 2;  // KeyType::kU64
-  info.element_size = 8;
-  info.total_elements = 1000;
-  info.max_rank_error = 8;
-  info.num_samples = 125;
-  info.epoch = 1;
-  info.exact_enabled = 1;
-  append(EncodeFrame(WireOp::kSessionInfo, &info, sizeof(info)));
-  // 3. QUERY: one batch of all four request kinds (one exact-flagged).
-  std::vector<QueryRequest<uint64_t>> requests = {
-      QueryRequest<uint64_t>::Quantile(0.5),
-      QueryRequest<uint64_t>::QuantileByRank(250, /*exact=*/true),
-      QueryRequest<uint64_t>::RankOf(7),
-      QueryRequest<uint64_t>::EquiQuantiles(4),
-  };
-  append(EncodeFrame(
-      WireOp::kQuery,
-      EncodeQueryPayload<uint64_t>(name, {requests.data(),
-                                          requests.size()})));
-  // 4. QUERY_RESULT: a quantile bracket with an exact value, and a rank
-  // bracket — enough to pin every field of the result records.
-  QueryResults<uint64_t> results;
-  results.total_elements = 1000;
-  results.max_rank_error = 8;
-  QueryResult<uint64_t> quantile;
-  quantile.kind = QueryRequest<uint64_t>::Kind::kQuantile;
-  QuantileEstimate<uint64_t> estimate;
-  estimate.target_rank = 500;
-  estimate.lower_index = 61;
-  estimate.upper_index = 63;
-  estimate.max_rank_error = 8;
-  estimate.lower = 11;
-  estimate.upper = 22;
-  estimate.lower_clamped = false;
-  estimate.upper_clamped = true;
-  quantile.estimates = {estimate};
-  quantile.exact = {17};
-  results.results.push_back(quantile);
-  QueryResult<uint64_t> rank;
-  rank.kind = QueryRequest<uint64_t>::Kind::kRank;
-  rank.rank.min_rank_le = 3;
-  rank.rank.max_rank_le = 19;
-  rank.rank.min_rank_lt = 2;
-  rank.rank.max_rank_lt = 18;
-  results.results.push_back(rank);
-  auto payload = EncodeQueryResultsPayload(results);
-  OPAQ_CHECK_OK(payload.status());
-  append(EncodeFrame(WireOp::kQueryResult, *payload));
-  return stream;
-}
-
-TEST(WireGoldenTest, EncoderProducesExactGoldenV3Bytes) {
-  EXPECT_EQ(MakeGoldenV3Stream(), GoldenBlobBytes("wire_v3.bin"))
-      << "the v3 query frame encoding changed; deployed query daemons and "
-         "clients would no longer interoperate. If intentional, bump "
-         "kMaxWireVersion and commit a new golden blob.";
-}
-
-TEST(WireGoldenTest, GoldenV3StreamDecodesFrameByFrame) {
-  const std::vector<uint8_t> blob = GoldenBlobBytes("wire_v3.bin");
-  const uint16_t expected_ops[] = {
-      static_cast<uint16_t>(WireOp::kOpenSession),
-      static_cast<uint16_t>(WireOp::kSessionInfo),
-      static_cast<uint16_t>(WireOp::kQuery),
-      static_cast<uint16_t>(WireOp::kQueryResult),
-  };
-  size_t offset = 0;
-  std::vector<WireFrame> frames;
-  for (uint16_t expected : expected_ops) {
-    WireFrameHeader header;
-    ASSERT_GE(blob.size() - offset, sizeof(header));
-    std::memcpy(&header, blob.data() + offset, sizeof(header));
-    EXPECT_EQ(header.version, 3) << WireOpName(expected);
-    size_t consumed = 0;
-    auto frame =
-        DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    EXPECT_EQ(frame->op, expected);
-    frames.push_back(std::move(frame).value());
-    offset += consumed;
-  }
-  EXPECT_EQ(offset, blob.size()) << "golden stream has trailing bytes";
-
-  // The payloads decode through the real codecs, not just frame-wise.
-  auto named = DecodeQueryName(frames[2].payload.data(),
-                               frames[2].payload.size());
-  ASSERT_TRUE(named.ok()) << named.status().ToString();
-  EXPECT_EQ(named->second, "sales");
-  auto requests = DecodeQueryRequests<uint64_t>(
-      frames[2].payload.data(), frames[2].payload.size(), named->first);
-  ASSERT_TRUE(requests.ok()) << requests.status().ToString();
-  ASSERT_EQ(requests->size(), 4u);
-  EXPECT_EQ((*requests)[0].kind, QueryRequest<uint64_t>::Kind::kQuantile);
-  EXPECT_EQ((*requests)[0].phi, 0.5);
-  EXPECT_TRUE((*requests)[1].exact);
-  EXPECT_EQ((*requests)[1].rank, 250u);
-  EXPECT_EQ((*requests)[2].value, 7u);
-  EXPECT_EQ((*requests)[3].q, 4);
-
-  auto results = DecodeQueryResultsPayload<uint64_t>(
-      frames[3].payload.data(), frames[3].payload.size());
-  ASSERT_TRUE(results.ok()) << results.status().ToString();
-  EXPECT_EQ(results->total_elements, 1000u);
-  ASSERT_EQ(results->results.size(), 2u);
-  ASSERT_EQ(results->results[0].estimates.size(), 1u);
-  EXPECT_EQ(results->results[0].estimates[0].lower, 11u);
-  EXPECT_EQ(results->results[0].estimates[0].upper, 22u);
-  EXPECT_TRUE(results->results[0].estimates[0].upper_clamped);
-  EXPECT_EQ(results->results[0].exact, (std::vector<uint64_t>{17}));
-  EXPECT_EQ(results->results[1].rank.max_rank_le, 19u);
-}
-
-// ------------------------------------------- v4 golden byte stream ----
-
-/// The canned extent-streaming conversation committed as
-/// tests/golden/wire_v4.bin: every v4 op once, fixed payloads, over a u64
-/// extent dataset "sales" (4 elements per extent, 14 elements, 4 extents).
-/// The EXTENT_DATA frame carries a REAL stored extent — ExtentHeader,
-/// payload CRC and all — so this blob also pins the on-wire stored-extent
-/// layout against the extent codec. Must keep producing these exact bytes
-/// forever (or kMaxWireVersion must be bumped and a new blob committed).
-std::vector<uint8_t> MakeGoldenV4Stream() {
-  std::vector<uint8_t> stream;
-  auto append = [&stream](const std::vector<uint8_t>& frame) {
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  };
-  const std::string name = "sales";
-  // 1. OPEN_EXTENTS "sales" (payload is the bare name).
-  append(EncodeFrame(WireOp::kOpenExtents, name.data(), name.size()));
-  // 2. EXTENT_INFO: u64 elements, 4 per extent, 14 total, 4 extents.
-  WireExtentInfo info;
-  info.key_type = 2;  // KeyType::kU64
-  info.element_size = 8;
-  info.element_count = 14;
-  info.extent_elements = 4;
-  info.num_extents = 4;
-  info.max_extents_per_read = 16;
-  info.default_codec = 1;  // ExtentCodec::kDelta
-  append(EncodeFrame(WireOp::kExtentInfo, &info, sizeof(info)));
-  // 3. READ_EXTENTS [0, +1) of "sales".
-  WireReadExtents range;
-  range.first_extent = 0;
-  range.count = 1;
-  std::vector<uint8_t> request(sizeof(range) + name.size());
-  std::memcpy(request.data(), &range, sizeof(range));
-  std::memcpy(request.data() + sizeof(range), name.data(), name.size());
-  append(EncodeFrame(WireOp::kReadExtents, request.data(), request.size()));
-  // 4. EXTENT_DATA: extent 0 stored raw — the four u64 values {2, 3, 5, 7}.
-  const uint64_t values[] = {2, 3, 5, 7};
-  ExtentHeader extent;
-  extent.codec = 0;  // ExtentCodec::kRaw
-  extent.payload_crc = Crc32(values, sizeof(values));
-  extent.extent_index = 0;
-  extent.unpacked_len = sizeof(values);
-  extent.packed_len = sizeof(values);
-  std::vector<uint8_t> stored(sizeof(extent) + sizeof(values));
-  std::memcpy(stored.data(), &extent, sizeof(extent));
-  std::memcpy(stored.data() + sizeof(extent), values, sizeof(values));
-  append(EncodeFrame(WireOp::kExtentData, stored.data(), stored.size()));
-  return stream;
-}
-
-TEST(WireGoldenTest, EncoderProducesExactGoldenV4Bytes) {
-  EXPECT_EQ(MakeGoldenV4Stream(), GoldenBlobBytes("wire_v4.bin"))
-      << "the v4 extent frame encoding changed; deployed nodes and clients "
-         "would no longer interoperate. If intentional, bump "
-         "kMaxWireVersion and commit a new golden blob.";
-}
-
-TEST(WireGoldenTest, GoldenV4StreamDecodesFrameByFrame) {
-  const std::vector<uint8_t> blob = GoldenBlobBytes("wire_v4.bin");
-  const uint16_t expected_ops[] = {
-      static_cast<uint16_t>(WireOp::kOpenExtents),
-      static_cast<uint16_t>(WireOp::kExtentInfo),
-      static_cast<uint16_t>(WireOp::kReadExtents),
-      static_cast<uint16_t>(WireOp::kExtentData),
-  };
-  size_t offset = 0;
-  std::vector<WireFrame> frames;
-  for (uint16_t expected : expected_ops) {
-    WireFrameHeader header;
-    ASSERT_GE(blob.size() - offset, sizeof(header));
-    std::memcpy(&header, blob.data() + offset, sizeof(header));
-    EXPECT_EQ(header.version, 4) << WireOpName(expected);
-    size_t consumed = 0;
-    auto frame =
-        DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    EXPECT_EQ(frame->op, expected);
-    frames.push_back(std::move(frame).value());
-    offset += consumed;
-  }
-  EXPECT_EQ(offset, blob.size()) << "golden stream has trailing bytes";
-
-  WireExtentInfo info;
-  ASSERT_EQ(frames[1].payload.size(), sizeof(info));
-  std::memcpy(&info, frames[1].payload.data(), sizeof(info));
-  EXPECT_EQ(info.element_count, 14u);
-  EXPECT_EQ(info.extent_elements, 4u);
-  EXPECT_EQ(info.num_extents, 4u);
-  EXPECT_EQ(info.max_extents_per_read, 16u);
-
-  // The stored extent decodes through the REAL extent validator — the same
-  // code path a v4 client runs on every received extent.
-  uint64_t decoded[4] = {};
-  Status s = DecodeStoredExtent(frames[3].payload.data(),
-                                frames[3].payload.size(),
-                                /*expected_index=*/0,
-                                /*expected_unpacked=*/sizeof(decoded),
-                                /*element_size=*/8, /*verify_crc=*/true,
-                                decoded, nullptr);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(decoded[0], 2u);
-  EXPECT_EQ(decoded[3], 7u);
-}
-
-// ------------------------------------------- v5 golden byte stream ----
-
-/// The canned streaming-ingest conversation committed as
-/// tests/golden/wire_v5.bin: the v5 op pair once, fixed payloads, over a
-/// u64 live dataset "sales" — an APPEND of four elements and the ACK
-/// carrying the dataset's new totals. Must keep producing these exact
-/// bytes forever (or kMaxWireVersion must be bumped and a new blob
-/// committed).
-std::vector<uint8_t> MakeGoldenV5Stream() {
-  std::vector<uint8_t> stream;
-  auto append = [&stream](const std::vector<uint8_t>& frame) {
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  };
-  const std::string name = "sales";
-  // 1. APPEND: the four u64 values {2, 3, 5, 7} as one new segment.
-  WireAppendRequest request;
-  request.count = 4;
-  request.name_len = static_cast<uint32_t>(name.size());
-  request.flags = 0;
-  const uint64_t values[] = {2, 3, 5, 7};
-  std::vector<uint8_t> payload(sizeof(request) + name.size() +
-                               sizeof(values));
-  std::memcpy(payload.data(), &request, sizeof(request));
-  std::memcpy(payload.data() + sizeof(request), name.data(), name.size());
-  std::memcpy(payload.data() + sizeof(request) + name.size(), values,
-              sizeof(values));
-  append(EncodeFrame(WireOp::kAppend, payload));
-  // 2. APPEND_ACK: the dataset already held 1000 elements in 2 segments.
-  WireAppendAck ack;
-  ack.total_elements = 1004;
-  ack.num_segments = 3;
-  append(EncodeFrame(WireOp::kAppendAck, &ack, sizeof(ack)));
-  return stream;
-}
-
-TEST(WireGoldenTest, EncoderProducesExactGoldenV5Bytes) {
-  EXPECT_EQ(MakeGoldenV5Stream(), GoldenBlobBytes("wire_v5.bin"))
-      << "the v5 ingest frame encoding changed; deployed nodes and remote "
-         "writers would no longer interoperate. If intentional, bump "
-         "kMaxWireVersion and commit a new golden blob.";
-}
-
-TEST(WireGoldenTest, GoldenV5StreamDecodesFrameByFrame) {
-  const std::vector<uint8_t> blob = GoldenBlobBytes("wire_v5.bin");
-  const uint16_t expected_ops[] = {
-      static_cast<uint16_t>(WireOp::kAppend),
-      static_cast<uint16_t>(WireOp::kAppendAck),
-  };
-  size_t offset = 0;
-  std::vector<WireFrame> frames;
-  for (uint16_t expected : expected_ops) {
-    WireFrameHeader header;
-    ASSERT_GE(blob.size() - offset, sizeof(header));
-    std::memcpy(&header, blob.data() + offset, sizeof(header));
-    EXPECT_EQ(header.version, 5) << WireOpName(expected);
-    size_t consumed = 0;
-    auto frame =
-        DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    EXPECT_EQ(frame->op, expected);
-    frames.push_back(std::move(frame).value());
-    offset += consumed;
-  }
-  EXPECT_EQ(offset, blob.size()) << "golden stream has trailing bytes";
-
-  // The APPEND payload parses field by field: prefix, name, raw elements.
-  WireAppendRequest request;
-  ASSERT_GE(frames[0].payload.size(), sizeof(request));
-  std::memcpy(&request, frames[0].payload.data(), sizeof(request));
-  EXPECT_EQ(request.count, 4u);
-  EXPECT_EQ(request.name_len, 5u);  // "sales"
-  EXPECT_EQ(request.flags, 0u);
-  ASSERT_EQ(frames[0].payload.size(),
-            sizeof(request) + request.name_len +
-                request.count * sizeof(uint64_t));
-  EXPECT_EQ(std::string(reinterpret_cast<const char*>(
-                            frames[0].payload.data() + sizeof(request)),
-                        request.name_len),
-            "sales");
-  uint64_t elements[4] = {};
-  std::memcpy(elements,
-              frames[0].payload.data() + sizeof(request) + request.name_len,
-              sizeof(elements));
-  EXPECT_EQ(elements[0], 2u);
-  EXPECT_EQ(elements[3], 7u);
-
-  WireAppendAck ack;
-  ASSERT_EQ(frames[1].payload.size(), sizeof(ack));
-  std::memcpy(&ack, frames[1].payload.data(), sizeof(ack));
-  EXPECT_EQ(ack.total_elements, 1004u);
-  EXPECT_EQ(ack.num_segments, 3u);
-}
-
-// ------------------------------------------- v6 golden byte stream ----
-
-/// The fixed snapshot every v6 golden/roundtrip case uses: one metric of
-/// each type, values chosen so no field is zero by accident.
+/// The fixed snapshot the golden stream and the stats codec cases use: one
+/// metric of each type, values chosen so no field is zero by accident.
 MetricsSnapshot GoldenSnapshot() {
   MetricsSnapshot snapshot;
   MetricSample counter;
@@ -842,73 +303,416 @@ MetricsSnapshot GoldenSnapshot() {
   return snapshot;
 }
 
-/// The canned stats conversation committed as tests/golden/wire_v6.bin:
-/// the v6 op pair once — an empty-payload STATS poll and the STATS_DATA
-/// snapshot with one counter, one gauge, and one sketch-backed histogram.
-/// Must keep producing these exact bytes forever (or kMaxWireVersion must
-/// be bumped and a new blob committed).
-std::vector<uint8_t> MakeGoldenV6Stream() {
+/// The canned conversation committed as tests/golden/wire.bin: every op
+/// of the protocol once, fixed payloads, over a u64 dataset / session /
+/// live dataset "sales", one block per op family. The EXTENT_DATA frame
+/// carries a REAL stored extent — ExtentHeader, payload CRC and all — so
+/// the blob also pins the on-wire stored-extent layout against the extent
+/// codec. `MakeGoldenStream` must keep producing these exact bytes forever
+/// (or kWireVersion must be bumped and a new blob committed).
+std::vector<uint8_t> MakeGoldenStream() {
   std::vector<uint8_t> stream;
   auto append = [&stream](const std::vector<uint8_t>& frame) {
     stream.insert(stream.end(), frame.begin(), frame.end());
   };
+  const std::string name = "sales";
+  {  // Byte ops.
+    // 1. PING / 7. PONG bracket the conversation.
+    append(EncodeFrame(WireOp::kPing, nullptr, 0));
+    // 2. OPEN_DATASET "sales"
+    append(EncodeFrame(WireOp::kOpenDataset, name.data(), name.size()));
+    // 3. DATASET_INFO: 1000 u64 elements, 4096-element read bound.
+    WireDatasetInfo info;
+    info.key_type = 2;  // KeyType::kU64
+    info.element_size = 8;
+    info.element_count = 1000;
+    info.max_read_elements = 4096;
+    append(EncodeFrame(WireOp::kDatasetInfo, &info, sizeof(info)));
+    // 4. READ_RANGE [40, +4) of "sales"
+    WireReadRange range;
+    range.first = 40;
+    range.count = 4;
+    std::vector<uint8_t> request(sizeof(range) + name.size());
+    std::memcpy(request.data(), &range, sizeof(range));
+    std::memcpy(request.data() + sizeof(range), name.data(), name.size());
+    append(EncodeFrame(WireOp::kReadRange, request.data(), request.size()));
+    // 5. RANGE_DATA: the four u64 values {2, 3, 5, 7}.
+    const uint64_t values[] = {2, 3, 5, 7};
+    append(EncodeFrame(WireOp::kRangeData, values, sizeof(values)));
+    // 6. ERROR: NOT_FOUND for a missing dataset.
+    append(EncodeErrorFrame(
+        Status::NotFound("node exports no dataset named 'tmp'")));
+    append(EncodeFrame(WireOp::kPong, nullptr, 0));
+  }
+  {  // Compute ops.
+    // 1. SAMPLE_RUNS: m=8, s=2, seed 7, intro-select, sync.
+    WireSampleRunsRequest request;
+    request.run_size = 8;
+    request.samples_per_run = 2;
+    request.seed = 7;
+    request.select_algorithm = 3;  // SelectAlgorithm::kIntroSelect
+    request.io_mode = 0;
+    request.prefetch_depth = 2;
+    append(EncodeFrame(WireOp::kSampleRuns,
+                       EncodeSampleRunsPayload(request, name)));
+    // 2. SAMPLE_LIST_DATA: one run of 8 elements, samples {11, 22}.
+    WireSampleListHeader list_header;
+    list_header.subrun_size = 4;
+    list_header.num_runs = 1;
+    list_header.num_samples = 2;
+    list_header.num_uncovered = 0;
+    list_header.total_elements = 8;
+    const uint64_t samples[] = {11, 22};
+    std::vector<uint8_t> list_payload(sizeof(list_header) +
+                                      sizeof(samples));
+    std::memcpy(list_payload.data(), &list_header, sizeof(list_header));
+    std::memcpy(list_payload.data() + sizeof(list_header), samples,
+                sizeof(samples));
+    append(EncodeFrame(WireOp::kSampleListData, list_payload));
+    // 3. EXACT_PASS: one bracket [10, 30], budget 64, m=8.
+    WireExactPassRequest exact;
+    exact.memory_budget = 64;
+    exact.run_size = 8;
+    exact.io_mode = 0;
+    exact.prefetch_depth = 2;
+    std::vector<QuantileEstimate<uint64_t>> brackets(1);
+    brackets[0].lower = 10;
+    brackets[0].upper = 30;
+    append(EncodeFrame(WireOp::kExactPass,
+                       EncodeExactPassPayload(exact, brackets, name)));
+    // 4. EXACT_PASS_DATA: 3 below, kept {11, 22}.
+    internal_exact::BracketAccumulator<uint64_t> scan;
+    scan.below = {3};
+    scan.kept = {{11, 22}};
+    auto scan_payload = EncodeExactScanPayload(scan);
+    OPAQ_CHECK_OK(scan_payload.status());
+    append(EncodeFrame(WireOp::kExactPassData, *scan_payload));
+  }
+  {  // Query-serving ops.
+    // 1. OPEN_SESSION "sales" (payload is the bare name).
+    append(EncodeFrame(WireOp::kOpenSession, name.data(), name.size()));
+    // 2. SESSION_INFO: 1000 u64 elements, 125 samples, epoch 1.
+    WireSessionInfo info;
+    info.key_type = 2;  // KeyType::kU64
+    info.element_size = 8;
+    info.total_elements = 1000;
+    info.max_rank_error = 8;
+    info.num_samples = 125;
+    info.epoch = 1;
+    info.exact_enabled = 1;
+    append(EncodeFrame(WireOp::kSessionInfo, &info, sizeof(info)));
+    // 3. QUERY: one batch of all four request kinds (one exact-flagged).
+    std::vector<QueryRequest<uint64_t>> requests = {
+        QueryRequest<uint64_t>::Quantile(0.5),
+        QueryRequest<uint64_t>::QuantileByRank(250, /*exact=*/true),
+        QueryRequest<uint64_t>::RankOf(7),
+        QueryRequest<uint64_t>::EquiQuantiles(4),
+    };
+    append(EncodeFrame(
+        WireOp::kQuery,
+        EncodeQueryPayload<uint64_t>(name, {requests.data(),
+                                            requests.size()})));
+    // 4. QUERY_RESULT: a quantile bracket with an exact value, and a rank
+    // bracket — enough to pin every field of the result records.
+    QueryResults<uint64_t> results;
+    results.total_elements = 1000;
+    results.max_rank_error = 8;
+    QueryResult<uint64_t> quantile;
+    quantile.kind = QueryRequest<uint64_t>::Kind::kQuantile;
+    QuantileEstimate<uint64_t> estimate;
+    estimate.target_rank = 500;
+    estimate.lower_index = 61;
+    estimate.upper_index = 63;
+    estimate.max_rank_error = 8;
+    estimate.lower = 11;
+    estimate.upper = 22;
+    estimate.lower_clamped = false;
+    estimate.upper_clamped = true;
+    quantile.estimates = {estimate};
+    quantile.exact = {17};
+    results.results.push_back(quantile);
+    QueryResult<uint64_t> rank;
+    rank.kind = QueryRequest<uint64_t>::Kind::kRank;
+    rank.rank.min_rank_le = 3;
+    rank.rank.max_rank_le = 19;
+    rank.rank.min_rank_lt = 2;
+    rank.rank.max_rank_lt = 18;
+    results.results.push_back(rank);
+    auto payload = EncodeQueryResultsPayload(results);
+    OPAQ_CHECK_OK(payload.status());
+    append(EncodeFrame(WireOp::kQueryResult, *payload));
+  }
+  {  // Extent ops, over 4 elements per extent, 14 elements, 4 extents.
+    // 1. OPEN_EXTENTS "sales" (payload is the bare name).
+    append(EncodeFrame(WireOp::kOpenExtents, name.data(), name.size()));
+    // 2. EXTENT_INFO: u64 elements, 4 per extent, 14 total, 4 extents.
+    WireExtentInfo info;
+    info.key_type = 2;  // KeyType::kU64
+    info.element_size = 8;
+    info.element_count = 14;
+    info.extent_elements = 4;
+    info.num_extents = 4;
+    info.max_extents_per_read = 16;
+    info.default_codec = 1;  // ExtentCodec::kDelta
+    append(EncodeFrame(WireOp::kExtentInfo, &info, sizeof(info)));
+    // 3. READ_EXTENTS [0, +1) of "sales".
+    WireReadExtents range;
+    range.first_extent = 0;
+    range.count = 1;
+    std::vector<uint8_t> request(sizeof(range) + name.size());
+    std::memcpy(request.data(), &range, sizeof(range));
+    std::memcpy(request.data() + sizeof(range), name.data(), name.size());
+    append(
+        EncodeFrame(WireOp::kReadExtents, request.data(), request.size()));
+    // 4. EXTENT_DATA: extent 0 stored raw — the four u64 values
+    // {2, 3, 5, 7}.
+    const uint64_t values[] = {2, 3, 5, 7};
+    ExtentHeader extent;
+    extent.codec = 0;  // ExtentCodec::kRaw
+    extent.payload_crc = Crc32(values, sizeof(values));
+    extent.extent_index = 0;
+    extent.unpacked_len = sizeof(values);
+    extent.packed_len = sizeof(values);
+    std::vector<uint8_t> stored(sizeof(extent) + sizeof(values));
+    std::memcpy(stored.data(), &extent, sizeof(extent));
+    std::memcpy(stored.data() + sizeof(extent), values, sizeof(values));
+    append(EncodeFrame(WireOp::kExtentData, stored.data(), stored.size()));
+  }
+  {  // Ingest ops.
+    // 1. APPEND: the four u64 values {2, 3, 5, 7} as one new segment.
+    WireAppendRequest request;
+    request.count = 4;
+    request.name_len = static_cast<uint32_t>(name.size());
+    request.flags = 0;
+    const uint64_t values[] = {2, 3, 5, 7};
+    std::vector<uint8_t> payload(sizeof(request) + name.size() +
+                                 sizeof(values));
+    std::memcpy(payload.data(), &request, sizeof(request));
+    std::memcpy(payload.data() + sizeof(request), name.data(), name.size());
+    std::memcpy(payload.data() + sizeof(request) + name.size(), values,
+                sizeof(values));
+    append(EncodeFrame(WireOp::kAppend, payload));
+    // 2. APPEND_ACK: the dataset already held 1000 elements in 2 segments.
+    WireAppendAck ack;
+    ack.total_elements = 1004;
+    ack.num_segments = 3;
+    append(EncodeFrame(WireOp::kAppendAck, &ack, sizeof(ack)));
+  }
+  // Stats ops: an empty-payload STATS poll and the STATS_DATA snapshot
+  // with one counter, one gauge, and one sketch-backed histogram.
   append(EncodeFrame(WireOp::kStats, nullptr, 0));
   append(EncodeFrame(WireOp::kStatsData,
                      EncodeStatsPayload(GoldenSnapshot())));
   return stream;
 }
 
-TEST(WireGoldenTest, EncoderProducesExactGoldenV6Bytes) {
-  EXPECT_EQ(MakeGoldenV6Stream(), GoldenBlobBytes("wire_v6.bin"))
-      << "the v6 stats frame encoding changed; deployed daemons and stats "
-         "pollers would no longer interoperate. If intentional, bump "
-         "kMaxWireVersion and commit a new golden blob.";
+std::vector<uint8_t> GoldenBlobBytes() {
+  const std::string path = std::string(OPAQ_GOLDEN_DIR) + "/wire.bin";
+  std::ifstream in(path, std::ios::binary);
+  OPAQ_CHECK(in.good()) << "missing golden blob: " << path;
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
 }
 
-TEST(WireGoldenTest, GoldenV6StreamDecodesFrameByFrame) {
-  const std::vector<uint8_t> blob = GoldenBlobBytes("wire_v6.bin");
-  const uint16_t expected_ops[] = {
-      static_cast<uint16_t>(WireOp::kStats),
-      static_cast<uint16_t>(WireOp::kStatsData),
+TEST(WireGoldenTest, EncoderProducesExactGoldenBytes) {
+  EXPECT_EQ(MakeGoldenStream(), GoldenBlobBytes())
+      << "the wire frame encoding changed; nodes, daemons and clients "
+         "built before and after would no longer interoperate. If "
+         "intentional, bump kWireVersion and commit a new golden blob.";
+}
+
+/// The decoded frame of the golden stream carrying `op` (each op appears
+/// exactly once).
+const WireFrame& FrameOf(const std::vector<WireFrame>& frames, WireOp op) {
+  for (const WireFrame& frame : frames) {
+    if (frame.op == static_cast<uint16_t>(op)) return frame;
+  }
+  OPAQ_CHECK(false) << "golden stream has no " << WireOpName(
+      static_cast<uint16_t>(op)) << " frame";
+  return frames.front();
+}
+
+TEST(WireGoldenTest, GoldenStreamDecodesFrameByFrame) {
+  const std::vector<uint8_t> blob = GoldenBlobBytes();
+  const WireOp expected_ops[] = {
+      WireOp::kPing,         WireOp::kOpenDataset,    WireOp::kDatasetInfo,
+      WireOp::kReadRange,    WireOp::kRangeData,      WireOp::kError,
+      WireOp::kPong,         WireOp::kSampleRuns,     WireOp::kSampleListData,
+      WireOp::kExactPass,    WireOp::kExactPassData,  WireOp::kOpenSession,
+      WireOp::kSessionInfo,  WireOp::kQuery,          WireOp::kQueryResult,
+      WireOp::kOpenExtents,  WireOp::kExtentInfo,     WireOp::kReadExtents,
+      WireOp::kExtentData,   WireOp::kAppend,         WireOp::kAppendAck,
+      WireOp::kStats,        WireOp::kStatsData,
   };
   size_t offset = 0;
   std::vector<WireFrame> frames;
-  for (uint16_t expected : expected_ops) {
+  for (WireOp expected : expected_ops) {
+    const uint16_t op = static_cast<uint16_t>(expected);
     WireFrameHeader header;
     ASSERT_GE(blob.size() - offset, sizeof(header));
     std::memcpy(&header, blob.data() + offset, sizeof(header));
-    EXPECT_EQ(header.version, 6) << WireOpName(expected);
+    EXPECT_EQ(header.version, kWireVersion) << WireOpName(op);
     size_t consumed = 0;
     auto frame =
         DecodeFrame(blob.data() + offset, blob.size() - offset, &consumed);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    EXPECT_EQ(frame->op, expected);
+    EXPECT_EQ(frame->op, op);
     frames.push_back(std::move(frame).value());
     offset += consumed;
   }
   EXPECT_EQ(offset, blob.size()) << "golden stream has trailing bytes";
 
-  EXPECT_TRUE(frames[0].payload.empty());
-  auto decoded =
-      DecodeStatsPayload(frames[1].payload.data(), frames[1].payload.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const MetricsSnapshot expected = GoldenSnapshot();
-  ASSERT_EQ(decoded->metrics.size(), expected.metrics.size());
-  for (size_t i = 0; i < expected.metrics.size(); ++i) {
-    EXPECT_EQ(decoded->metrics[i].name, expected.metrics[i].name);
-    EXPECT_EQ(decoded->metrics[i].type, expected.metrics[i].type);
-    EXPECT_EQ(decoded->metrics[i].value, expected.metrics[i].value);
+  // The payloads decode through the real codecs, not just frame-wise.
+  // Byte ops.
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kDatasetInfo);
+    WireDatasetInfo info;
+    ASSERT_EQ(frame.payload.size(), sizeof(info));
+    std::memcpy(&info, frame.payload.data(), sizeof(info));
+    EXPECT_EQ(info.element_count, 1000u);
+    EXPECT_EQ(info.max_read_elements, 4096u);
   }
-  EXPECT_EQ(decoded->metrics[1].gauge_value(), -3);
-  const HistogramSnapshot& hist = decoded->metrics[2].histogram;
-  EXPECT_EQ(hist.count, 200u);
-  EXPECT_EQ(hist.sum, 51200u);
-  EXPECT_EQ(hist.subrun_size, 16u);
-  EXPECT_EQ(hist.num_runs, 2u);
-  EXPECT_EQ(hist.samples, expected.metrics[2].histogram.samples);
+  // Compute ops.
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kSampleListData);
+    auto list = DecodeSampleListPayload<uint64_t>(frame.payload.data(),
+                                                  frame.payload.size());
+    ASSERT_TRUE(list.ok()) << list.status().ToString();
+    EXPECT_EQ(list->samples(), (std::vector<uint64_t>{11, 22}));
+    EXPECT_EQ(list->accounting().total_elements, 8u);
+  }
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kExactPass);
+    WireExactPassRequest exact;
+    ASSERT_GE(frame.payload.size(), sizeof(exact));
+    std::memcpy(&exact, frame.payload.data(), sizeof(exact));
+    EXPECT_EQ(exact.name_len, 5u);  // "sales"
+    EXPECT_EQ(exact.num_brackets, 1u);
+    EXPECT_EQ(frame.payload.size(),
+              sizeof(exact) + exact.name_len + 2 * sizeof(uint64_t));
+  }
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kExactPassData);
+    auto scan = DecodeExactScanPayload<uint64_t>(frame.payload.data(),
+                                                 frame.payload.size(),
+                                                 /*expected_brackets=*/1);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    EXPECT_EQ(scan->below, (std::vector<uint64_t>{3}));
+    EXPECT_EQ(scan->kept[0], (std::vector<uint64_t>{11, 22}));
+  }
+  // Query-serving ops.
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kQuery);
+    auto named = DecodeQueryName(frame.payload.data(), frame.payload.size());
+    ASSERT_TRUE(named.ok()) << named.status().ToString();
+    EXPECT_EQ(named->second, "sales");
+    auto requests = DecodeQueryRequests<uint64_t>(
+        frame.payload.data(), frame.payload.size(), named->first);
+    ASSERT_TRUE(requests.ok()) << requests.status().ToString();
+    ASSERT_EQ(requests->size(), 4u);
+    EXPECT_EQ((*requests)[0].kind, QueryRequest<uint64_t>::Kind::kQuantile);
+    EXPECT_EQ((*requests)[0].phi, 0.5);
+    EXPECT_TRUE((*requests)[1].exact);
+    EXPECT_EQ((*requests)[1].rank, 250u);
+    EXPECT_EQ((*requests)[2].value, 7u);
+    EXPECT_EQ((*requests)[3].q, 4);
+  }
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kQueryResult);
+    auto results = DecodeQueryResultsPayload<uint64_t>(frame.payload.data(),
+                                                       frame.payload.size());
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    EXPECT_EQ(results->total_elements, 1000u);
+    ASSERT_EQ(results->results.size(), 2u);
+    ASSERT_EQ(results->results[0].estimates.size(), 1u);
+    EXPECT_EQ(results->results[0].estimates[0].lower, 11u);
+    EXPECT_EQ(results->results[0].estimates[0].upper, 22u);
+    EXPECT_TRUE(results->results[0].estimates[0].upper_clamped);
+    EXPECT_EQ(results->results[0].exact, (std::vector<uint64_t>{17}));
+    EXPECT_EQ(results->results[1].rank.max_rank_le, 19u);
+  }
+  // Extent ops.
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kExtentInfo);
+    WireExtentInfo info;
+    ASSERT_EQ(frame.payload.size(), sizeof(info));
+    std::memcpy(&info, frame.payload.data(), sizeof(info));
+    EXPECT_EQ(info.element_count, 14u);
+    EXPECT_EQ(info.extent_elements, 4u);
+    EXPECT_EQ(info.num_extents, 4u);
+    EXPECT_EQ(info.max_extents_per_read, 16u);
+  }
+  {
+    // The stored extent decodes through the REAL extent validator — the
+    // same code path a client runs on every received extent.
+    const WireFrame& frame = FrameOf(frames, WireOp::kExtentData);
+    uint64_t decoded[4] = {};
+    Status s = DecodeStoredExtent(frame.payload.data(), frame.payload.size(),
+                                  /*expected_index=*/0,
+                                  /*expected_unpacked=*/sizeof(decoded),
+                                  /*element_size=*/8, /*verify_crc=*/true,
+                                  decoded, nullptr);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(decoded[0], 2u);
+    EXPECT_EQ(decoded[3], 7u);
+  }
+  // Ingest ops: the APPEND payload parses field by field — prefix, name,
+  // raw elements.
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kAppend);
+    WireAppendRequest request;
+    ASSERT_GE(frame.payload.size(), sizeof(request));
+    std::memcpy(&request, frame.payload.data(), sizeof(request));
+    EXPECT_EQ(request.count, 4u);
+    EXPECT_EQ(request.name_len, 5u);  // "sales"
+    EXPECT_EQ(request.flags, 0u);
+    ASSERT_EQ(frame.payload.size(),
+              sizeof(request) + request.name_len +
+                  request.count * sizeof(uint64_t));
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(
+                              frame.payload.data() + sizeof(request)),
+                          request.name_len),
+              "sales");
+    uint64_t elements[4] = {};
+    std::memcpy(elements,
+                frame.payload.data() + sizeof(request) + request.name_len,
+                sizeof(elements));
+    EXPECT_EQ(elements[0], 2u);
+    EXPECT_EQ(elements[3], 7u);
+  }
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kAppendAck);
+    WireAppendAck ack;
+    ASSERT_EQ(frame.payload.size(), sizeof(ack));
+    std::memcpy(&ack, frame.payload.data(), sizeof(ack));
+    EXPECT_EQ(ack.total_elements, 1004u);
+    EXPECT_EQ(ack.num_segments, 3u);
+  }
+  // Stats ops.
+  EXPECT_TRUE(FrameOf(frames, WireOp::kStats).payload.empty());
+  {
+    const WireFrame& frame = FrameOf(frames, WireOp::kStatsData);
+    auto decoded =
+        DecodeStatsPayload(frame.payload.data(), frame.payload.size());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const MetricsSnapshot expected = GoldenSnapshot();
+    ASSERT_EQ(decoded->metrics.size(), expected.metrics.size());
+    for (size_t i = 0; i < expected.metrics.size(); ++i) {
+      EXPECT_EQ(decoded->metrics[i].name, expected.metrics[i].name);
+      EXPECT_EQ(decoded->metrics[i].type, expected.metrics[i].type);
+      EXPECT_EQ(decoded->metrics[i].value, expected.metrics[i].value);
+    }
+    EXPECT_EQ(decoded->metrics[1].gauge_value(), -3);
+    const HistogramSnapshot& hist = decoded->metrics[2].histogram;
+    EXPECT_EQ(hist.count, 200u);
+    EXPECT_EQ(hist.sum, 51200u);
+    EXPECT_EQ(hist.subrun_size, 16u);
+    EXPECT_EQ(hist.num_runs, 2u);
+    EXPECT_EQ(hist.samples, expected.metrics[2].histogram.samples);
+  }
 }
 
-// --------------------------------------------- v6 stats payload codec ----
+// ------------------------------------------------ stats payload codec ----
 
 TEST(WireStatsTest, EmptySnapshotRoundTrips) {
   MetricsSnapshot empty;

@@ -1,5 +1,5 @@
 # Smoke test for stats-over-the-wire: start a real opaq_queryd on an
-# ephemeral port, poll it with `opaq_cli stats` (wire v6 STATS/STATS_DATA),
+# ephemeral port, poll it with `opaq_cli stats` (wire STATS/STATS_DATA),
 # and assert both renderings — the text rows and a well-formed Prometheus
 # exposition. Exercises the full path: registry -> snapshot -> v6 encode ->
 # TCP -> decode -> render.
