@@ -1,6 +1,7 @@
 #ifndef OPAQ_INCLUDE_OPAQ_QUERY_H_
 #define OPAQ_INCLUDE_OPAQ_QUERY_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -284,6 +285,13 @@ class QuerySession {
   /// order and each answer is selected from its kept set. Every shard
   /// charges one shared counter, so the memory budget bounds the total
   /// held across all shards while they run.
+  ///
+  /// A node-computed shard ships its whole kept set at once, so each node
+  /// is granted a share of the budget not yet charged, in proportion to
+  /// its elements: together the nodes never ship more than the budget. A
+  /// node whose kept set outgrows its share refuses, and is asked again
+  /// after every shard has finished, one node at a time, with all the
+  /// budget left then.
   Result<std::vector<K>> ExactValues(
       const std::vector<QuantileEstimate<K>>& estimates) const {
     if (sources_.empty()) {
@@ -301,29 +309,39 @@ class QuerySession {
         internal_exact::BracketAccumulator<K>(estimates.size()));
     std::vector<Status> statuses(sources_.size());
     std::atomic<uint64_t> shared_held{0};
-    // One shard's scan, compute-first: a remote compute shard runs the
-    // filter pass NODE-SIDE (one RPC, only counts + candidates come back;
-    // the node's own budget bounds its kept sets) and the result is charged
-    // and appended here like a local scan's.
+    uint64_t elements = 0;
+    for (const Source<K>& source : sources_) elements += source.size();
+    // The grant of a node that refused it; 0 once its scan is settled.
+    std::vector<uint64_t> grants(sources_.size(), 0);
+    // A remote compute shard runs the filter pass NODE-SIDE (one RPC, only
+    // counts + candidates come back; the grant bounds its kept sets) and
+    // the result is charged and appended here like a local scan's.
+    auto scan_node = [&](size_t shard, uint64_t grant) {
+      grants[shard] = std::max<uint64_t>(grant, 1);
+      auto scan = sources_[shard].remote_compute()->ExactPass(
+          estimates, config_.read_options(), grants[shard]);
+      if (!scan.ok()) {
+        statuses[shard] = scan.status();
+        return;
+      }
+      grants[shard] = 0;
+      uint64_t added = 0;
+      for (const std::vector<K>& kept : scan->kept) added += kept.size();
+      accs[shard].Append(std::move(scan).value());
+      statuses[shard] = accs[shard].Charge(added, budget, &shared_held);
+    };
+    auto left = [&] { return budget - std::min(budget, shared_held.load()); };
     auto scan_shard = [&](size_t shard) {
       const Source<K>& source = sources_[shard];
-      internal_exact::BracketAccumulator<K>& acc = accs[shard];
-      if (const RemoteComputeClient<K>* compute = source.remote_compute()) {
-        auto scan =
-            compute->ExactPass(estimates, config_.read_options(), budget);
-        if (!scan.ok()) {
-          statuses[shard] = scan.status();
-          return;
-        }
-        uint64_t added = 0;
-        for (const std::vector<K>& kept : scan->kept) added += kept.size();
-        acc.Append(std::move(scan).value());
-        statuses[shard] = acc.Charge(added, budget, &shared_held);
+      if (source.remote_compute() != nullptr) {
+        scan_node(shard, static_cast<uint64_t>(
+                             static_cast<long double>(left()) *
+                             source.size() / std::max<uint64_t>(elements, 1)));
         return;
       }
       statuses[shard] = internal_exact::AccumulateBrackets(
-          source.provider(), estimates, config_.read_options(), budget, &acc,
-          &shared_held);
+          source.provider(), estimates, config_.read_options(), budget,
+          &accs[shard], &shared_held);
     };
     std::vector<std::thread> threads;
     for (size_t shard = 1; shard < sources_.size(); ++shard) {
@@ -331,6 +349,12 @@ class QuerySession {
     }
     scan_shard(0);
     for (std::thread& thread : threads) thread.join();
+    for (size_t shard = 0; shard < sources_.size(); ++shard) {
+      if (statuses[shard].code() == StatusCode::kResourceExhausted &&
+          grants[shard] != 0 && grants[shard] < left()) {
+        scan_node(shard, left());
+      }
+    }
     for (const Status& status : statuses) OPAQ_RETURN_IF_ERROR(status);
     for (size_t shard = 1; shard < accs.size(); ++shard) {
       accs[0].Append(std::move(accs[shard]));

@@ -166,15 +166,19 @@ class Source {
   static Result<Source> OpenRemote(
       const std::string& spec,
       const NodeClientOptions& options = NodeClientOptions()) {
-    auto provider = RemoteRunProvider<K>::Connect(spec, options);
+    OPAQ_ASSIGN_OR_RETURN(const RemoteSpec parsed, ParseRemoteSpec(spec));
+    // One connection carries both opening requests.
+    OPAQ_ASSIGN_OR_RETURN(
+        NodeClient client,
+        NodeClient::Connect(parsed.host, parsed.port, options));
+    auto provider = RemoteRunProvider<K>::Connect(parsed, options, client);
     if (!provider.ok()) return provider.status();
-    const RemoteSpec parsed = provider->spec();
     Source s;
     // Probe for an extent export: when the dataset is stored as compressed
     // extents, every stream from this source ships PACKED extents decoded
     // client-side (RemoteExtentProvider). A node answering Unimplemented
     // stores it uncompressed — range streaming.
-    auto extents = RemoteExtentProvider<K>::Connect(parsed, options);
+    auto extents = RemoteExtentProvider<K>::Connect(parsed, options, client);
     if (extents.ok()) {
       s.provider_ = std::make_shared<RemoteExtentProvider<K>>(
           std::move(extents).value());

@@ -105,9 +105,17 @@ class RemoteExtentProvider : public RunProvider<K> {
   static Result<RemoteExtentProvider<K>> Connect(
       const RemoteSpec& spec,
       const NodeClientOptions& options = NodeClientOptions()) {
-    auto client = NodeClient::Connect(spec.host, spec.port, options);
-    if (!client.ok()) return client.status();
-    auto info = client->OpenExtents(spec.dataset);
+    OPAQ_ASSIGN_OR_RETURN(NodeClient client,
+                          NodeClient::Connect(spec.host, spec.port, options));
+    return Connect(spec, options, client);
+  }
+
+  /// Same, over `client`, an open connection to the node, which stays the
+  /// caller's for further requests.
+  static Result<RemoteExtentProvider<K>> Connect(const RemoteSpec& spec,
+                                        const NodeClientOptions& options,
+                                        NodeClient& client) {
+    auto info = client.OpenExtents(spec.dataset);
     if (!info.ok()) return info.status();
     if (info->key_type != static_cast<uint32_t>(KeyTraits<K>::kType) ||
         info->element_size != sizeof(K)) {

@@ -33,16 +33,17 @@ K IntroSelect(K* data, size_t n, size_t k, Xoshiro256& rng) {
     K b = data[rng.NextBounded(n)];
     K c = data[rng.NextBounded(n)];
     MedianOfThree(a, b, c);
-    PartitionBounds bounds = ThreeWayPartition(data, n, b);
-    if (k < bounds.lt) {
-      n = bounds.lt;
-    } else if (k < bounds.gt) {
-      return data[k];
-    } else {
-      data += bounds.gt;
-      k -= bounds.gt;
-      n -= bounds.gt;
+    // The equal band is only split off when k is not below the pivot.
+    const size_t lt = PartitionLess(data, n, b);
+    if (k < lt) {
+      n = lt;
+      continue;
     }
+    const size_t gt = lt + PartitionEqual(data + lt, n - lt, b);
+    if (k < gt) return data[k];
+    data += gt;
+    k -= gt;
+    n -= gt;
   }
 }
 

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "parallel/worker_pool.h"
@@ -24,38 +23,34 @@ namespace opaq {
 /// O(m log s) comparisons in log2(s) full sweeps over the run, and it is
 /// what small windows still use (`MultiSelectImpl`).
 ///
-/// Large windows take a sample-sort distribution step instead (the
+/// Large windows take one sample-sort distribution step instead (the
 /// classification of Sanders & Winkel's Super Scalar Sample Sort, ESA 2004,
-/// used for selection). Random splitters cut the window into up to 256
-/// buckets. Every element is classified by a branchless descent of an
-/// implicit splitter tree, its bucket byte is kept in an "oracle" array,
-/// and the window is permuted in place so each bucket is contiguous. Each
-/// target rank then lies in a known, cache-resident bucket; buckets holding
-/// no target are never touched again. A bucket holding several targets is
-/// distributed once more, in cache, into a few smaller buckets, and the
-/// caller's `SelectAlgorithm` finishes each piece on only the ranks inside
-/// it. Expected cost: about two passes over the run plus cache-resident
-/// work, instead of log2(s) passes.
+/// used for selection). Random splitters, drawn once per run, cut it into
+/// up to 256 buckets. The run is then processed in fixed slabs of `kSlab`
+/// elements: each slab is classified by a branchless descent of an implicit
+/// splitter tree into a slab-sized byte oracle, scattered out of place by
+/// those bytes into a slab-sized buffer, and copied back, so that within
+/// each slab every bucket is contiguous. Bucket b of the run is the pieces
+/// "bucket b of slab j" over all slabs. Each target rank lies in a known
+/// bucket; buckets holding no target are never touched again. A target
+/// bucket's pieces are gathered into one cache-resident buffer, and the
+/// caller's `SelectAlgorithm` finishes it on only the ranks inside it.
+/// Expected cost: about three passes over the run (classify, scatter, copy
+/// back) plus cache-resident work, instead of log2(s) passes.
 ///
 /// When the drawn splitters repeat a key, each distinct splitter also gets
 /// an equality bucket holding exactly the keys equal to it; such a bucket
-/// answers its ranks without any selection. This keeps duplicate-heavy
-/// runs (Zipf heads, all-equal, few-valued) at least as fast as the
-/// recursive path.
+/// answers its ranks without any selection or gather, and a slab whose
+/// keys all fall in one bucket is left as it is. This keeps
+/// duplicate-heavy runs (Zipf heads, all-equal, few-valued) at least as
+/// fast as the recursive path.
 ///
-/// The top-level distribution step can be striped across T workers of the
-/// shared pool (parallel/worker_pool.h), so every core works on the one
-/// resident run. Worker w classifies and permutes its own contiguous
-/// stripe of n/T elements in place. Bucket b of the window is then the T
-/// pieces "bucket b of stripe w"; workers claim the buckets holding target
-/// ranks one at a time, gather each one's pieces into a reused per-worker
-/// buffer, and finish it as above. Equality buckets are answered without a
-/// gather. With T = 1 the single stripe is the whole window and every
-/// bucket already lies whole in place, so this is the sequential step, not
-/// a second implementation. The partition postcondition of `MultiSelect`
-/// (each sample at its own rank in the rearranged run) holds for one
-/// worker only; with several, the run comes back grouped by bucket within
-/// each stripe.
+/// Both halves run on T workers of the shared pool
+/// (parallel/worker_pool.h), so every core works on the one resident run.
+/// Workers claim slabs, then target buckets, one at a time from an atomic
+/// counter: a job has many more pieces than workers, so a helper that is
+/// descheduled mid-job holds up one slab or one bucket, not 1/T of the run.
+/// With T = 1 the same code runs inline on the caller.
 ///
 /// All paths return the same values for any T: a sample is an order
 /// statistic of the run, whatever algorithm and however many workers find
@@ -67,13 +62,12 @@ namespace internal_select {
 /// smaller ones (live-ingest segments, tail runs) keep the recursive path.
 inline constexpr size_t kDistributeMinElements = size_t{1} << 16;
 
-/// Inside a distributed window, a bucket holding two or more target ranks
-/// is distributed again when it has at least this many elements.
-inline constexpr size_t kRedistributeMinElements = 1024;
-
-/// Distribution steps nest at most this deep before the recursive path
-/// takes over, whatever the bucket sizes.
-inline constexpr int kMaxDistributeDepth = 4;
+/// Elements per slab of the distribution step. A worker's slab buffer and
+/// oracle (kSlab * (sizeof(K) + 1) bytes) stay in its L2 cache; 2^14 and
+/// 2^15 time alike, and the smaller keeps a sketch's scratch under the m
+/// bytes of the whole-run oracle it replaced.
+inline constexpr size_t kSlab = size_t{1} << 14;
+static_assert(kDistributeMinElements % kSlab == 0);
 
 /// Sample elements drawn per splitter; more gives evener buckets.
 inline constexpr size_t kOversampling = 8;
@@ -103,39 +97,6 @@ void MultiSelectImpl(K* data, size_t n, const uint64_t* ranks,
                   algorithm, rng);
 }
 
-/// Permutes `data` in place so bucket b occupies `[begin[b], begin[b+1])`,
-/// following the oracle's bucket bytes (an American-flag cycle walk: every
-/// misplaced element moves once). The oracle is consumed.
-template <typename K>
-void PermuteByOracle(K* data, const uint8_t* oracle, const size_t* begin,
-                     size_t num_ids) {
-  size_t head[kMaxBucketIds];
-  std::copy(begin, begin + num_ids, head);
-  for (size_t b = 0; b < num_ids; ++b) {
-    const size_t end = begin[b + 1];
-    while (head[b] < end) {
-      const size_t hole = head[b];
-      size_t dest = oracle[hole];
-      if (dest == b) {
-        ++head[b];
-        continue;
-      }
-      // Carry data[hole] to its bucket, pick up what was there, and repeat
-      // until an element of bucket b comes back to fill the hole.
-      K carried = data[hole];
-      do {
-        size_t slot = head[dest];
-        while (oracle[slot] == dest) ++slot;  // already in place
-        head[dest] = slot + 1;
-        dest = oracle[slot];
-        std::swap(carried, data[slot]);
-      } while (dest != b);
-      data[hole] = carried;
-      ++head[b];
-    }
-  }
-}
-
 /// Start of stripe `w` when `n` elements are cut into `workers` stripes
 /// whose sizes differ by at most one.
 inline size_t StripeStart(size_t n, size_t workers, size_t w) {
@@ -153,17 +114,32 @@ void ForEachWorker(size_t workers, Body&& body) {
   }
 }
 
-/// Distribution-step multi-selection over one window (see the file
-/// comment); `oracle` has room for `n` bytes. With `workers` > 1 the window
-/// is striped: `gather` points to `workers` reusable buffers, and `data`
-/// comes back a permutation of its input but not partitioned around the
-/// selected ranks.
+}  // namespace internal_select
+
+/// Scratch that a caller keeps across runs so multi-selection allocates it
+/// once: per worker, one slab buffer (also the gather buffer of the target
+/// buckets, so it grows to the largest of them when that exceeds a slab)
+/// and one slab of oracle bytes; and each slab's bucket bounds. With T
+/// workers that is about T * kSlab * (sizeof(K) + 1) bytes plus 1 KiB per
+/// slab of the run: 640 KiB at T = 4 for a 2^20-element run of 8-byte
+/// keys, against the 1 MiB of a one-byte-per-element oracle.
+template <typename K>
+struct SelectScratch {
+  std::vector<std::vector<K>> buffers;
+  std::vector<uint8_t> oracle;
+  std::vector<uint32_t> bounds;
+};
+
+namespace internal_select {
+
+/// The distribution step over `data[0..n)` (see the file comment), for
+/// n >= kDistributeMinElements, on `workers` workers; `data` comes back a
+/// permutation of its input.
 template <typename K>
 void DistributeSelect(K* data, size_t n, const uint64_t* ranks,
-                      size_t num_ranks, uint64_t base, K* out,
-                      SelectAlgorithm algorithm, Xoshiro256& rng,
-                      uint8_t* oracle, int depth, size_t workers = 1,
-                      std::vector<K>* gather = nullptr) {
+                      size_t num_ranks, K* out, SelectAlgorithm algorithm,
+                      Xoshiro256& rng, size_t workers,
+                      SelectScratch<K>& scratch) {
   // About four range buckets per target rank, up to one oracle byte's worth.
   int log_range = 2;
   while (log_range < 8 && (size_t{1} << log_range) < 4 * num_ranks) {
@@ -199,36 +175,52 @@ void DistributeSelect(K* data, size_t n, const uint64_t* ranks,
   const size_t num_ids = classifier.num_ids();
   OPAQ_DCHECK(num_ids <= kMaxBucketIds);
 
-  // Stripe w is classified and permuted in place on its own, so its bucket
-  // b is contiguous: data[stripe_begin[w][b], stripe_begin[w][b + 1]). One
-  // stripe is the whole window.
-  constexpr size_t kStride = kMaxBucketIds + 1;
-  size_t one_stripe[kStride];
-  std::vector<size_t> many_stripes(workers > 1 ? workers * kStride : 0);
-  size_t* const stripe_begin = workers > 1 ? many_stripes.data() : one_stripe;
+  // Sized here, on the calling thread, so workers never allocate.
+  auto grow = [](auto& vector, size_t size) {
+    if (vector.size() < size) vector.resize(size);
+  };
+  const size_t num_slabs = (n + kSlab - 1) / kSlab;
+  const size_t stride = num_ids + 1;
+  workers = std::min(workers, num_slabs);
+  grow(scratch.buffers, workers);
+  for (size_t w = 0; w < workers; ++w) grow(scratch.buffers[w], kSlab);
+  grow(scratch.oracle, workers * kSlab);
+  grow(scratch.bounds, num_slabs * stride);
+  // Bucket b of slab j is data[j * kSlab + bounds[j * stride + b], ... + 1]).
+  uint32_t* const bounds = scratch.bounds.data();
+
+  std::atomic<size_t> next_slab{0};
   ForEachWorker(workers, [&](size_t w) {
-    const size_t lo = StripeStart(n, workers, w);
-    const size_t len = StripeStart(n, workers, w + 1) - lo;
-    size_t counts[kMaxBucketIds] = {};
-    classifier.Classify(data + lo, len, oracle + lo, counts);
-    size_t* begin = &stripe_begin[w * kStride];
-    begin[0] = 0;
-    for (size_t b = 0; b < num_ids; ++b) begin[b + 1] = begin[b] + counts[b];
-    PermuteByOracle(data + lo, oracle + lo, begin, num_ids);
-    for (size_t b = 0; b <= num_ids; ++b) begin[b] += lo;
+    K* const buffer = scratch.buffers[w].data();
+    uint8_t* const oracle = scratch.oracle.data() + w * kSlab;
+    for (size_t j; (j = next_slab.fetch_add(1, std::memory_order_relaxed)) <
+                   num_slabs;) {
+      K* const slab = data + j * kSlab;
+      const size_t len = std::min(kSlab, n - j * kSlab);
+      size_t counts[kMaxBucketIds] = {};
+      classifier.Classify(slab, len, oracle, counts);
+      uint32_t* const begin = bounds + j * stride;
+      size_t pos[kMaxBucketIds];
+      begin[0] = 0;
+      for (size_t b = 0; b < num_ids; ++b) {
+        pos[b] = begin[b];
+        begin[b + 1] = static_cast<uint32_t>(begin[b] + counts[b]);
+      }
+      if (counts[oracle[0]] == len) continue;  // one bucket: already grouped
+      for (size_t i = 0; i < len; ++i) buffer[pos[oracle[i]]++] = slab[i];
+      std::copy(buffer, buffer + len, slab);
+    }
   });
-  // Bucket b of stripe w: its first element and its length.
-  auto piece = [&](size_t w, size_t b) {
-    const size_t* begin = &stripe_begin[w * kStride];
-    return std::make_pair(data + begin[b], begin[b + 1] - begin[b]);
+  auto piece_size = [&](size_t j, size_t b) {
+    return size_t{bounds[j * stride + b + 1]} - bounds[j * stride + b];
   };
 
-  // Bucket b of the window holds every stripe's bucket b, from begin[b].
-  size_t begin[kMaxBucketIds + 1];
+  // Bucket b of the run holds ranks [begin[b], begin[b + 1]).
+  uint64_t begin[kMaxBucketIds + 1];
   begin[0] = 0;
   for (size_t b = 0; b < num_ids; ++b) {
     begin[b + 1] = begin[b];
-    for (size_t w = 0; w < workers; ++w) begin[b + 1] += piece(w, b).second;
+    for (size_t j = 0; j < num_slabs; ++j) begin[b + 1] += piece_size(j, b);
   }
 
   // Ranks are sorted, so the buckets holding them come in order too.
@@ -240,90 +232,62 @@ void DistributeSelect(K* data, size_t n, const uint64_t* ranks,
   size_t largest = 0;  // the biggest bucket that must be gathered
   for (size_t b = 0, first = 0; b < num_ids && first < num_ranks; ++b) {
     size_t last = first;
-    while (last < num_ranks && ranks[last] - base < begin[b + 1]) ++last;
+    while (last < num_ranks && ranks[last] < begin[b + 1]) ++last;
     if (last == first) continue;
     targets[num_targets++] = {b, first, last};
     if (!classifier.IsEqualityBucket(b)) {
-      largest = std::max(largest, begin[b + 1] - begin[b]);
+      largest = std::max<size_t>(largest, begin[b + 1] - begin[b]);
     }
     first = last;
   }
-  // Sized here, on the calling thread, so workers never allocate them.
-  if (workers > 1) {
-    for (size_t w = 0; w < workers; ++w) {
-      if (gather[w].size() < largest) gather[w].resize(largest);
-    }
-  }
+  workers = std::min(workers, num_targets);
+  for (size_t w = 0; w < workers; ++w) grow(scratch.buffers[w], largest);
   std::vector<Xoshiro256> worker_rngs;
   for (size_t w = 1; w < workers; ++w) worker_rngs.emplace_back(rng.Next());
 
-  // Workers claim target buckets one at a time. A bucket's pieces are
-  // gathered into the worker's buffer (with one stripe the bucket already
-  // lies whole in `data`). The oracle is free again and serves as scratch
-  // for nested steps: one worker reuses its head, which stays in cache;
-  // several use the disjoint bytes under each bucket's place in the window.
+  // Workers claim target buckets one at a time, gather each one's pieces
+  // into their buffer and select its ranks there. An equality bucket's
+  // ranks all hold its splitter.
   std::atomic<size_t> next_target{0};
   ForEachWorker(workers, [&](size_t w) {
     Xoshiro256& local_rng = w == 0 ? rng : worker_rngs[w - 1];
+    K* const buffer = scratch.buffers[w].data();
     for (size_t t; (t = next_target.fetch_add(1, std::memory_order_relaxed)) <
                    num_targets;) {
       const size_t b = targets[t].bucket;
       const size_t first = targets[t].first;
       const size_t last = targets[t].last;
-      const size_t size = begin[b + 1] - begin[b];
       if (classifier.IsEqualityBucket(b)) {
-        size_t stripe = 0;
-        while (piece(stripe, b).second == 0) ++stripe;
-        std::fill(out + first, out + last, *piece(stripe, b).first);
+        OPAQ_DCHECK(b / 2 < splitters.size());
+        std::fill(out + first, out + last, splitters[b / 2]);
         continue;
       }
-      K* bucket = data + begin[b];
-      if (workers > 1) {
-        bucket = gather[w].data();
-        K* at = bucket;
-        for (size_t stripe = 0; stripe < workers; ++stripe) {
-          const auto [from, len] = piece(stripe, b);
-          at = std::copy(from, from + len, at);
-        }
+      K* at = buffer;
+      for (size_t j = 0; j < num_slabs; ++j) {
+        const K* const piece = data + j * kSlab + bounds[j * stride + b];
+        at = std::copy(piece, piece + piece_size(j, b), at);
       }
-      if (last - first >= 2 && size >= kRedistributeMinElements &&
-          depth + 1 < kMaxDistributeDepth) {
-        DistributeSelect(bucket, size, ranks + first, last - first,
-                         base + begin[b], out + first, algorithm, local_rng,
-                         workers == 1 ? oracle : oracle + begin[b],
-                         depth + 1);
-      } else {
-        MultiSelectImpl(bucket, size, ranks + first, last - first,
-                        base + begin[b], out + first, algorithm, local_rng);
-      }
+      MultiSelectImpl(buffer, static_cast<size_t>(at - buffer), ranks + first,
+                      last - first, begin[b], out + first, algorithm,
+                      local_rng);
     }
   });
 }
 
 }  // namespace internal_select
 
-/// Scratch that a caller keeps across runs so multi-selection allocates it
-/// once: the distribution step's one-byte-per-element oracle and, for a
-/// striped step, one gather buffer per worker (each about the largest
-/// bucket holding a target rank, a few hundredths of the run).
-template <typename K>
-struct SelectScratch {
-  std::vector<uint8_t> oracle;
-  std::vector<std::vector<K>> gather;
-};
-
 /// Selects the elements at each 0-based rank in `ranks` (strictly increasing,
-/// all < n) from `data[0..n)`, rearranging `data` in the process. The output
-/// is sorted by construction. With one worker, afterwards
+/// all < n) from `data[0..n)`, rearranging `data` in the process: it comes
+/// back a permutation of its input. The output is sorted by construction.
+/// Below `kDistributeMinElements` elements, afterwards also
 /// `data[ranks[i]] == out[i]` with no larger element before it and no
-/// smaller one after it; with several, `data` is only a permutation of its
-/// input.
+/// smaller one after it.
 ///
 /// `algorithm` is the single-element selector: it does all the work on
-/// windows below `kDistributeMinElements`, and finishes each bucket after
-/// the distribution step on larger ones. `scratch`, when given, is reused
-/// (pass the same one for every run). `workers` stripes the top-level
-/// distribution step across that many workers of the shared pool; windows
+/// windows below `kDistributeMinElements`, and finishes each target bucket
+/// of the distribution step on larger ones. `scratch`, when given, is
+/// reused (pass the same one for every run). `workers` runs the
+/// distribution step on that many workers of the shared pool; windows
 /// below `workers * kDistributeMinElements` take one. The output does not
 /// depend on `workers`.
 template <typename K>
@@ -344,13 +308,9 @@ std::vector<K> MultiSelect(K* data, size_t n, const std::vector<uint64_t>& ranks
   }
   if (n / workers < internal_select::kDistributeMinElements) workers = 1;
   SelectScratch<K> local;
-  if (scratch == nullptr) scratch = &local;
-  if (scratch->oracle.size() < n) scratch->oracle.resize(n);
-  if (scratch->gather.size() < workers) scratch->gather.resize(workers);
   internal_select::DistributeSelect(data, n, ranks.data(), ranks.size(),
-                                    uint64_t{0}, out.data(), algorithm, rng,
-                                    scratch->oracle.data(), /*depth=*/0,
-                                    workers, scratch->gather.data());
+                                    out.data(), algorithm, rng, workers,
+                                    scratch != nullptr ? *scratch : local);
   return out;
 }
 

@@ -14,30 +14,52 @@ struct PartitionBounds {
   size_t gt;
 };
 
-/// Three-way partition of `data[0..n)` around `pivot`, in place.
+/// Moves the elements of `data[0..n)` for which `goes_left` holds to the
+/// front, in place, and returns how many there are. Branch-free: every
+/// element is swapped with the first slot past the front group, which then
+/// grows by the predicate's 0 or 1, so no comparison outcome is ever
+/// predicted.
+template <typename K, typename Pred>
+size_t BranchlessPartition(K* data, size_t n, Pred goes_left) {
+  size_t front = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const K key = data[i];
+    const bool left = goes_left(key);
+    data[i] = data[front];
+    data[front] = key;
+    front += static_cast<size_t>(left);
+  }
+  return front;
+}
+
+/// Elements `< pivot` to the front of `data[0..n)`; returns their count.
+template <typename K>
+size_t PartitionLess(K* data, size_t n, const K& pivot) {
+  return BranchlessPartition(data, n,
+                             [&pivot](const K& key) { return key < pivot; });
+}
+
+/// For `data[0..n)` holding no element `< pivot`: elements equal to it to
+/// the front; returns their count.
+template <typename K>
+size_t PartitionEqual(K* data, size_t n, const K& pivot) {
+  return BranchlessPartition(
+      data, n, [&pivot](const K& key) { return !(pivot < key); });
+}
+
+/// Three-way partition of `data[0..n)` around `pivot`, in place: two
+/// branch-free passes, `< pivot` to the front, then `== pivot` to the front
+/// of the rest.
 ///
 /// Selection on duplicate-heavy inputs (Zipf data, the paper's n/10 forced
 /// duplicates, the all-equal worst case) degrades to quadratic with two-way
 /// partitioning; the equal band makes every selector in this project robust
-/// to ties.
+/// to ties. Keys are compared with `<` only, so keys that compare equal
+/// (such as -0.0 and +0.0) share the equal band.
 template <typename K>
 PartitionBounds ThreeWayPartition(K* data, size_t n, const K& pivot) {
-  size_t lt = 0;   // next slot for a < element
-  size_t i = 0;    // scan cursor
-  size_t gt = n;   // one past the last unexamined slot
-  while (i < gt) {
-    if (data[i] < pivot) {
-      std::swap(data[lt], data[i]);
-      ++lt;
-      ++i;
-    } else if (pivot < data[i]) {
-      --gt;
-      std::swap(data[i], data[gt]);
-    } else {
-      ++i;
-    }
-  }
-  return PartitionBounds{lt, gt};
+  const size_t lt = PartitionLess(data, n, pivot);
+  return PartitionBounds{lt, lt + PartitionEqual(data + lt, n - lt, pivot)};
 }
 
 /// Insertion sort for the small subproblems all selectors bottom out on.

@@ -61,16 +61,25 @@ void FlightRecorder::Record(TraceStage stage, uint64_t start_ns,
   stage_ns_[index].fetch_add(duration_ns, std::memory_order_relaxed);
 
   Slot& slot = slots_[next_.fetch_add(1, std::memory_order_relaxed) & mask_];
-  // Per-slot seqlock: bump to odd, write payload, bump to even. Two writers
-  // lapping each other on the same slot (a full ring wrap mid-write) leave
-  // the seq transiently mismatched; readers discard such slots.
-  slot.seq.fetch_add(1, std::memory_order_acq_rel);
-  slot.start_ns.store(start_ns, std::memory_order_relaxed);
-  slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
+  // Per-slot seqlock with one writer at a time: claim the slot by moving
+  // its seq from even to odd, write the payload, publish with the next even
+  // seq. A writer that laps onto a slot still being written drops its event
+  // rather than share the slot, since two writers would leave the seq even
+  // while both still write. The payload stores are release, so a reader
+  // that loads one of them also sees the odd seq that preceded it.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1) != 0 ||
+      !slot.seq.compare_exchange_strong(seq, seq + 1,
+                                        std::memory_order_relaxed)) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  slot.start_ns.store(start_ns, std::memory_order_release);
+  slot.duration_ns.store(duration_ns, std::memory_order_release);
   slot.meta.store((static_cast<uint64_t>(HashedThreadId()) << 8) |
                       static_cast<uint64_t>(stage),
-                  std::memory_order_relaxed);
-  slot.seq.fetch_add(1, std::memory_order_release);
+                  std::memory_order_release);
+  slot.seq.store(seq + 2, std::memory_order_release);
 }
 
 std::vector<TraceEvent> FlightRecorder::Events() const {
@@ -84,14 +93,16 @@ std::vector<TraceEvent> FlightRecorder::Events() const {
     const Slot& slot = slots_[ticket & mask_];
     const uint64_t before = slot.seq.load(std::memory_order_acquire);
     if (before == 0 || (before & 1) != 0) continue;  // empty or mid-write
+    // Acquire payload loads keep the second seq load after them: if any of
+    // them read a later writer's store, that load sees the writer's seq.
     TraceEvent event;
-    event.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    event.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
-    const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
-    if (slot.seq.load(std::memory_order_acquire) != before) continue;
+    event.start_ns = slot.start_ns.load(std::memory_order_acquire);
+    event.duration_ns = slot.duration_ns.load(std::memory_order_acquire);
+    const uint64_t meta = slot.meta.load(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     event.tid = static_cast<uint32_t>(meta >> 8);
     const uint8_t stage = static_cast<uint8_t>(meta & 0xff);
-    if (stage >= kNumTraceStages) continue;  // torn overwrite
+    if (stage >= kNumTraceStages) continue;
     event.stage = static_cast<TraceStage>(stage);
     out.push_back(event);
   }

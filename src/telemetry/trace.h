@@ -41,10 +41,12 @@ struct TraceEvent {
 };
 
 /// Bounded ring of the most recent spans — the flight recorder. Writers
-/// claim slots with one `fetch_add` and publish through a per-slot seqlock
-/// whose payload fields are themselves relaxed atomics, so concurrent
-/// readers (stats snapshots, trace export) are data-race-free under TSan;
-/// a reader simply discards any slot a writer touched mid-copy.
+/// take slots with one `fetch_add` and publish through a per-slot seqlock
+/// whose payload fields are themselves atomics, so concurrent readers
+/// (stats snapshots, trace export) are data-race-free under TSan; a reader
+/// simply discards any slot a writer touched mid-copy. A writer whose slot
+/// is still being written by another (the ring wrapped within one write)
+/// drops its span from the ring and counts it in `dropped()`.
 class FlightRecorder {
  public:
   /// `capacity` is rounded up to a power of two.
@@ -71,6 +73,11 @@ class FlightRecorder {
     return next_.load(std::memory_order_relaxed);
   }
 
+  /// Spans kept out of the ring because their slot was mid-write.
+  uint64_t dropped() const {
+    return dropped_.load(std::memory_order_relaxed);
+  }
+
   /// Cumulative per-stage totals (never evicted, unlike ring slots).
   uint64_t StageCount(TraceStage stage) const;
   uint64_t StageTotalNs(TraceStage stage) const;
@@ -93,6 +100,7 @@ class FlightRecorder {
   std::vector<Slot> slots_;
   size_t mask_;
   std::atomic<uint64_t> next_{0};
+  std::atomic<uint64_t> dropped_{0};
   std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> stage_count_[kNumTraceStages] = {};
   std::atomic<uint64_t> stage_ns_[kNumTraceStages] = {};

@@ -357,9 +357,19 @@ TEST(EngineComputeTest, ExactBudgetBoundsTheTotalAcrossNodeComputedShards) {
           return !(v < bracket.lower) && !(bracket.upper < v);
         }));
   };
-  session->set_exact_memory_budget(std::max(kept_by(a), kept_by(b)));
+  const uint64_t budget = std::max(kept_by(a), kept_by(b));
+  session->set_exact_memory_budget(budget);
+  auto sent = [&] {
+    return node_a.server.bytes_sent() + node_b.server.bytes_sent();
+  };
+  const uint64_t sent_before = sent();
   auto starved = session->ExactQuantile(0.5);
   EXPECT_EQ(starved.status().code(), StatusCode::kResourceExhausted);
+  // Together the nodes shipped no more kept elements than the budget (plus
+  // frame headers, below-counts and refusals); each fits it alone, so
+  // shipping both kept sets would have sent kept_by(a) + kept_by(b).
+  EXPECT_LE(sent() - sent_before, budget * sizeof(Key) + 1024)
+      << "kept: " << kept_by(a) << " + " << kept_by(b);
   session->set_exact_memory_budget(kept_by(a) + kept_by(b));
   auto fed = session->ExactQuantile(0.5);
   ASSERT_TRUE(fed.ok()) << fed.status().ToString();
@@ -629,8 +639,9 @@ TEST(ComputeFaultTest, NodeValidatesComputeRequests) {
 
 TEST(ComputeFaultTest, EngineSurfacesNodeDeathMidSampleRuns) {
   // A scripted node that passes OpenRemote's handshake and extent probe,
-  // then dies after consuming the SAMPLE_RUNS request: the engine must
-  // report the failure, not retry it as range streaming.
+  // both on one connection, then dies after consuming the SAMPLE_RUNS
+  // request: the engine must report the failure, not retry it as range
+  // streaming.
   auto handshake = [](TcpConnection& conn) {
     ConsumeFrame(conn);  // OPEN_DATASET
     WireDatasetInfo info;
@@ -648,11 +659,15 @@ TEST(ComputeFaultTest, EngineSurfacesNodeDeathMidSampleRuns) {
         EncodeErrorFrame(Status::Unimplemented("not stored as extents"));
     conn.WriteFull(frame.data(), frame.size());
   };
+  auto open = [&](TcpConnection& conn) {
+    handshake(conn);
+    no_extents(conn);
+  };
   auto die_mid_compute = [](TcpConnection& conn) {
     ConsumeFrame(conn);  // SAMPLE_RUNS — then hang up without answering
   };
   ScriptedNode fake(std::vector<std::function<void(TcpConnection&)>>{
-      handshake, no_extents, die_mid_compute});
+      open, die_mid_compute});
 
   auto source = Source<Key>::OpenRemote(fake.spec().ToString());
   ASSERT_TRUE(source.ok()) << source.status().ToString();

@@ -54,6 +54,54 @@ TEST(PartitionTest, EmptyInput) {
   EXPECT_EQ(b.gt, 0u);
 }
 
+// Partitions `input` around each of `pivots` and checks the [<, ==, >]
+// contract with `<` alone, and that the result is a permutation of the input.
+template <typename K>
+void CheckThreeWayPartition(const std::vector<K>& input,
+                            const std::vector<K>& pivots,
+                            const std::string& what) {
+  auto bits_sorted = [](std::vector<K> keys) {
+    std::vector<uint64_t> bits(keys.size(), 0);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      std::memcpy(&bits[i], &keys[i], sizeof(K));
+    }
+    std::sort(bits.begin(), bits.end());
+    return bits;
+  };
+  for (const K& pivot : pivots) {
+    SCOPED_TRACE(what + " pivot=" + std::to_string(pivot));
+    std::vector<K> v = input;
+    const PartitionBounds b = ThreeWayPartition(v.data(), v.size(), pivot);
+    ASSERT_LE(b.lt, b.gt);
+    ASSERT_LE(b.gt, v.size());
+    for (size_t i = 0; i < b.lt; ++i) ASSERT_TRUE(v[i] < pivot) << i;
+    for (size_t i = b.lt; i < b.gt; ++i) {
+      ASSERT_FALSE(v[i] < pivot) << i;
+      ASSERT_FALSE(pivot < v[i]) << i;
+    }
+    for (size_t i = b.gt; i < v.size(); ++i) ASSERT_TRUE(pivot < v[i]) << i;
+    ASSERT_EQ(bits_sorted(v), bits_sorted(input));
+  }
+}
+
+TEST(PartitionTest, ThreeWayContractOnEveryKeyMix) {
+  Xoshiro256 rng(17);
+  std::vector<uint64_t> random(3001), equal(1000, 5), few(2000);
+  for (uint64_t& key : random) key = rng.NextBounded(1000000);
+  for (uint64_t& key : few) key = rng.NextBounded(4);
+  CheckThreeWayPartition(random, {random[0], random[1500], 0, 999999, 2000000},
+                         "random");
+  CheckThreeWayPartition(equal, {4, 5, 6}, "all-equal");
+  CheckThreeWayPartition(few, {0, 1, 2, 3, 4}, "few-valued");
+  // -0.0 and +0.0 compare equal: both land in the equal band of either.
+  std::vector<double> zeros(999);
+  for (double& key : zeros) {
+    const uint64_t pick = rng.NextBounded(4);
+    key = pick == 0 ? -0.0 : pick == 1 ? 0.0 : pick == 2 ? -1.5 : 2.5;
+  }
+  CheckThreeWayPartition(zeros, {-0.0, 0.0, -1.5, 2.5, 1.0}, "signed zeros");
+}
+
 TEST(InsertionSortTest, SortsSmallArrays) {
   std::vector<int> v{5, 3, 1, 4, 2};
   InsertionSort(v.data(), v.size());
@@ -386,50 +434,55 @@ std::pair<uint64_t, uint64_t> MultisetFingerprint(const std::vector<K>& keys) {
   return {sum, mixed_xor};
 }
 
-// Regular-samples `input` with sub-run size `c` and checks the result
-// against sort-then-pick, the sample placement, and that the work buffer
-// is still a permutation of the input.
+// Sort-then-pick: the regular samples every path must return.
 template <typename K>
-void CheckRegularSamples(const std::vector<K>& input, uint64_t c,
-                         SelectAlgorithm algorithm, const std::string& what) {
-  SCOPED_TRACE(what + " n=" + std::to_string(input.size()) + " selector=" +
+std::vector<K> SortedSamples(const std::vector<K>& input, uint64_t c) {
+  std::vector<K> sorted = input;
+  return RegularSamplesBySorting(sorted.data(), sorted.size(), c);
+}
+
+// Regular-samples `input` with sub-run size `c` on `workers` workers and
+// checks the result against `expected` (sort-then-pick) and that the work
+// buffer is still a permutation of the input. Below kDistributeMinElements
+// it also checks the recursive path's placement: each sample at its own
+// rank.
+template <typename K>
+void CheckRegularSamples(const std::vector<K>& input,
+                         const std::vector<K>& expected, uint64_t c,
+                         size_t workers, SelectAlgorithm algorithm,
+                         const std::string& what) {
+  SCOPED_TRACE(what + " n=" + std::to_string(input.size()) + " workers=" +
+               std::to_string(workers) + " selector=" +
                SelectAlgorithmName(algorithm));
   std::vector<K> work = input;
-  Xoshiro256 rng(input.size());
+  Xoshiro256 rng(input.size() + workers);
   SelectScratch<K> scratch;
   const std::vector<K> fast = RegularSamplesBySubrunSize(
-      work.data(), work.size(), c, algorithm, rng, &scratch);
-  std::vector<K> sorted = input;
-  const std::vector<K> slow =
-      RegularSamplesBySorting(sorted.data(), sorted.size(), c);
-  ASSERT_EQ(fast, slow);
+      work.data(), work.size(), c, algorithm, rng, &scratch, workers);
+  ASSERT_EQ(fast, expected);
 
-  // Each sample sits at its rank, with nothing larger before it and
-  // nothing smaller after it.
   const size_t n = work.size();
-  std::vector<K> suffix_min(work);
-  for (size_t i = n - 1; i-- > 0;) {
-    suffix_min[i] = std::min(suffix_min[i], suffix_min[i + 1]);
-  }
-  K prefix_max = work[0];
-  size_t next = 0;
-  for (size_t i = 0; i < n && next < fast.size(); ++i) {
-    if (i == (next + 1) * c - 1) {
-      ASSERT_EQ(work[i], fast[next]) << "sample " << next;
-      ASSERT_FALSE(fast[next] < prefix_max) << "sample " << next;
-      ASSERT_FALSE(suffix_min[i] < fast[next]) << "sample " << next;
-      ++next;
+  if (n < internal_select::kDistributeMinElements) {
+    // Each sample sits at its rank, with nothing larger before it and
+    // nothing smaller after it.
+    std::vector<K> suffix_min(work);
+    for (size_t i = n - 1; i-- > 0;) {
+      suffix_min[i] = std::min(suffix_min[i], suffix_min[i + 1]);
     }
-    prefix_max = std::max(prefix_max, work[i]);
+    K prefix_max = work[0];
+    size_t next = 0;
+    for (size_t i = 0; i < n && next < fast.size(); ++i) {
+      if (i == (next + 1) * c - 1) {
+        ASSERT_EQ(work[i], fast[next]) << "sample " << next;
+        ASSERT_FALSE(fast[next] < prefix_max) << "sample " << next;
+        ASSERT_FALSE(suffix_min[i] < fast[next]) << "sample " << next;
+        ++next;
+      }
+      prefix_max = std::max(prefix_max, work[i]);
+    }
   }
-
-  if (n <= (size_t{1} << 17)) {
-    std::sort(work.begin(), work.end());
-    ASSERT_EQ(work, sorted) << "work buffer is not a permutation of the input";
-  } else {
-    ASSERT_EQ(MultisetFingerprint(work), MultisetFingerprint(input))
-        << "work buffer is not a permutation of the input";
-  }
+  ASSERT_EQ(MultisetFingerprint(work), MultisetFingerprint(input))
+      << "work buffer is not a permutation of the input";
 }
 
 template <typename K>
@@ -447,6 +500,7 @@ TYPED_TEST(DistributeSelectTest, MatchesSortingAroundThreshold) {
   for (Shape shape : kAllShapes) {
     for (size_t n : sizes) {
       const std::vector<K> input = MakeShape<K>(shape, n, 1000 + n);
+      const std::vector<K> expected = SortedSamples(input, kC);
       // uint64_t keys cross every selector; the other types rotate through
       // them so each type still meets all four.
       for (SelectAlgorithm algorithm : kAllAlgorithms) {
@@ -454,7 +508,8 @@ TYPED_TEST(DistributeSelectTest, MatchesSortingAroundThreshold) {
             algorithm != kAllAlgorithms[case_index % 4]) {
           continue;
         }
-        CheckRegularSamples(input, kC, algorithm, ShapeName(shape));
+        CheckRegularSamples(input, expected, kC, 1, algorithm,
+                            ShapeName(shape));
         if (this->HasFatalFailure()) return;
       }
       ++case_index;
@@ -472,142 +527,74 @@ TYPED_TEST(DistributeSelectTest, MatchesSortingOnFullRun) {
         shape != Shape::kTwoValued) {
       continue;
     }
-    CheckRegularSamples(MakeShape<K>(shape, kM, 7), kM / 1024,
+    const std::vector<K> input = MakeShape<K>(shape, kM, 7);
+    CheckRegularSamples(input, SortedSamples(input, kM / 1024), kM / 1024, 1,
                         kAllAlgorithms[case_index++ % 4], ShapeName(shape));
     if (this->HasFatalFailure()) return;
   }
 }
 
-TEST(DistributeSelectTest2, ArbitraryRanksAndWindowOffset) {
-  // A few scattered ranks over a large window, and the distribution step on
-  // a window that starts at a nonzero rank base.
+TEST(DistributeSelectTest2, ArbitraryRanks) {
+  // A few scattered ranks over a large window, on one and on three workers.
   const std::vector<uint64_t> input = MakeShape<uint64_t>(
       Shape::kZipf, 3 * internal_select::kDistributeMinElements, 5);
   std::vector<uint64_t> sorted = input;
   std::sort(sorted.begin(), sorted.end());
   const std::vector<uint64_t> ranks{0, 17, 65535, 65536, 100000,
                                     input.size() - 1};
-  Xoshiro256 rng(5);
-  std::vector<uint64_t> work = input;
-  const std::vector<uint64_t> got = MultiSelect(
-      work.data(), work.size(), ranks, SelectAlgorithm::kIntroSelect, rng);
-  for (size_t i = 0; i < ranks.size(); ++i) EXPECT_EQ(got[i], sorted[ranks[i]]);
-
-  // Window [base, base + len) of already-partitioned data: sort the prefix
-  // and suffix around it so its ranks are global ranks.
-  const uint64_t base = 1000;
-  const size_t len = input.size() - 2 * base;
-  work = input;
-  std::nth_element(work.begin(), work.begin() + base, work.end());
-  std::nth_element(work.begin() + base, work.begin() + base + len,
-                   work.end());
-  const std::vector<uint64_t> window_ranks{base, base + 1, base + len / 2,
-                                           base + len - 1};
-  std::vector<uint64_t> out(window_ranks.size());
-  std::vector<uint8_t> oracle(len);
-  internal_select::DistributeSelect(
-      work.data() + base, len, window_ranks.data(), window_ranks.size(), base,
-      out.data(), SelectAlgorithm::kFloydRivest, rng, oracle.data(), 0);
-  for (size_t i = 0; i < window_ranks.size(); ++i) {
-    EXPECT_EQ(out[i], sorted[window_ranks[i]]) << "rank " << window_ranks[i];
+  for (size_t workers : {size_t{1}, size_t{3}}) {
+    Xoshiro256 rng(5);
+    SelectScratch<uint64_t> scratch;
+    std::vector<uint64_t> work = input;
+    const std::vector<uint64_t> got =
+        MultiSelect(work.data(), work.size(), ranks,
+                    SelectAlgorithm::kIntroSelect, rng, &scratch, workers);
+    for (size_t i = 0; i < ranks.size(); ++i) {
+      EXPECT_EQ(got[i], sorted[ranks[i]]) << "workers " << workers;
+    }
   }
 }
 
-TEST(DistributeSelectTest2, DepthBoundHandsBucketsToTheSelector) {
-  // At the last allowed depth no bucket is split again, however many ranks
-  // it holds: the recursive path finishes every one.
-  const std::vector<uint64_t> input =
-      MakeShape<uint64_t>(Shape::kUniform, size_t{1} << 18, 3);
-  std::vector<uint64_t> sorted = input;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<uint64_t> ranks;
-  for (uint64_t r = 63; r < input.size(); r += 64) ranks.push_back(r);
-  std::vector<uint64_t> work = input;
-  std::vector<uint64_t> out(ranks.size());
-  std::vector<uint8_t> oracle(work.size());
-  Xoshiro256 rng(3);
-  internal_select::DistributeSelect(
-      work.data(), work.size(), ranks.data(), ranks.size(), 0, out.data(),
-      SelectAlgorithm::kIntroSelect, rng, oracle.data(),
-      internal_select::kMaxDistributeDepth - 1);
-  for (size_t i = 0; i < ranks.size(); ++i) {
-    ASSERT_EQ(out[i], sorted[ranks[i]]) << "rank " << ranks[i];
-  }
-}
-
-TEST(DistributeSelectTest2, OracleIsReusedAcrossRuns) {
-  SelectScratch<uint64_t> scratch;
-  Xoshiro256 rng(9);
-  for (size_t n : {size_t{1} << 18, size_t{1} << 17, size_t{100}}) {
-    std::vector<uint64_t> run = MakeShape<uint64_t>(Shape::kUniform, n, n);
-    std::vector<uint64_t> sorted = run;
-    const std::vector<uint64_t> expected =
-        RegularSamplesBySorting(sorted.data(), sorted.size(), 64);
-    EXPECT_EQ(RegularSamplesBySubrunSize(run.data(), run.size(), 64,
-                                         SelectAlgorithm::kIntroSelect, rng,
-                                         &scratch),
-              expected);
-    // Grown once to the largest run; never shrunk, never grown again.
-    EXPECT_EQ(scratch.oracle.size(), size_t{1} << 18);
-  }
-}
-
-// ------------------------------------------- Striped distribution step --
+// --------------------------------------------------------- Slab kernel --
 //
-// With T workers the top-level step classifies and permutes T stripes on
-// their own, then gathers each target bucket's T pieces. The samples must
-// still equal sort-then-pick for every T, and the run must come back a
-// permutation of its input. (Only the one-worker path keeps each sample at
-// its own rank; CheckRegularSamples pins that.)
+// The distribution step classifies and scatters the run slab by slab on
+// any number of workers, then gathers each target bucket's pieces from
+// every slab. The samples must equal sort-then-pick for every worker
+// count, on runs that end just before, on and just after a slab boundary,
+// and the run must come back a permutation of its input.
 
-constexpr size_t kWorkerCounts[] = {2, 3, 4, 7};
-
-template <typename K>
-void CheckStripedSamples(const std::vector<K>& input,
-                         const std::vector<K>& expected, uint64_t c,
-                         size_t workers, SelectAlgorithm algorithm,
-                         const std::string& what) {
-  SCOPED_TRACE(what + " n=" + std::to_string(input.size()) + " workers=" +
-               std::to_string(workers) + " selector=" +
-               SelectAlgorithmName(algorithm));
-  std::vector<K> work = input;
-  Xoshiro256 rng(input.size() + workers);
-  SelectScratch<K> scratch;
-  ASSERT_EQ(RegularSamplesBySubrunSize(work.data(), work.size(), c, algorithm,
-                                       rng, &scratch, workers),
-            expected);
-  ASSERT_EQ(MultisetFingerprint(work), MultisetFingerprint(input))
-      << "work buffer is not a permutation of the input";
-}
+constexpr size_t kWorkerCounts[] = {1, 2, 3, 4, 7};
 
 TYPED_TEST(DistributeSelectTest, StripedStepMatchesSorting) {
   using K = TypeParam;
+  constexpr size_t kS = internal_select::kSlab;
   constexpr size_t kT = internal_select::kDistributeMinElements;
-  constexpr size_t kM = size_t{1} << 20;
   constexpr uint64_t kC = 512;
-  // Each T's own threshold from both sides (one below it takes a single
-  // worker), then a full run and one with a ragged tail, striped by every T.
+  // Slab boundaries on runs that every worker count splits (32 slabs is
+  // at least 7 x kT), a ragged last slab, a full run, and each worker
+  // count's own threshold from both sides (one below it takes one worker).
   struct Case {
     size_t n;
     size_t workers;  // 0: every worker count
   };
-  std::vector<Case> cases;
+  std::vector<Case> cases = {{32 * kS - 1, 0},
+                             {32 * kS, 0},
+                             {32 * kS + 1, 0},
+                             {37 * kS + kC / 2 + 3, 0},
+                             {size_t{1} << 20, 0}};
   for (size_t workers : kWorkerCounts) {
+    if (workers == 1) continue;
     cases.push_back({workers * kT - 1, workers});
     cases.push_back({workers * kT, workers});
   }
-  cases.push_back({kM, 0});
-  cases.push_back({kM + kC / 2 + 3, 0});
   size_t case_index = 0;
   for (Shape shape : kAllShapes) {
     for (const Case& c : cases) {
       const std::vector<K> input = MakeShape<K>(shape, c.n, 31 + c.n);
-      std::vector<K> sorted = input;
-      const std::vector<K> expected =
-          RegularSamplesBySorting(sorted.data(), sorted.size(), kC);
+      const std::vector<K> expected = SortedSamples(input, kC);
       for (size_t workers : kWorkerCounts) {
         if (c.workers != 0 && c.workers != workers) continue;
-        CheckStripedSamples(input, expected, kC, workers,
+        CheckRegularSamples(input, expected, kC, workers,
                             kAllAlgorithms[case_index++ % 4],
                             ShapeName(shape));
         if (this->HasFatalFailure()) return;
@@ -616,33 +603,35 @@ TYPED_TEST(DistributeSelectTest, StripedStepMatchesSorting) {
   }
 }
 
-TEST(DistributeSelectTest2, StripedScratchIsReusedAcrossRuns) {
-  // One scratch serves runs of every worker count, with and without
-  // equality buckets; its gather buffers hold one bucket each, a small
-  // fraction of the run.
+TEST(DistributeSelectTest2, ScratchIsReusedAcrossRuns) {
+  // One scratch serves runs of every size and worker count, with and
+  // without equality buckets. It holds a slab buffer and a slab of oracle
+  // bytes per worker plus each slab's bucket bounds, and stays under the
+  // one byte per element of the largest run.
   constexpr size_t kM = size_t{1} << 20;
   SelectScratch<uint64_t> scratch;
   Xoshiro256 rng(11);
-  const std::pair<Shape, size_t> runs[] = {{Shape::kUniform, 4},
-                                           {Shape::kZipf, 2},
-                                           {Shape::kTwoValued, 1},
-                                           {Shape::kOneKey90, 3}};
-  for (const auto& [shape, workers] : runs) {
-    SCOPED_TRACE(std::string(ShapeName(shape)) +
+  const std::tuple<Shape, size_t, size_t> runs[] = {
+      {Shape::kUniform, kM, 4},   {Shape::kZipf, kM, 2},
+      {Shape::kTwoValued, kM, 1}, {Shape::kOneKey90, kM, 3},
+      {Shape::kUniform, kM / 4, 4}, {Shape::kUniform, 100, 4}};
+  for (const auto& [shape, n, workers] : runs) {
+    SCOPED_TRACE(std::string(ShapeName(shape)) + " n=" + std::to_string(n) +
                  " workers=" + std::to_string(workers));
-    std::vector<uint64_t> run = MakeShape<uint64_t>(shape, kM, workers);
-    std::vector<uint64_t> sorted = run;
-    const std::vector<uint64_t> expected =
-        RegularSamplesBySorting(sorted.data(), sorted.size(), 1024);
-    EXPECT_EQ(RegularSamplesBySubrunSize(run.data(), run.size(), 1024,
+    std::vector<uint64_t> run = MakeShape<uint64_t>(shape, n, workers);
+    EXPECT_EQ(RegularSamplesBySubrunSize(run.data(), run.size(), 50,
                                          SelectAlgorithm::kIntroSelect, rng,
                                          &scratch, workers),
-              expected);
-    EXPECT_EQ(scratch.oracle.size(), kM);
-    ASSERT_EQ(scratch.gather.size(), 4u);
-    for (const std::vector<uint64_t>& buffer : scratch.gather) {
-      EXPECT_LT(buffer.size(), kM / 32);
+              SortedSamples(run, 50));
+    ASSERT_EQ(scratch.buffers.size(), 4u);
+    size_t bytes = scratch.oracle.size() +
+                   scratch.bounds.size() * sizeof(uint32_t);
+    for (const std::vector<uint64_t>& buffer : scratch.buffers) {
+      EXPECT_EQ(buffer.size(), internal_select::kSlab);
+      bytes += buffer.size() * sizeof(uint64_t);
     }
+    EXPECT_EQ(scratch.oracle.size(), 4 * internal_select::kSlab);
+    EXPECT_LE(bytes, kM);
   }
 }
 
