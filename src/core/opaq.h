@@ -58,8 +58,9 @@ std::unique_ptr<RunSource<K>> MakeRunSource(const RunProvider<K>& provider,
 /// selection scratch: one slab buffer and one slab of oracle bytes per
 /// sampling worker and each slab's bucket bounds, 640 KiB for four workers
 /// on 2^20-element runs of 8-byte keys (see select/multi_select.h).
-/// `ConsumeRuns` takes the run buffer from the process-wide `RunBufferPool` and gives it back when
-/// it returns, so consecutive sketches, and the shards of one build, reuse
+/// `ConsumeRuns` takes the run buffer from the process-wide `RunBufferPool`
+/// and gives it back when it returns, so consecutive sketches, and the
+/// shards of one build, reuse
 /// buffers rather than leave a copy in each thread's malloc arena.
 ///
 /// Sampling width: each run of at least `sample_workers` ×
