@@ -110,6 +110,7 @@ BENCHMARK(BM_RegularSamples)
     ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 1024, 0, 1})
     ->Args({static_cast<int>(SelectAlgorithm::kFloydRivest), 4096, 0, 1})
     ->Args({static_cast<int>(SelectAlgorithm::kMedianOfMedians), 1024, 0, 1})
+    ->Args({static_cast<int>(SelectAlgorithm::kMedianOfMedians), 1024, 0, 4})
     ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0, 1})
     ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0, 2})
     ->Args({static_cast<int>(SelectAlgorithm::kIntroSelect), 1024, 0, 4})

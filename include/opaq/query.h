@@ -291,7 +291,7 @@ class QuerySession {
   /// its elements: together the nodes never ship more than the budget. A
   /// node whose kept set outgrows its share refuses, and is asked again
   /// after every shard has finished, one node at a time, with all the
-  /// budget left then.
+  /// budget left then, unless another shard has already failed the query.
   Result<std::vector<K>> ExactValues(
       const std::vector<QuantileEstimate<K>>& estimates) const {
     if (sources_.empty()) {
@@ -311,20 +311,21 @@ class QuerySession {
     std::atomic<uint64_t> shared_held{0};
     uint64_t elements = 0;
     for (const Source<K>& source : sources_) elements += source.size();
-    // The grant of a node that refused it; 0 once its scan is settled.
-    std::vector<uint64_t> grants(sources_.size(), 0);
+    // The grant a node refused; 0 once its scan is settled.
+    std::vector<uint64_t> refused(sources_.size(), 0);
     // A remote compute shard runs the filter pass NODE-SIDE (one RPC, only
     // counts + candidates come back; the grant bounds its kept sets) and
     // the result is charged and appended here like a local scan's.
     auto scan_node = [&](size_t shard, uint64_t grant) {
-      grants[shard] = std::max<uint64_t>(grant, 1);
+      grant = std::max<uint64_t>(grant, 1);
       auto scan = sources_[shard].remote_compute()->ExactPass(
-          estimates, config_.read_options(), grants[shard]);
+          estimates, config_.read_options(), grant);
+      refused[shard] =
+          scan.status().code() == StatusCode::kResourceExhausted ? grant : 0;
       if (!scan.ok()) {
         statuses[shard] = scan.status();
         return;
       }
-      grants[shard] = 0;
       uint64_t added = 0;
       for (const std::vector<K>& kept : scan->kept) added += kept.size();
       accs[shard].Append(std::move(scan).value());
@@ -349,13 +350,17 @@ class QuerySession {
     }
     scan_shard(0);
     for (std::thread& thread : threads) thread.join();
+    // A shard that failed for good fails the query, whatever the nodes
+    // that refused their grants would answer when asked again.
     for (size_t shard = 0; shard < sources_.size(); ++shard) {
-      if (statuses[shard].code() == StatusCode::kResourceExhausted &&
-          grants[shard] != 0 && grants[shard] < left()) {
+      if (!statuses[shard].ok() && refused[shard] == 0) return statuses[shard];
+    }
+    for (size_t shard = 0; shard < sources_.size(); ++shard) {
+      if (refused[shard] != 0 && refused[shard] < left()) {
         scan_node(shard, left());
       }
+      OPAQ_RETURN_IF_ERROR(statuses[shard]);
     }
-    for (const Status& status : statuses) OPAQ_RETURN_IF_ERROR(status);
     for (size_t shard = 1; shard < accs.size(); ++shard) {
       accs[0].Append(std::move(accs[shard]));
     }

@@ -60,8 +60,8 @@ std::unique_ptr<RunSource<K>> MakeRunSource(const RunProvider<K>& provider,
 /// on 2^20-element runs of 8-byte keys (see select/multi_select.h).
 /// `ConsumeRuns` takes the run buffer from the process-wide `RunBufferPool`
 /// and gives it back when it returns, so consecutive sketches, and the
-/// shards of one build, reuse
-/// buffers rather than leave a copy in each thread's malloc arena.
+/// shards of one build, reuse buffers rather than leave a copy in each
+/// thread's malloc arena.
 ///
 /// Sampling width: each run of at least `sample_workers` ×
 /// `kDistributeMinElements` elements is sampled by that many workers of the

@@ -77,11 +77,7 @@ Result<SampleList<K>> LoadSampleList(BlockDevice* device) {
   if (header.version != 1) {
     return Status::InvalidArgument("unsupported sketch file version");
   }
-  if (header.key_type != static_cast<uint32_t>(KeyTraits<K>::kType)) {
-    return Status::InvalidArgument(
-        std::string("sketch holds a different key type than ") +
-        KeyTraits<K>::kName);
-  }
+  OPAQ_RETURN_IF_ERROR(CheckKeyType<K>(header.key_type, "sketch"));
   if (*size < sizeof(header) + header.num_samples * sizeof(K)) {
     return Status::InvalidArgument("sketch file truncated");
   }

@@ -179,11 +179,8 @@ class LiveDataset {
     }
     auto info = ReadLiveManifest(manifest->get());
     if (!info.ok()) return info.status();
-    if (info->key_type != KeyTraits<K>::kType) {
-      return Status::InvalidArgument(
-          std::string("live dataset in ") + dir +
-          " holds a different key type than " + KeyTraits<K>::kName);
-    }
+    OPAQ_RETURN_IF_ERROR(
+        CheckKeyType<K>(info->key_type, "live dataset in " + dir));
     return LiveDataset<K>(dir, options, std::move(*manifest),
                           std::move(info->records), info->total_elements);
   }
@@ -324,11 +321,8 @@ class LiveDatasetReader : public RunProvider<K> {
  public:
   static Result<LiveDatasetReader<K>> Open(const std::string& dir) {
     OPAQ_ASSIGN_OR_RETURN(LiveManifestInfo info, ReadLiveManifestInfo(dir));
-    if (info.key_type != KeyTraits<K>::kType) {
-      return Status::InvalidArgument(
-          std::string("live dataset in ") + dir +
-          " holds a different key type than " + KeyTraits<K>::kName);
-    }
+    OPAQ_RETURN_IF_ERROR(
+        CheckKeyType<K>(info.key_type, "live dataset in " + dir));
     LiveDatasetReader<K> reader;
     uint64_t flat = 0;
     for (const LiveManifestRecord& record : info.records) {

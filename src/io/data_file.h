@@ -50,6 +50,20 @@ struct KeyTraits<double> {
   static constexpr const char* kName = "f64";
 };
 
+/// InvalidArgument unless the `key_type` tag (a KeyType, or its on-disk or
+/// wire uint32_t) and `element_size` name `K`; `what` names their holder.
+template <typename K, typename Tag>
+Status CheckKeyType(Tag key_type, const std::string& what,
+                    uint64_t element_size = sizeof(K)) {
+  if (static_cast<uint32_t>(key_type) ==
+          static_cast<uint32_t>(KeyTraits<K>::kType) &&
+      element_size == sizeof(K)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(what + " holds a different key type than " +
+                                 KeyTraits<K>::kName);
+}
+
 /// Calls `f(K{})` for the C++ key type `K` the `type` tag names and returns
 /// its result, which must be a `Status` or a `Result<T>`: how untyped code
 /// (the daemons, anything holding a tag read from disk or the wire) reaches
@@ -129,11 +143,7 @@ class TypedDataFile {
   static Result<TypedDataFile<K>> Open(BlockDevice* device) {
     auto file = DataFile::Open(device);
     if (!file.ok()) return file.status();
-    if (file->key_type() != KeyTraits<K>::kType) {
-      return Status::InvalidArgument(
-          std::string("data file holds a different key type than ") +
-          KeyTraits<K>::kName);
-    }
+    OPAQ_RETURN_IF_ERROR(CheckKeyType<K>(file->key_type(), "data file"));
     return TypedDataFile<K>(std::move(file).value());
   }
 

@@ -37,13 +37,7 @@ Result<uint32_t> ReadKeyTypeTag(BlockDevice* device);
 /// `ExtentFileProvider<K>`, which aborts on a mismatch, is built.
 template <typename K>
 Status CheckExtentKeyType(const ExtentFile& file) {
-  if (file.key_type() != static_cast<uint32_t>(KeyTraits<K>::kType) ||
-      file.element_size() != sizeof(K)) {
-    return Status::InvalidArgument(
-        std::string("extent file holds a different key type than ") +
-        KeyTraits<K>::kName);
-  }
-  return Status::OK();
+  return CheckKeyType<K>(file.key_type(), "extent file", file.element_size());
 }
 
 /// One dataset stored in files — a plain data file, a striped set, or an

@@ -101,12 +101,8 @@ class StripedDataFile {
         return Status::InvalidArgument(
             "stripe " + std::to_string(s) + ": unsupported version");
       }
-      if (header.key_type != static_cast<uint32_t>(KeyTraits<K>::kType) ||
-          header.element_size != sizeof(K)) {
-        return Status::InvalidArgument(
-            std::string("stripe holds a different key type than ") +
-            KeyTraits<K>::kName);
-      }
+      OPAQ_RETURN_IF_ERROR(
+          CheckKeyType<K>(header.key_type, "stripe", header.element_size));
       if (header.num_stripes != devices.size()) {
         return Status::InvalidArgument(
             "stripe " + std::to_string(s) + " belongs to a " +

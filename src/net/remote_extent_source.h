@@ -94,35 +94,27 @@ class RemoteExtentLane : public ChunkLane<K> {
 template <typename K>
 class RemoteExtentProvider : public RunProvider<K> {
  public:
+  /// Connects per "host:port/dataset" spec text, on a connection of its
+  /// own.
   static Result<RemoteExtentProvider<K>> Connect(
       const std::string& spec_text,
       const NodeClientOptions& options = NodeClientOptions()) {
-    auto spec = ParseRemoteSpec(spec_text);
-    if (!spec.ok()) return spec.status();
-    return Connect(*spec, options);
-  }
-
-  static Result<RemoteExtentProvider<K>> Connect(
-      const RemoteSpec& spec,
-      const NodeClientOptions& options = NodeClientOptions()) {
+    OPAQ_ASSIGN_OR_RETURN(const RemoteSpec spec, ParseRemoteSpec(spec_text));
     OPAQ_ASSIGN_OR_RETURN(NodeClient client,
                           NodeClient::Connect(spec.host, spec.port, options));
     return Connect(spec, options, client);
   }
 
-  /// Same, over `client`, an open connection to the node, which stays the
-  /// caller's for further requests.
-  static Result<RemoteExtentProvider<K>> Connect(const RemoteSpec& spec,
-                                        const NodeClientOptions& options,
-                                        NodeClient& client) {
+  /// Connects over `client`, an open connection to the node, which stays
+  /// the caller's for further requests.
+  static Result<RemoteExtentProvider<K>> Connect(
+      const RemoteSpec& spec, const NodeClientOptions& options,
+      NodeClient& client) {
     auto info = client.OpenExtents(spec.dataset);
     if (!info.ok()) return info.status();
-    if (info->key_type != static_cast<uint32_t>(KeyTraits<K>::kType) ||
-        info->element_size != sizeof(K)) {
-      return Status::InvalidArgument(
-          "remote dataset '" + spec.ToString() +
-          "' holds a different key type than " + KeyTraits<K>::kName);
-    }
+    OPAQ_RETURN_IF_ERROR(CheckKeyType<K>(
+        info->key_type, "remote dataset '" + spec.ToString() + "'",
+        info->element_size));
     return RemoteExtentProvider<K>(spec, *info, options);
   }
 

@@ -76,12 +76,21 @@ void InsertionSort(K* data, size_t n) {
   }
 }
 
+/// Orders {a, b} so that `!(b < a)`, without a branch.
+template <typename K>
+void CompareExchange(K& a, K& b) {
+  const bool swap = b < a;
+  const K low = swap ? b : a;
+  b = swap ? a : b;
+  a = low;
+}
+
 /// Sorts {a,b,c} in place and leaves the median at `b` (3 comparisons).
 template <typename K>
 void MedianOfThree(K& a, K& b, K& c) {
-  if (b < a) std::swap(a, b);
-  if (c < b) std::swap(b, c);
-  if (b < a) std::swap(a, b);
+  CompareExchange(a, b);
+  CompareExchange(b, c);
+  CompareExchange(a, b);
 }
 
 }  // namespace opaq

@@ -65,11 +65,13 @@ void FlightRecorder::Record(TraceStage stage, uint64_t start_ns,
   // its seq from even to odd, write the payload, publish with the next even
   // seq. A writer that laps onto a slot still being written drops its event
   // rather than share the slot, since two writers would leave the seq even
-  // while both still write. The payload stores are release, so a reader
-  // that loads one of them also sees the odd seq that preceded it.
-  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  if ((seq & 1) != 0 ||
-      !slot.seq.compare_exchange_strong(seq, seq + 1,
+  // while both still write (an odd seq fails the claim, which expects an
+  // even one). The claim is acquire, so the previous writer's payload
+  // stores come before this writer's; the payload stores are release, so
+  // a reader that loads one of them also sees the odd seq that preceded it.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed) & ~uint64_t{1};
+  if (!slot.seq.compare_exchange_strong(seq, seq + 1,
+                                        std::memory_order_acquire,
                                         std::memory_order_relaxed)) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;

@@ -69,14 +69,10 @@ class FlightRecorder {
 
   size_t capacity() const { return slots_.size(); }
   /// Spans recorded since construction/Reset (may exceed `capacity`).
-  uint64_t recorded() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  uint64_t recorded() const { return next_.load(std::memory_order_relaxed); }
 
   /// Spans kept out of the ring because their slot was mid-write.
-  uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   /// Cumulative per-stage totals (never evicted, unlike ring slots).
   uint64_t StageCount(TraceStage stage) const;

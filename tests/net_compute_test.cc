@@ -378,6 +378,55 @@ TEST(EngineComputeTest, ExactBudgetBoundsTheTotalAcrossNodeComputedShards) {
   EXPECT_EQ(*fed, sorted[data.size() / 2 - 1]);
 }
 
+TEST(EngineComputeTest, SkewedNodeRefusesItsShareAndIsAskedAgain) {
+  // Node A holds a tenth of the elements but the whole median band; node B
+  // holds the rest, spread out. With a budget that fits both kept sets
+  // exactly, A's grant (its tenth of the budget) is too small: A refuses
+  // once and is asked again with what B left, B is asked once, and the
+  // answer is exact.
+  const std::vector<Key> a(1000, 5000);
+  std::vector<Key> b(9000);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = i * 10000 / 9000;
+  ComputeNode node_a(a), node_b(b);
+  auto source_a = Source<Key>::OpenRemote(node_a.spec().ToString());
+  auto source_b = Source<Key>::OpenRemote(node_b.spec().ToString());
+  ASSERT_TRUE(source_a.ok()) << source_a.status().ToString();
+  ASSERT_TRUE(source_b.ok()) << source_b.status().ToString();
+  auto session = Engine<Key>(SmallConfig(), {*source_a, *source_b}).Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto estimate = session->Query({QueryRequest<Key>::Quantile(0.5)});
+  ASSERT_TRUE(estimate.ok());
+  const QuantileEstimate<Key>& bracket = estimate->results[0].estimates[0];
+  auto kept_by = [&](const std::vector<Key>& shard) {
+    return static_cast<uint64_t>(
+        std::count_if(shard.begin(), shard.end(), [&](Key v) {
+          return !(v < bracket.lower) && !(bracket.upper < v);
+        }));
+  };
+  ASSERT_EQ(kept_by(a), a.size());
+  session->set_exact_memory_budget(kept_by(a) + kept_by(b));
+  const uint64_t served_a = node_a.server.requests_served();
+  const uint64_t served_b = node_b.server.requests_served();
+  auto exact = session->ExactQuantile(0.5);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  std::vector<Key> sorted = b;
+  sorted.insert(sorted.end(), a.begin(), a.end());
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(*exact, sorted[sorted.size() / 2 - 1]);
+  const uint64_t asked_b = node_b.server.requests_served() - served_b;
+  EXPECT_GE(asked_b, 1u);
+  EXPECT_EQ(node_a.server.requests_served() - served_a, 2 * asked_b);
+
+  // Once B is gone the query fails whatever A answers, so A's refusal is
+  // not followed by a second scan.
+  node_b.server.Stop();
+  const uint64_t before = node_a.server.requests_served();
+  auto failed = session->ExactQuantile(0.5);
+  EXPECT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(node_a.server.requests_served() - before, asked_b);
+}
+
 // ------------------------------------------------ hostile peers/faults ----
 
 /// A fake node that runs one script per accepted connection, in order —

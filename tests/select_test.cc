@@ -481,8 +481,15 @@ void CheckRegularSamples(const std::vector<K>& input,
       prefix_max = std::max(prefix_max, work[i]);
     }
   }
-  ASSERT_EQ(MultisetFingerprint(work), MultisetFingerprint(input))
-      << "work buffer is not a permutation of the input";
+  if (n <= (size_t{1} << 17)) {
+    std::vector<K> sorted = input;
+    std::sort(sorted.begin(), sorted.end());
+    std::sort(work.begin(), work.end());
+    ASSERT_EQ(work, sorted) << "work buffer is not a permutation of the input";
+  } else {
+    ASSERT_EQ(MultisetFingerprint(work), MultisetFingerprint(input))
+        << "work buffer is not a permutation of the input";
+  }
 }
 
 template <typename K>

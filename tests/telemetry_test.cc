@@ -292,6 +292,41 @@ TEST(FlightRecorderTest, ConcurrentWritersAndReadersAreConsistent) {
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(recorder.recorded(),
             static_cast<uint64_t>(kWriters) * kSpansPerWriter);
+  // Once the writers are done every slot holds a whole span, and a span can
+  // only have been dropped by a writer that lapped a slot someone wrote.
+  EXPECT_EQ(recorder.Events().size(), recorder.capacity());
+  EXPECT_LE(recorder.dropped(), recorder.recorded() - recorder.capacity());
+}
+
+TEST(FlightRecorderTest, KeptAndDroppedSpansAccountForEveryRecord) {
+  // Four writers on rings of one, 64 and 2^15 slots. A span is either
+  // written into its slot or dropped because the slot was mid-write, so
+  // every slot holds a span and at most recorded - capacity were dropped;
+  // a ring that never laps keeps every span.
+  constexpr int kWriters = 4;
+  constexpr int kSpansPerWriter = 8192;
+  constexpr uint64_t kRecorded = uint64_t{kWriters} * kSpansPerWriter;
+  for (size_t capacity : {size_t{1}, size_t{64}, size_t{kRecorded}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    FlightRecorder recorder(capacity);
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&recorder] {
+        for (int i = 0; i < kSpansPerWriter; ++i) {
+          recorder.Record(TraceStage::kRunRead, i, 1);
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+    ASSERT_EQ(recorder.recorded(), kRecorded);
+    EXPECT_EQ(recorder.StageCount(TraceStage::kRunRead), kRecorded);
+    const uint64_t kept = recorder.Events().size();
+    EXPECT_EQ(kept, capacity);
+    EXPECT_LE(kept + recorder.dropped(), kRecorded);
+    if (capacity == kRecorded) {
+      EXPECT_EQ(kept + recorder.dropped(), kRecorded);
+    }
+  }
 }
 
 TEST(FlightRecorderTest, ChromeTraceJsonIsWellFormed) {
